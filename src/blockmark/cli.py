@@ -81,7 +81,12 @@ def cmd_detect(args):
                        prompt_len=args.prompt_len)
     out = sys.stdout if args.output == "-" else open(args.output, "w")
     try:
-        for seq in seqio.read_sequences(args.input):
+        for seq in seqio.read_sequences(args.input, keep_bad=True):
+            if isinstance(seq, seqio.BadRecord):
+                rec = {"format_version": seqio.FORMAT_VERSION,
+                       "line": seq.line, "error": seq.error}
+                out.write(json.dumps(rec, sort_keys=True) + "\n")
+                continue
             rep = detect(seq, cfg)
             rec = {"format_version": seqio.FORMAT_VERSION,
                    "is_wm": rep.is_wm,

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bch import BchCode, ContractError, bits_to_int, int_to_bits, message_of, \
-    safe_decode
+from .bch import BchCode, ContractError, bits_to_int, int_to_bits, \
+    max_weight_codeword, safe_decode
 from .generation import TokenSequence
-from .keying import SecretKey, derive_block_key, partition_bits, plan_block
+from .keying import SecretKey, derive_block_key, token_bits
 
 MODES = ("designated_only", "shift_only", "both", "naive")
 
@@ -70,27 +70,68 @@ class DetectionReport:
     diagnostic: str = ""
 
 
+@dataclass(frozen=True)
+class KeyedTable:
+    """Keyed bits f_j(v) of the (block j, token v) pairs that a set of
+    offsets reads in one text, each pair hashed once.  `block_keys[j]` is
+    block j's key, derived once."""
+    pairs: np.ndarray        # sorted codes j << 32 | v
+    bits: np.ndarray
+    block_keys: list
+
+    def lookup(self, pairs: np.ndarray) -> np.ndarray:
+        i = np.searchsorted(self.pairs, pairs)
+        if not (i < len(self.pairs)).all() or \
+                not np.array_equal(self.pairs[i], pairs):
+            raise ContractError("keyed table does not cover this offset")
+        return self.bits[i]
+
+
+def _reads(toks: np.ndarray, n: int, offset: int):
+    """Stream positions that tokens fill at `offset`, and the (block,
+    token) pair codes read there."""
+    idx = np.arange(max(offset, 0), len(toks))
+    pos = idx - offset
+    return pos, (pos // n << 32) | toks[idx]
+
+
+def keyed_table(seq: TokenSequence, key: SecretKey, n: int, k: int,
+                offsets, prompt_len: int = 0) -> KeyedTable:
+    """Hash every distinct (block, token) pair that extract_bits reads at
+    any of `offsets`: O(T) hashes per text, whatever the vocabulary."""
+    toks = seq.tokens[prompt_len:]
+    pairs = np.unique(np.concatenate([_reads(toks, n, s)[1]
+                                      for s in offsets]))
+    blocks = pairs >> 32
+    bks = [derive_block_key(key, j, k)
+           for j in range(blocks[-1] + 1 if len(pairs) else 0)]
+    bits = np.empty(len(pairs), dtype=np.uint8)
+    starts = np.flatnonzero(np.diff(blocks, prepend=-1))
+    for a, b in zip(starts, [*starts[1:], len(pairs)]):
+        bits[a:b] = token_bits(bks[blocks[a]].seed,
+                               (pairs[a:b] & 0xFFFFFFFF).tolist())
+    return KeyedTable(pairs, bits, bks)
+
+
 def extract_bits(seq: TokenSequence, key: SecretKey, n: int, k: int,
-                 offset: int = 0, prompt_len: int = 0) -> BitStream:
-    """Keyed binary projection of a token sequence at a given alignment."""
+                 offset: int = 0, prompt_len: int = 0,
+                 table: KeyedTable | None = None) -> BitStream:
+    """Keyed binary projection of a token sequence at a given alignment.
+
+    The bits come from `table` (a keyed_table of this text covering this
+    offset) or, without one, from a table hashed for this offset alone.
+    """
     if abs(offset) > n:
         raise ContractError("offset magnitude must be <= n")
     toks = seq.tokens[prompt_len:]
-    T = len(toks)
-    if T - offset <= 0:
+    U = len(toks) - offset          # highest stream position + 1
+    if U <= 0:
         return BitStream(np.zeros(0, dtype=np.uint8), offset)
-    U = T - offset          # highest stream position + 1
+    if table is None:
+        table = keyed_table(seq, key, n, k, [offset], prompt_len)
+    pos, pairs = _reads(toks, n, offset)
     bits = np.zeros(U, dtype=np.uint8)
-    pos = np.arange(T) - offset
-    keep = pos >= 0
-    pos = pos[keep]
-    kept = toks[keep]
-    blocks = pos // n
-    for j in np.unique(blocks):
-        part = partition_bits(derive_block_key(key, int(j), k),
-                              seq.vocab_size)
-        sel = blocks == j
-        bits[pos[sel]] = part[kept[sel]]
+    bits[pos] = table.lookup(pairs)
     return BitStream(bits, offset)
 
 
@@ -100,37 +141,53 @@ def _decode_blocks(code: BchCode, bits: np.ndarray):
             for j in range(M)]
 
 
+def _vote(code: BchCode, decoded, randomizers, c_max):
+    """The stage-1 vote over decoded blocks, with messages and
+    randomizers as ints.
+
+    Returns the winning message int (most votes, ties to the smallest;
+    None without votes), the vote table keyed by message int and, per
+    block, the payloads that designate its decoded codeword cw_j: the vote
+    key msg(cw_j) XOR r_j, none when the block does not decode.  In
+    diverse mode (`c_max` the maximum-weight codeword, else None) the pair
+    partner cw_j XOR c_max adds its key too: as a vote unless the partner
+    is zero, and as a designating payload unless cw_j is zero (plan_block
+    replaces a zero partner by c1).
+    """
+    designating = []
+    votes: dict[int, int] = {}
+    c_max_key = None if c_max is None else bits_to_int(c_max[:code.k])
+    for dec, r in zip(decoded, randomizers):
+        if dec is None:
+            designating.append(())
+            continue
+        cw = dec[0]
+        key = bits_to_int(cw[:code.k]) ^ r
+        votes[key] = votes.get(key, 0) + 1
+        if c_max_key is None:
+            designating.append((key,))
+            continue
+        alt = key ^ c_max_key        # msg is linear: msg(cw ^ c_max)
+        if (cw ^ c_max).any():
+            votes[alt] = votes.get(alt, 0) + 1
+        designating.append((key, alt) if cw.any() else (key,))
+    best = min(votes, key=lambda v: (-votes[v], v)) if votes else None
+    return best, votes, designating
+
+
 def stage1_vote(stream: BitStream, code: BchCode, key: SecretKey,
-                diverse: bool = False, _decoded=None):
+                diverse: bool = False):
     """Blind payload estimation by majority vote over decodable blocks.
 
     Returns (message or None, vote table keyed by message int).  Ties go
     to the smallest message value.
     """
-    decoded = _decoded if _decoded is not None else \
-        _decode_blocks(code, stream.bits)
-    votes: dict[int, int] = {}
-    c_max = None
-    for j, dec in enumerate(decoded):
-        if dec is None:
-            continue
-        cw = dec[0]
-        r = derive_block_key(key, j, code.k).randomizer
-        cands = [message_of(code, cw) ^ r]
-        if diverse:
-            if c_max is None:
-                from .bch import max_weight_codeword
-                c_max = max_weight_codeword(code)
-            alt = cw ^ c_max
-            if alt.any():
-                cands.append(message_of(code, alt) ^ r)
-        for cand in cands:
-            key_int = bits_to_int(cand)
-            votes[key_int] = votes.get(key_int, 0) + 1
-    if not votes:
-        return None, votes
-    best = min(votes, key=lambda v: (-votes[v], v))
-    return int_to_bits(best, code.k), votes
+    decoded = _decode_blocks(code, stream.bits)
+    rands = [bits_to_int(derive_block_key(key, j, code.k).randomizer)
+             for j in range(len(decoded))]
+    c_max = max_weight_codeword(code) if diverse else None
+    best, votes, _ = _vote(code, decoded, rands, c_max)
+    return (None if best is None else int_to_bits(best, code.k)), votes
 
 
 def _offset_order(s_max: int):
@@ -141,56 +198,53 @@ def _offset_order(s_max: int):
 
 
 def detect(seq: TokenSequence, cfg: DetectConfig) -> DetectionReport:
-    """Algorithmic core: per candidate offset, vote a payload, rebuild the
-    designated codewords, and count exact designated matches; keep the
-    offset with the strictly best matched ratio (search order 0, -1, +1,
-    -2, +2, ...)."""
+    """Algorithmic core: per candidate offset, vote a payload and count
+    the blocks whose decoded codeword is the one designated for that
+    payload; keep the offset with the strictly best matched ratio (search
+    order 0, -1, +1, -2, +2, ...).
+
+    The code is systematic, so a block's codeword is the designated
+    encode(payload XOR r_j) exactly when its vote key msg(cw_j) XOR r_j
+    is the payload; no designated codeword is rebuilt.  The naive and
+    shift_only modes count every decodable block instead.
+    """
     code = cfg.code
+    any_codeword = cfg.mode in ("naive", "shift_only")
+    n = code.n
     offsets = [0] if cfg.mode in ("designated_only", "naive") \
         else list(_offset_order(cfg.s_max))
+    T = len(seq.tokens[cfg.prompt_len:])
+    offsets = [s for s in offsets if T - s >= n]
+    if not offsets:
+        return DetectionReport(False, None, 0, 0, 0,
+                               diagnostic="text shorter than one block")
+
+    table = keyed_table(seq, cfg.key, n, code.k, offsets, cfg.prompt_len)
+    rands = [bits_to_int(bk.randomizer) for bk in table.block_keys]
+    c_max = max_weight_codeword(code) if cfg.diverse else None
 
     best = None   # (score, matched, offset, payload, per_block, M)
     for s in offsets:
-        stream = extract_bits(seq, cfg.key, code.n, code.k, s,
-                              cfg.prompt_len)
-        M = len(stream.bits) // code.n
-        if M == 0:
-            continue
+        stream = extract_bits(seq, cfg.key, n, code.k, s, cfg.prompt_len,
+                              table=table)
         decoded = _decode_blocks(code, stream.bits)
-        payload, _votes = stage1_vote(stream, code, cfg.key,
-                                      diverse=cfg.diverse, _decoded=decoded)
+        payload, _, designating = _vote(code, decoded, rands, c_max)
 
         per_block = []
-        matched = 0
-        if cfg.mode in ("naive", "shift_only"):
-            for dec in decoded:
-                ok = dec is not None
-                per_block.append(BlockResult(ok, dec[1] if ok else None, s))
-                matched += ok
-        else:
-            plans = None
-            if payload is not None:
-                plans = [plan_block(cfg.key, j, payload, code,
-                                    "diverse" if cfg.diverse else "payload")
-                         for j in range(M)]
-            for j, dec in enumerate(decoded):
-                ok = (dec is not None and plans is not None
-                      and plans[j].matches(dec[0]))
-                per_block.append(BlockResult(bool(ok),
-                                             dec[1] if dec else None, s))
-                matched += ok
+        for dec, payloads in zip(decoded, designating):
+            ok = dec is not None if any_codeword else payload in payloads
+            per_block.append(BlockResult(ok, dec[1] if dec else None, s))
+        matched = sum(b.matched for b in per_block)
 
+        M = len(decoded)
         score = matched / M
         if best is None or score > best[0]:
             best = (score, matched, s, payload, per_block, M)
 
-    if best is None:
-        return DetectionReport(False, None, 0, 0, 0,
-                               diagnostic="text shorter than one block")
-
     score, matched, s, payload, per_block, M = best
     is_wm = matched >= cfg.tau
     return DetectionReport(is_wm=is_wm,
-                           payload=payload if is_wm else None,
+                           payload=int_to_bits(payload, code.k) if is_wm
+                           else None,
                            best_offset=s, matched=matched, block_count=M,
                            per_block=per_block, score=score)

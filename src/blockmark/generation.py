@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bch import BchCode, ContractError
-from .keying import SecretKey, derive_block_key, partition_bits, plan_block
+from .keying import SecretKey, check_vocab_size, derive_block_key, \
+    partition_bits, plan_block
 
 
 class GenerationError(RuntimeError):
@@ -85,7 +86,10 @@ class TokenSequence:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_vocab_size(self.vocab_size)
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
+        if self.tokens.ndim != 1:
+            raise ContractError("tokens must be a flat sequence")
         if self.tokens.size and (self.tokens.min() < 0
                                  or self.tokens.max() >= self.vocab_size):
             raise ContractError("token id out of range")

@@ -18,6 +18,7 @@ import numpy as np
 from .bch import BchCode, ContractError, encode, max_weight_codeword
 
 KEY_LEN = 32
+MAX_VOCAB = 1 << 32      # token ids hash as LE32
 
 _LE64 = struct.Struct("<Q").pack
 _LE32 = struct.Struct("<I").pack
@@ -49,8 +50,8 @@ class BlockKey:
         self.randomizer.setflags(write=False)
 
 
-def _digest(*parts: bytes, digest=hashlib.sha256) -> bytes:
-    return digest(b"".join(parts)).digest()
+def _digest(*parts: bytes) -> bytes:
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def _first_bits(data: bytes, count: int) -> np.ndarray:
@@ -59,34 +60,46 @@ def _first_bits(data: bytes, count: int) -> np.ndarray:
     return arr[:count].copy()
 
 
-def derive_block_key(key: SecretKey, j: int, k: int,
-                     digest=hashlib.sha256) -> BlockKey:
+def check_vocab_size(vocab_size: int) -> None:
+    if not 1 <= vocab_size < MAX_VOCAB:
+        raise ContractError(f"vocab_size must lie in [1, 2^32), "
+                            f"got {vocab_size}")
+
+
+def derive_block_key(key: SecretKey, j: int, k: int) -> BlockKey:
     if j < 0:
         raise ContractError("block index must be >= 0")
-    seed = _digest(key.key_bytes, b"\x01", _LE64(j), digest=digest)
-    randomizer = _first_bits(_digest(seed, b"\x03", digest=digest), k)
+    seed = _digest(key.key_bytes, b"\x01", _LE64(j))
+    randomizer = _first_bits(_digest(seed, b"\x03"), k)
     return BlockKey(index=j, seed=seed, randomizer=randomizer)
 
 
-def token_bit(bk: BlockKey, v: int, digest=hashlib.sha256) -> int:
+def token_bits(seed: bytes, tokens) -> np.ndarray:
+    """Keyed bit f_j(v) of each token id v under block seed `seed`:
+    SHA-256(seed || 0x02 || LE32(v))[0] & 1, as a uint8 array."""
+    sha = hashlib.sha256
+    prefix = seed + b"\x02"
+    pack = _LE32
+    out = np.fromiter((sha(prefix + pack(v)).digest()[0] for v in tokens),
+                      dtype=np.uint8, count=len(tokens))
+    return out & 1
+
+
+def token_bit(bk: BlockKey, v: int) -> int:
     """Keyed bit of token v in block bk: the membership function f_j."""
-    return _digest(bk.seed, b"\x02", _LE32(v), digest=digest)[0] & 1
+    return int(token_bits(bk.seed, (v,))[0])
 
 
 @lru_cache(maxsize=512)
 def _partition_cached(seed: bytes, vocab_size: int) -> np.ndarray:
-    sha = hashlib.sha256
-    prefix = seed + b"\x02"
-    out = np.empty(vocab_size, dtype=np.uint8)
-    pack = _LE32
-    for v in range(vocab_size):
-        out[v] = sha(prefix + pack(v)).digest()[0] & 1
+    out = token_bits(seed, range(vocab_size))
     out.setflags(write=False)
     return out
 
 
 def partition_bits(bk: BlockKey, vocab_size: int) -> np.ndarray:
     """Keyed bit per token id for the whole vocabulary (read-only array)."""
+    check_vocab_size(vocab_size)
     return _partition_cached(bk.seed, vocab_size)
 
 

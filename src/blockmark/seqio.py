@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 from .generation import TokenSequence
@@ -19,16 +20,33 @@ def write_sequences(path, seqs) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_sequences(path) -> list[TokenSequence]:
+@dataclass(frozen=True)
+class BadRecord:
+    """A line of a sequence file that does not hold a valid sequence."""
+    line: int        # 1-based line number in the file
+    error: str
+
+
+def read_sequences(path, keep_bad: bool = False) -> list:
+    """Sequences of a JSON-lines file, skipping blank lines.
+
+    A malformed line raises, or with `keep_bad` becomes a BadRecord in
+    its place so that the other lines can still be used.
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            out.append(TokenSequence(rec["tokens"], rec["vocab_size"],
-                                     meta=rec.get("meta", {})))
+            try:
+                rec = json.loads(line)
+                out.append(TokenSequence(rec["tokens"], rec["vocab_size"],
+                                         meta=rec.get("meta", {})))
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                if not keep_bad:
+                    raise
+                out.append(BadRecord(number, f"{type(exc).__name__}: {exc}"))
     return out
 
 

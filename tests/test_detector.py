@@ -1,14 +1,18 @@
 """Extraction alignment, blind voting and the full detector."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockmark.attacks import AttackSpec, attack, delete_prefix, insert_prefix
-from blockmark.bch import BchCode, ContractError, int_to_bits
-from blockmark.detector import (BitStream, DetectConfig, detect, extract_bits,
+from blockmark.bch import NAMED_CODES, BchCode, ContractError, bits_to_int, \
+    encode, int_to_bits, max_weight_codeword, message_of, safe_decode
+from blockmark.detector import (BitStream, BlockResult, DetectConfig, _vote,
+                                detect, extract_bits, keyed_table,
                                 stage1_vote)
 from blockmark.generation import EmbedConfig, TokenSequence, UniformSource, \
     embed, sample_unwatermarked
-from blockmark.keying import SecretKey
+from blockmark.keying import SecretKey, derive_block_key, partition_bits, \
+    plan_block, token_bit
 
 KEY = SecretKey(bytes(range(32)))
 CODE = BchCode.make(31, 6, 7)
@@ -177,3 +181,216 @@ def test_diverse_mode_roundtrip():
     assert rep.is_wm
     assert rep.matched == 6
     assert np.array_equal(rep.payload, PAYLOAD)
+
+
+# ------------------------------------------------ differential properties
+
+CODES = [BchCode.make(*c) for c in sorted(NAMED_CODES)]
+SMALL_V = 64
+
+
+def _ref_stream(tokens, key, code, s):
+    """Brute force: one token_bit call per token read at offset s."""
+    U = len(tokens) - s
+    out = np.zeros(max(U, 0), dtype=np.uint8)
+    bks = {}
+    for idx, v in enumerate(tokens):
+        p = idx - s
+        if 0 <= p < U:
+            j = p // code.n
+            if j not in bks:
+                bks[j] = derive_block_key(key, j, code.k)
+            out[p] = token_bit(bks[j], int(v))
+    return out
+
+
+def _ref_detect(seq, cfg):
+    """The two-stage detector spelled out: per offset, decode every block,
+    vote, rebuild each block's designated codewords with plan_block."""
+    code, key = cfg.code, cfg.key
+    n, k = code.n, code.k
+    offsets = [0]
+    if cfg.mode in ("shift_only", "both"):
+        for s in range(1, cfg.s_max + 1):
+            offsets += [-s, s]
+    c_max = max_weight_codeword(code)
+    best = None
+    for s in offsets:
+        bits = _ref_stream(seq.tokens[cfg.prompt_len:], key, code, s)
+        M = len(bits) // n
+        if M == 0:
+            continue
+        decoded = [safe_decode(code, bits[j * n:(j + 1) * n])
+                   for j in range(M)]
+        votes = {}
+        for j, dec in enumerate(decoded):
+            if dec is None:
+                continue
+            r = derive_block_key(key, j, k).randomizer
+            cands = [message_of(code, dec[0]) ^ r]
+            if cfg.diverse and (dec[0] ^ c_max).any():
+                cands.append(message_of(code, dec[0] ^ c_max) ^ r)
+            for c in cands:
+                votes[bits_to_int(c)] = votes.get(bits_to_int(c), 0) + 1
+        payload = None
+        if votes:
+            payload = int_to_bits(min(votes, key=lambda v: (-votes[v], v)),
+                                  k)
+        per_block = []
+        for j, dec in enumerate(decoded):
+            if cfg.mode in ("shift_only", "naive"):
+                ok = dec is not None
+            else:
+                ok = (dec is not None and payload is not None
+                      and plan_block(key, j, payload, code,
+                                     "diverse" if cfg.diverse else "payload")
+                      .matches(dec[0]))
+            per_block.append(BlockResult(ok, dec[1] if dec else None, s))
+        matched = sum(b.matched for b in per_block)
+        if best is None or matched / M > best[0]:
+            best = (matched / M, matched, s, payload, per_block, M)
+    if best is None:
+        return None
+    return best
+
+
+@st.composite
+def _texts(draw, min_blocks=0, max_blocks=3, kinds=None):
+    """A text built block by block at the stream level: each block carries
+    the designated codeword (or its diverse partner, the zero word, c_max,
+    another codeword or noise) plus a few flipped bits, mapped to tokens
+    of the matching keyed bit; then a prefix shift and a prompt."""
+    code = draw(st.sampled_from(CODES))
+    n, k = code.n, code.k
+    key = SecretKey(bytes([draw(st.integers(0, 255))]) * 32)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = draw(st.integers(min_blocks, max_blocks))
+    if draw(st.booleans()):
+        payload = derive_block_key(key, 0, k).randomizer.copy()  # c1 = 0
+    else:
+        payload = rng.integers(0, 2, k).astype(np.uint8)
+    c_max = max_weight_codeword(code)
+    words = []
+    for j in range(M):
+        c1 = encode(code, payload ^ derive_block_key(key, j, k).randomizer)
+        kind = draw(st.sampled_from(kinds or ("c1", "c2", "zero", "cmax",
+                                              "other", "noise")))
+        w = {"c1": c1, "c2": c1 ^ c_max,
+             "zero": np.zeros(n, dtype=np.uint8), "cmax": c_max,
+             "other": encode(code, rng.integers(0, 2, k).astype(np.uint8)),
+             "noise": rng.integers(0, 2, n).astype(np.uint8)}[kind].copy()
+        flips = draw(st.integers(0, code.t + 1)) if kinds is None else 0
+        w[rng.choice(n, flips, replace=False)] ^= 1
+        words.append(w)
+    bits = np.concatenate(words + [rng.integers(
+        0, 2, draw(st.integers(0, n - 1))).astype(np.uint8)])
+    toks = np.empty(len(bits), dtype=np.int64)
+    for p, b in enumerate(bits):
+        part = partition_bits(derive_block_key(key, p // n, k), SMALL_V)
+        toks[p] = rng.choice(np.flatnonzero(part == b))
+    return code, key, payload, toks, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(_texts(), st.data())
+def test_streams_match_token_bit_oracle(text, data):
+    code, key, _, toks, rng = text
+    shift = data.draw(st.integers(-code.n, code.n))
+    if shift > 0:
+        toks = np.concatenate([rng.integers(0, SMALL_V, shift), toks])
+    else:
+        toks = toks[-shift:]
+    prompt = data.draw(st.integers(0, 3))
+    toks = np.concatenate([rng.integers(0, SMALL_V, prompt), toks])
+    s_max = data.draw(st.integers(0, code.n))
+    offsets = range(-s_max, s_max + 1)
+    seq = TokenSequence(toks, SMALL_V)
+    table = keyed_table(seq, key, code.n, code.k, offsets, prompt)
+    for s in offsets:
+        want = _ref_stream(toks[prompt:], key, code, s)
+        for got in (extract_bits(seq, key, code.n, code.k, s, prompt),
+                    extract_bits(seq, key, code.n, code.k, s, prompt,
+                                 table=table)):
+            assert np.array_equal(got.bits, want)
+
+
+def test_keyed_table_rejects_uncovered_offset():
+    seq = _wm(100)
+    table = keyed_table(seq, KEY, CODE.n, CODE.k, [0, 1])
+    with pytest.raises(ContractError):
+        extract_bits(seq, KEY, CODE.n, CODE.k, -1, table=table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts(), st.data())
+def test_detect_matches_reference(text, data):
+    code, key, _, toks, rng = text
+    shift = data.draw(st.integers(-3, 3))
+    toks = (np.concatenate([rng.integers(0, SMALL_V, shift), toks])
+            if shift > 0 else toks[-shift:])
+    prompt = data.draw(st.integers(0, 3))
+    seq = TokenSequence(
+        np.concatenate([rng.integers(0, SMALL_V, prompt), toks]), SMALL_V)
+    cfg = DetectConfig(code=code, key=key,
+                       s_max=data.draw(st.integers(0, min(code.n, 8))),
+                       tau=data.draw(st.integers(1, 3)),
+                       mode=data.draw(st.sampled_from(
+                           ("designated_only", "shift_only", "both",
+                            "naive"))),
+                       diverse=data.draw(st.booleans()), prompt_len=prompt)
+    rep = detect(seq, cfg)
+    ref = _ref_detect(seq, cfg)
+    if ref is None:
+        assert (rep.is_wm, rep.payload, rep.best_offset, rep.matched,
+                rep.block_count, rep.per_block, rep.score) == \
+            (False, None, 0, 0, 0, [], 0.0)
+        assert rep.diagnostic == "text shorter than one block"
+        return
+    score, matched, s, payload, per_block, M = ref
+    assert rep.is_wm == (matched >= cfg.tau)
+    if rep.is_wm:
+        assert np.array_equal(rep.payload, payload)
+    else:
+        assert rep.payload is None
+    assert (rep.best_offset, rep.matched, rep.block_count, rep.score,
+            rep.diagnostic) == (s, matched, M, score, "")
+    assert rep.per_block == per_block
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_texts(min_blocks=6, max_blocks=7, kinds=("c1",)), st.data())
+def test_prefix_shift_recovered(text, data):
+    """A clean text with r <= s_max tokens prepended is recovered at
+    best_offset = r: offset r reads the original stream exactly, and a
+    misaligned offset would need six blocks voting for one key."""
+    code, key, payload, toks, rng = text
+    s_max = data.draw(st.integers(0, 8))
+    r = data.draw(st.integers(0, s_max))
+    seq = insert_prefix(TokenSequence(toks, SMALL_V), r,
+                        rng_seed=int(rng.integers(1 << 30)))
+    rep = detect(seq, DetectConfig(code=code, key=key, s_max=s_max, tau=1))
+    assert rep.best_offset == r
+    assert rep.matched == rep.block_count == len(toks) // code.n
+    assert np.array_equal(rep.payload, payload)
+
+
+@pytest.mark.parametrize("code", [BchCode.make(15, 5, 3), CODE])
+@pytest.mark.parametrize("diverse", [False, True])
+def test_vote_keys_equal_plan_matches(code, diverse):
+    """A payload designates a decoded codeword exactly when plan_block
+    says so, for every payload, including the zero word and c_max (the
+    diverse pair's degenerate cases)."""
+    c_max = max_weight_codeword(code)
+    rng = np.random.default_rng(1)
+    words = [np.zeros(code.n, dtype=np.uint8), c_max] + [
+        encode(code, rng.integers(0, 2, code.k).astype(np.uint8))
+        for _ in range(3)]
+    for j in range(4):
+        r = derive_block_key(KEY, j, code.k).randomizer
+        for cw in words:
+            _, _, (payloads,) = _vote(code, [(cw, 0)], [bits_to_int(r)],
+                                   c_max if diverse else None)
+            for p in range(1 << code.k):
+                plan = plan_block(KEY, j, int_to_bits(p, code.k), code,
+                                  "diverse" if diverse else "payload")
+                assert (p in payloads) == plan.matches(cw)

@@ -1,11 +1,14 @@
 """Key derivation, vocabulary partitioning and block plans."""
+import time
+
 import numpy as np
 import pytest
 
 from blockmark.bch import BchCode, ContractError, encode, int_to_bits, \
     max_weight_codeword
+from blockmark.generation import TokenSequence
 from blockmark.keying import (SecretKey, derive_block_key, partition_bits,
-                              plan_block, token_bit)
+                              plan_block, token_bit, token_bits)
 
 ZERO_KEY = SecretKey(bytes(32))
 
@@ -119,3 +122,31 @@ def test_plan_contracts():
     with pytest.raises(ContractError):
         plan_block(ZERO_KEY, 0, np.zeros(6, dtype=np.uint8), code,
                    mode="bogus")
+
+
+def test_token_bits_agree_with_partition():
+    bk = derive_block_key(ZERO_KEY, 5, 6)
+    part = partition_bits(bk, 300)
+    toks = [299, 0, 17, 17, 128]
+    assert token_bits(bk.seed, toks).tolist() == part[toks].tolist()
+    assert [token_bit(bk, v) for v in toks] == part[toks].tolist()
+
+
+@pytest.mark.parametrize("V", [0, -1, 1 << 32, 1 << 40])
+def test_vocab_size_out_of_le32_range_rejected(V):
+    """Token ids hash as LE32, so V must lie in [1, 2^32); a larger V
+    raises before anything is allocated or hashed."""
+    bk = derive_block_key(ZERO_KEY, 0, 6)
+    t0 = time.perf_counter()
+    with pytest.raises(ContractError):
+        partition_bits(bk, V)
+    with pytest.raises(ContractError):
+        TokenSequence([0, 1], V)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_largest_vocab_size_accepted():
+    V = (1 << 32) - 1
+    seq = TokenSequence([0, V - 1], V)
+    bk = derive_block_key(ZERO_KEY, 0, 6)
+    assert token_bits(bk.seed, seq.tokens.tolist()).shape == (2,)

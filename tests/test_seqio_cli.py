@@ -109,3 +109,42 @@ def test_cli_bench(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("format_version")
     assert len(out) == 2
+
+
+def test_read_sequences_rejects_bad_line(tmp_path):
+    path = tmp_path / "seqs.jsonl"
+    path.write_text('{"tokens": [1], "vocab_size": 4}\n{"tokens": [9], '
+                    '"vocab_size": 4}\n')
+    with pytest.raises(ValueError):
+        seqio.read_sequences(path)
+    good, bad = seqio.read_sequences(path, keep_bad=True)
+    assert np.array_equal(good.tokens, [1])
+    assert bad.line == 2 and "ContractError" in bad.error
+
+
+def test_cli_detect_continues_past_malformed_lines(tmp_path):
+    key = tmp_path / "key.txt"
+    seqio.write_key(key, SecretKey(bytes(32)))
+    wm = tmp_path / "wm.jsonl"
+    main(["embed", "--key-file", str(key), "--payload", "29",
+          "--tokens", "200", "--count", "2", "--vocab-size", "512",
+          "--delta", "6", "--seed", "3", "--output", str(wm)])
+    good = wm.read_text().splitlines()
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("\n".join([good[0], "{not json", "",
+                                '{"tokens": [1, 2]}',
+                                '{"tokens": [1], "vocab_size": 4294967296}',
+                                '{"tokens": [[1]], "vocab_size": 4}',
+                                '{"tokens": [1e30], "vocab_size": 4}',
+                                good[1]]) + "\n")
+    out = tmp_path / "rep.jsonl"
+    main(["detect", "--key-file", str(key), "--s-max", "5", "--tau", "3",
+          "--input", str(mixed), "--output", str(out)])
+    reps = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r.get("line") for r in reps] == [None, 2, 4, 5, 6, 7, None]
+    assert "JSONDecodeError" in reps[1]["error"]
+    assert "KeyError" in reps[2]["error"]
+    assert "ContractError" in reps[3]["error"]
+    assert "ContractError" in reps[4]["error"]
+    assert "error" in reps[5]
+    assert all(r["is_wm"] and r["payload"] == 29 for r in (reps[0], reps[6]))
