@@ -13,10 +13,6 @@ from .keying import SecretKey, derive_block_key, partition_bits
 KINDS = ("substitute", "delete", "insert", "bitflip")
 
 
-class ConfigurationError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AttackSpec:
     kind: str
@@ -55,19 +51,12 @@ def attack(seq: TokenSequence, spec: AttackSpec, key: SecretKey | None = None,
     if spec.kind == "insert":
         hit = rng.random(len(toks)) < spec.rate
         extra = rng.integers(0, V, size=int(hit.sum()))
-        out = []
-        e = 0
-        for i, tok in enumerate(toks):
-            out.append(tok)
-            if hit[i]:
-                out.append(extra[e])
-                e += 1
-        return TokenSequence(np.array(out, dtype=np.int64), V,
-                             meta=dict(seq.meta))
+        return TokenSequence(np.insert(toks, np.flatnonzero(hit) + 1, extra),
+                             V, meta=dict(seq.meta))
 
     # bitflip
     if key is None or n is None or k is None:
-        raise ConfigurationError("bitflip channel requires key, n and k")
+        raise ContractError("bitflip channel requires key, n and k")
     hit = rng.random(len(toks)) < spec.rate
     out = toks.copy()
     for idx in np.flatnonzero(hit):

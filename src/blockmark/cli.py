@@ -13,14 +13,14 @@ import sys
 import numpy as np
 
 from . import seqio
-from .attacks import AttackSpec, attack
+from .attacks import KINDS, AttackSpec, attack
 from .bch import BchCode, int_to_bits
 from .bounds import BoundParams, param_search, report as bounds_report
-from .detector import DetectConfig, detect
+from .detector import MODES, DetectConfig, detect
 from .generation import ControlledMassSource, EmbedConfig, UniformSource, \
     embed, sample_unwatermarked
-from .harness import ExperimentSpec, ber_curve, latency_bench, roc_sweep, \
-    run_campaign, write_metrics_csv
+from .harness import FORMAT_VERSION, ExperimentSpec, ber_curve, \
+    latency_bench, roc_sweep, run_campaign, write_metrics
 
 
 def _parse_code(text: str) -> BchCode:
@@ -138,7 +138,7 @@ def cmd_campaign(args):
         spec.output_path = args.output
     rows = run_campaign(spec)
     if not spec.output_path:
-        write_metrics_csv("/dev/stdout", rows)
+        write_metrics(sys.stdout, rows)
 
 
 def cmd_roc(args):
@@ -150,8 +150,8 @@ def cmd_roc(args):
                   "tau,fpr,tpr\n")
         for (kind, rate, mode, s_max), pts in sorted(curves.items()):
             for tau, fpr, tpr in pts:
-                out.write(f"1,{kind},{rate:g},{mode},{s_max},{tau},"
-                          f"{fpr:.6f},{tpr:.6f}\n")
+                out.write(f"{FORMAT_VERSION},{kind},{rate:g},{mode},"
+                          f"{s_max},{tau},{fpr:.6f},{tpr:.6f}\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -165,7 +165,7 @@ def cmd_ber(args):
     print("format_version,delta,arm,ber")
     for r in rows:
         d = "" if r["delta"] is None else f"{r['delta']:g}"
-        print(f"1,{d},{r['arm']},{r['ber']:.6f}")
+        print(f"{FORMAT_VERSION},{d},{r['arm']},{r['ber']:.6f}")
 
 
 def cmd_bench(args):
@@ -178,7 +178,7 @@ def cmd_bench(args):
                          master_seed=args.seed)
     print("format_version,text_len,n,s_max,median_s")
     for r in rows:
-        print(f"1,{r['text_len']},{r['n']},{r['s_max']},"
+        print(f"{FORMAT_VERSION},{r['text_len']},{r['n']},{r['s_max']},"
               f"{r['median_s']:.4f}")
 
 
@@ -208,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.set_defaults(func=cmd_sample_h0)
 
     a = sub.add_parser("attack", help="apply an attack channel")
-    a.add_argument("--kind", required=True,
-                   choices=["substitute", "delete", "insert", "bitflip"])
+    a.add_argument("--kind", required=True, choices=KINDS)
     a.add_argument("--rate", type=float, required=True)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--key-file", default=None)
@@ -222,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(d)
     d.add_argument("--s-max", type=int, default=5)
     d.add_argument("--tau", type=int, default=1)
-    d.add_argument("--mode", default="both",
-                   choices=["designated_only", "shift_only", "both", "naive"])
+    d.add_argument("--mode", default="both", choices=MODES)
     d.add_argument("--diverse", action="store_true")
     d.add_argument("--prompt-len", type=int, default=0)
     d.add_argument("--input", required=True)

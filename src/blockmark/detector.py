@@ -27,12 +27,6 @@ MODES = ("designated_only", "shift_only", "both", "naive")
 
 
 @dataclass
-class BitStream:
-    bits: np.ndarray
-    offset: int
-
-
-@dataclass
 class DetectConfig:
     code: BchCode
     key: SecretKey
@@ -115,8 +109,9 @@ def keyed_table(seq: TokenSequence, key: SecretKey, n: int, k: int,
 
 def extract_bits(seq: TokenSequence, key: SecretKey, n: int, k: int,
                  offset: int = 0, prompt_len: int = 0,
-                 table: KeyedTable | None = None) -> BitStream:
-    """Keyed binary projection of a token sequence at a given alignment.
+                 table: KeyedTable | None = None) -> np.ndarray:
+    """Keyed binary projection of a token sequence at a given alignment,
+    as a uint8 bit array.
 
     The bits come from `table` (a keyed_table of this text covering this
     offset) or, without one, from a table hashed for this offset alone.
@@ -126,13 +121,13 @@ def extract_bits(seq: TokenSequence, key: SecretKey, n: int, k: int,
     toks = seq.tokens[prompt_len:]
     U = len(toks) - offset          # highest stream position + 1
     if U <= 0:
-        return BitStream(np.zeros(0, dtype=np.uint8), offset)
+        return np.zeros(0, dtype=np.uint8)
     if table is None:
         table = keyed_table(seq, key, n, k, [offset], prompt_len)
     pos, pairs = _reads(toks, n, offset)
     bits = np.zeros(U, dtype=np.uint8)
     bits[pos] = table.lookup(pairs)
-    return BitStream(bits, offset)
+    return bits
 
 
 def _decode_blocks(code: BchCode, bits: np.ndarray):
@@ -175,14 +170,15 @@ def _vote(code: BchCode, decoded, randomizers, c_max):
     return best, votes, designating
 
 
-def stage1_vote(stream: BitStream, code: BchCode, key: SecretKey,
+def stage1_vote(bits: np.ndarray, code: BchCode, key: SecretKey,
                 diverse: bool = False):
-    """Blind payload estimation by majority vote over decodable blocks.
+    """Blind payload estimation by majority vote over the decodable blocks
+    of an extract_bits stream.
 
     Returns (message or None, vote table keyed by message int).  Ties go
     to the smallest message value.
     """
-    decoded = _decode_blocks(code, stream.bits)
+    decoded = _decode_blocks(code, bits)
     rands = [bits_to_int(derive_block_key(key, j, code.k).randomizer)
              for j in range(len(decoded))]
     c_max = max_weight_codeword(code) if diverse else None
@@ -225,9 +221,9 @@ def detect(seq: TokenSequence, cfg: DetectConfig) -> DetectionReport:
 
     best = None   # (score, matched, offset, payload, per_block, M)
     for s in offsets:
-        stream = extract_bits(seq, cfg.key, n, code.k, s, cfg.prompt_len,
-                              table=table)
-        decoded = _decode_blocks(code, stream.bits)
+        bits = extract_bits(seq, cfg.key, n, code.k, s, cfg.prompt_len,
+                            table=table)
+        decoded = _decode_blocks(code, bits)
         payload, _, designating = _vote(code, decoded, rands, c_max)
 
         per_block = []

@@ -87,7 +87,12 @@ class TokenSequence:
 
     def __post_init__(self):
         check_vocab_size(self.vocab_size)
-        self.tokens = np.asarray(self.tokens, dtype=np.int64)
+        tokens = np.asarray(self.tokens)
+        # np.asarray([]) is float64: only a non-empty array must be integer
+        if tokens.size and not np.issubdtype(tokens.dtype, np.integer):
+            raise ContractError(f"token ids must be integers, "
+                                f"got {tokens.dtype}")
+        self.tokens = tokens.astype(np.int64, copy=False)
         if self.tokens.ndim != 1:
             raise ContractError("tokens must be a flat sequence")
         if self.tokens.size and (self.tokens.min() < 0

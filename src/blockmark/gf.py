@@ -60,10 +60,3 @@ class FieldGF2m:
 
     def alpha_pow(self, i: int) -> int:
         return self._exp_l[i % self.period]
-
-    def poly_eval(self, coeffs_asc: list[int], x: int) -> int:
-        """Evaluate a polynomial (ascending coefficients) at x."""
-        acc = 0
-        for c in reversed(coeffs_asc):
-            acc = self.mul(acc, x) ^ c
-        return acc

@@ -161,19 +161,18 @@ def _run_trials(spec: ExperimentSpec):
     return code, results
 
 
-def _rows_from_outcomes(spec: ExperimentSpec, code: BchCode, results):
-    rows = []
+def _grid(spec: ExperimentSpec, results):
+    """(attack, mode, s_max, watermarked outcomes, H0 outcomes) for every
+    grid point, in campaign row order."""
     for ai, atk in enumerate(spec.attacks):
         for mode in spec.mode_grid:
             for s_max in spec.s_max_grid:
-                wm = results.get((ai, mode, s_max, "wm"), [])
-                h0 = results.get((ai, mode, s_max, "h0"), [])
-                for tau in spec.tau_grid:
-                    rows.append(_make_row(spec, atk, mode, s_max, tau, wm, h0))
-    return rows
+                yield (atk, mode, s_max,
+                       results.get((ai, mode, s_max, "wm"), []),
+                       results.get((ai, mode, s_max, "h0"), []))
 
 
-def _make_row(spec, atk, mode, s_max, tau, wm, h0) -> MetricsRow:
+def _make_row(spec, atk, mode, s_max, wm, h0, tau) -> MetricsRow:
     n_wm, n_h0 = len(wm), len(h0)
     tp = sum(o.matched >= tau for o in wm)
     fp = sum(o.matched >= tau for o in h0)
@@ -202,8 +201,9 @@ def _make_row(spec, atk, mode, s_max, tau, wm, h0) -> MetricsRow:
 
 
 def run_campaign(spec: ExperimentSpec) -> list[MetricsRow]:
-    code, results = _run_trials(spec)
-    rows = _rows_from_outcomes(spec, code, results)
+    _, results = _run_trials(spec)
+    rows = [_make_row(spec, *point, tau) for point in _grid(spec, results)
+            for tau in spec.tau_grid]
     if spec.output_path:
         write_metrics_csv(spec.output_path, rows)
     return rows
@@ -212,19 +212,12 @@ def run_campaign(spec: ExperimentSpec) -> list[MetricsRow]:
 def roc_sweep(spec: ExperimentSpec) -> dict:
     """(FPR, TPR) points sweeping tau over 1..M for every grid point."""
     code, results = _run_trials(spec)
-    max_blocks = spec.text_len // code.n
+    taus = range(1, spec.text_len // code.n + 1)
     curves = {}
-    for ai, atk in enumerate(spec.attacks):
-        for mode in spec.mode_grid:
-            for s_max in spec.s_max_grid:
-                wm = results.get((ai, mode, s_max, "wm"), [])
-                h0 = results.get((ai, mode, s_max, "h0"), [])
-                pts = []
-                for tau in range(1, max_blocks + 1):
-                    tpr = sum(o.matched >= tau for o in wm) / max(1, len(wm))
-                    fpr = sum(o.matched >= tau for o in h0) / max(1, len(h0))
-                    pts.append((tau, fpr, tpr))
-                curves[(atk.kind, atk.rate, mode, s_max)] = pts
+    for atk, mode, s_max, wm, h0 in _grid(spec, results):
+        rows = [_make_row(spec, atk, mode, s_max, wm, h0, tau) for tau in taus]
+        curves[(atk.kind, atk.rate, mode, s_max)] = [(r.tau, r.fpr, r.tpr)
+                                                     for r in rows]
     return curves
 
 
@@ -261,12 +254,12 @@ def ber_curve(delta_grid, mass: float, bit_count: int, code: BchCode,
 
 def _ber_against_plan(seq: TokenSequence, key: SecretKey,
                       payload: np.ndarray, code: BchCode) -> float:
-    stream = extract_bits(seq, key, code.n, code.k, 0)
-    U = len(stream.bits)
+    bits = extract_bits(seq, key, code.n, code.k, 0)
+    U = len(bits)
     target = np.concatenate(
         [plan_block(key, j, payload, code).target_bits
          for j in range(U // code.n + 1)])[:U]
-    return float(np.mean(stream.bits != target))
+    return float(np.mean(bits != target))
 
 
 def latency_bench(text_lens, codes, s_max_grid, repeats: int = 5,
@@ -285,7 +278,7 @@ def latency_bench(text_lens, codes, s_max_grid, repeats: int = 5,
                 rng_seed=_seed_for(master_seed, 21, T, code.n)))
             for s_max in s_max_grid:
                 cfg = DetectConfig(code=code, key=key, s_max=s_max, tau=1)
-                detect(seq, cfg)    # warm partition cache
+                detect(seq, cfg)
                 times = []
                 for _ in range(repeats):
                     t0 = time.perf_counter()
@@ -298,23 +291,29 @@ def latency_bench(text_lens, codes, s_max_grid, repeats: int = 5,
 
 def write_metrics_csv(path, rows: list[MetricsRow],
                       include_latency: bool = False) -> None:
-    """Write the campaign CSV.
+    """Write the campaign CSV to the file at `path`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write_metrics(fh, rows, include_latency)
+
+
+def write_metrics(fh, rows: list[MetricsRow],
+                  include_latency: bool = False) -> None:
+    """Write the campaign CSV to an open text stream.
 
     Latency is wall-clock and therefore not reproducible across runs; it
     is blanked by default so identical (spec, master seed) runs produce
     byte-identical files.  Pass include_latency=True for profiling output.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        w.writeheader()
-        for row in rows:
-            rec = asdict(row)
-            rec["format_version"] = FORMAT_VERSION
-            for field_name in ("tpr", "fpr", "precision", "f1", "match_rate",
-                               "mean_matched_ratio", "tpr_lo", "tpr_hi",
-                               "fpr_lo", "fpr_hi"):
-                v = rec[field_name]
-                rec[field_name] = "" if v is None else f"{v:.6f}"
-            rec["mean_latency_ms"] = (f"{rec['mean_latency_ms']:.3f}"
-                                      if include_latency else "")
-            w.writerow(rec)
+    w = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+    w.writeheader()
+    for row in rows:
+        rec = asdict(row)
+        rec["format_version"] = FORMAT_VERSION
+        for field_name in ("tpr", "fpr", "precision", "f1", "match_rate",
+                           "mean_matched_ratio", "tpr_lo", "tpr_hi",
+                           "fpr_lo", "fpr_hi"):
+            v = rec[field_name]
+            rec[field_name] = "" if v is None else f"{v:.6f}"
+        rec["mean_latency_ms"] = (f"{rec['mean_latency_ms']:.3f}"
+                                  if include_latency else "")
+        w.writerow(rec)

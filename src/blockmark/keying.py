@@ -114,21 +114,18 @@ class BlockPlan:
 
 
 def plan_block(key: SecretKey, j: int, payload: np.ndarray, code: BchCode,
-               mode: str = "payload", randomizer=None) -> BlockPlan:
+               mode: str = "payload") -> BlockPlan:
     """Designated codeword(s) and embedded bit schedule for block j.
 
     payload mode embeds encode(payload XOR r_j).  diverse mode pairs that
     codeword with its offset by the maximum-weight codeword and picks one
     of the two by a keyed coin; the all-zero vector is never a target.
-    `randomizer` overrides r_j (test hook).
     """
     payload = np.asarray(payload, dtype=np.uint8)
     if payload.shape != (code.k,):
         raise ContractError(f"payload must have length {code.k}")
     bk = derive_block_key(key, j, code.k)
-    r = bk.randomizer if randomizer is None else np.asarray(randomizer,
-                                                            dtype=np.uint8)
-    c1 = encode(code, payload ^ r)
+    c1 = encode(code, payload ^ bk.randomizer)
     if mode == "payload":
         return BlockPlan(j, (c1,), c1)
     if mode != "diverse":

@@ -204,7 +204,7 @@ def test_criterion_06_channel_law():
                 rng_seed=seed + run))
             noisy = attack(seq, AttackSpec("bitflip", p_tot, seed + run),
                            key=KEY, n=code.n, k=code.k)
-            bits = extract_bits(noisy, KEY, code.n, code.k, 0).bits
+            bits = extract_bits(noisy, KEY, code.n, code.k, 0)
             for j in range(100):
                 out = safe_decode(code, bits[j * code.n:(j + 1) * code.n])
                 if out is not None and np.array_equal(

@@ -1,9 +1,11 @@
 """Attack channel behavior."""
+import hashlib
+
 import numpy as np
 import pytest
 
-from blockmark.attacks import (AttackSpec, ConfigurationError, attack,
-                               delete_prefix, insert_prefix)
+from blockmark.attacks import AttackSpec, attack, delete_prefix, \
+    insert_prefix
 from blockmark.bch import BchCode, ContractError, int_to_bits
 from blockmark.detector import extract_bits
 from blockmark.generation import EmbedConfig, TokenSequence, UniformSource, \
@@ -57,10 +59,14 @@ def test_insert_preserves_original_subsequence():
     # original tokens must appear in order within the attacked stream
     it = iter(out.tokens.tolist())
     assert all(tok in it for tok in seq.tokens.tolist())
+    # digest of the per-token insertion loop that np.insert replaced
+    assert out.tokens.dtype == np.int64
+    assert hashlib.sha256(out.tokens.tobytes()).hexdigest() == \
+        "eece754257d14561a4445cbdbe17fc5d14513c3fceb757c2576d1f80b86f78ac"
 
 
 def test_bitflip_requires_key_material():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ContractError):
         attack(_seq(), AttackSpec("bitflip", 0.1, 1))
 
 
@@ -68,10 +74,10 @@ def test_bitflip_flips_extracted_bits_at_rate():
     cfg = EmbedConfig(code=CODE, delta=0.0, scheme="hard", token_count=3100,
                       rng_seed=11)
     seq = embed(UniformSource(512), KEY, int_to_bits(9, 6), cfg)
-    clean = extract_bits(seq, KEY, CODE.n, CODE.k, 0).bits
+    clean = extract_bits(seq, KEY, CODE.n, CODE.k, 0)
     out = attack(seq, AttackSpec("bitflip", 0.1, 4), key=KEY, n=CODE.n,
                  k=CODE.k)
-    dirty = extract_bits(out, KEY, CODE.n, CODE.k, 0).bits
+    dirty = extract_bits(out, KEY, CODE.n, CODE.k, 0)
     flip_rate = float(np.mean(clean != dirty))
     se = (0.1 * 0.9 / 3100) ** 0.5
     assert abs(flip_rate - 0.1) <= 3.5 * se
@@ -83,9 +89,9 @@ def test_substitute_halves_to_bit_error_rate():
     cfg = EmbedConfig(code=CODE, delta=0.0, scheme="hard",
                       token_count=100000, rng_seed=13)
     seq = embed(UniformSource(1024), KEY, int_to_bits(9, 6), cfg)
-    clean = extract_bits(seq, KEY, CODE.n, CODE.k, 0).bits
+    clean = extract_bits(seq, KEY, CODE.n, CODE.k, 0)
     out = attack(seq, AttackSpec("substitute", 0.2, 7))
-    dirty = extract_bits(out, KEY, CODE.n, CODE.k, 0).bits
+    dirty = extract_bits(out, KEY, CODE.n, CODE.k, 0)
     rate = float(np.mean(clean != dirty))
     se = (0.1 * 0.9 / 100000) ** 0.5
     assert abs(rate - 0.1) <= 3 * se

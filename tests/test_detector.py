@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from blockmark.attacks import AttackSpec, attack, delete_prefix, insert_prefix
 from blockmark.bch import NAMED_CODES, BchCode, ContractError, bits_to_int, \
     encode, int_to_bits, max_weight_codeword, message_of, safe_decode
-from blockmark.detector import (BitStream, BlockResult, DetectConfig, _vote,
-                                detect, extract_bits, keyed_table,
-                                stage1_vote)
+from blockmark.detector import (BlockResult, DetectConfig, _vote, detect,
+                                extract_bits, keyed_table, stage1_vote)
 from blockmark.generation import EmbedConfig, TokenSequence, UniformSource, \
     embed, sample_unwatermarked
 from blockmark.keying import SecretKey, derive_block_key, partition_bits, \
@@ -43,17 +42,17 @@ def test_config_contracts():
 def test_extract_offset_identities():
     seq = _wm(100)
     # positive offset s drops the first s tokens from the stream frame
-    plus = extract_bits(seq, KEY, CODE.n, CODE.k, 2).bits
+    plus = extract_bits(seq, KEY, CODE.n, CODE.k, 2)
     assert len(plus) == 98
-    dropped = extract_bits(delete_prefix(seq, 2), KEY, CODE.n, CODE.k, 0).bits
+    dropped = extract_bits(delete_prefix(seq, 2), KEY, CODE.n, CODE.k, 0)
     assert np.array_equal(plus, dropped)
     # negative offset: a leading zero-filled hole of |s| positions, then
     # the same framing as a 2-token prefix insertion
-    minus = extract_bits(seq, KEY, CODE.n, CODE.k, -2).bits
+    minus = extract_bits(seq, KEY, CODE.n, CODE.k, -2)
     assert len(minus) == 102
     assert not minus[:2].any()
     padded = extract_bits(insert_prefix(seq, 2, rng_seed=0), KEY,
-                          CODE.n, CODE.k, 0).bits
+                          CODE.n, CODE.k, 0)
     assert np.array_equal(minus[2:], padded[2:])
 
 
@@ -61,13 +60,13 @@ def test_extract_prefix_shift_inverse():
     """Prepending r tokens is exactly undone by offset +r, and deleting
     the first r tokens by offset -r (past the zero-filled hole)."""
     seq = _wm(150)
-    base = extract_bits(seq, KEY, CODE.n, CODE.k, 0).bits
+    base = extract_bits(seq, KEY, CODE.n, CODE.k, 0)
     for r in (1, 3, 5):
         ins = extract_bits(insert_prefix(seq, r, rng_seed=r), KEY,
-                           CODE.n, CODE.k, r).bits
+                           CODE.n, CODE.k, r)
         assert np.array_equal(ins, base)
         dele = extract_bits(delete_prefix(seq, r), KEY, CODE.n, CODE.k,
-                            -r).bits
+                            -r)
         assert np.array_equal(dele[r:], base[r:])
 
 
@@ -76,8 +75,8 @@ def test_extract_prompt_skipped():
     with_prompt = TokenSequence(
         np.concatenate([np.array([7, 8, 9], dtype=np.int64), seq.tokens]),
         seq.vocab_size)
-    a = extract_bits(seq, KEY, CODE.n, CODE.k, 0).bits
-    b = extract_bits(with_prompt, KEY, CODE.n, CODE.k, 0, prompt_len=3).bits
+    a = extract_bits(seq, KEY, CODE.n, CODE.k, 0)
+    b = extract_bits(with_prompt, KEY, CODE.n, CODE.k, 0, prompt_len=3)
     assert np.array_equal(a, b)
 
 
@@ -86,7 +85,7 @@ def test_extract_contracts():
     with pytest.raises(ContractError):
         extract_bits(seq, KEY, CODE.n, CODE.k, CODE.n + 1)
     empty = extract_bits(seq, KEY, CODE.n, CODE.k, 31, prompt_len=40)
-    assert len(empty.bits) == 0
+    assert len(empty) == 0 and empty.dtype == np.uint8
 
 
 def test_stage1_vote_recovers_payload():
@@ -311,7 +310,7 @@ def test_streams_match_token_bit_oracle(text, data):
         for got in (extract_bits(seq, key, code.n, code.k, s, prompt),
                     extract_bits(seq, key, code.n, code.k, s, prompt,
                                  table=table)):
-            assert np.array_equal(got.bits, want)
+            assert np.array_equal(got, want)
 
 
 def test_keyed_table_rejects_uncovered_offset():

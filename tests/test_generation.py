@@ -29,11 +29,22 @@ def test_token_sequence_range_check():
         TokenSequence([-1], vocab_size=4)
 
 
+def test_token_sequence_rejects_non_integer_ids():
+    for bad in ([1.7, 2.2], [1.0, 2.0], [True, False], ["3", "1"],
+                [2 ** 70], np.array([1, 2], dtype=np.float32)):
+        with pytest.raises(ContractError):
+            TokenSequence(bad, vocab_size=4)
+    assert TokenSequence([], vocab_size=4).tokens.dtype == np.int64
+    small = TokenSequence(np.array([3, 1], dtype=np.uint8), vocab_size=4)
+    assert small.tokens.dtype == np.int64
+    assert small.tokens.tolist() == [3, 1]
+
+
 def test_hard_mode_is_exact():
     cfg = EmbedConfig(code=CODE, delta=0.0, scheme="hard", token_count=124,
                       rng_seed=9)
     seq = embed(UniformSource(256), KEY, PAYLOAD, cfg)
-    bits = extract_bits(seq, KEY, CODE.n, CODE.k, 0).bits
+    bits = extract_bits(seq, KEY, CODE.n, CODE.k, 0)
     assert np.array_equal(bits, _schedule(124))
 
 
@@ -41,7 +52,7 @@ def test_soft_mode_large_delta_matches_hard():
     cfg = EmbedConfig(code=CODE, delta=40.0, scheme="soft", token_count=124,
                       rng_seed=9)
     seq = embed(UniformSource(256), KEY, PAYLOAD, cfg)
-    bits = extract_bits(seq, KEY, CODE.n, CODE.k, 0).bits
+    bits = extract_bits(seq, KEY, CODE.n, CODE.k, 0)
     assert np.array_equal(bits, _schedule(124))
 
 
@@ -49,7 +60,7 @@ def test_soft_mode_zero_delta_is_noise():
     cfg = EmbedConfig(code=CODE, delta=0.0, scheme="soft", token_count=4000,
                       rng_seed=9)
     seq = embed(UniformSource(512), KEY, PAYLOAD, cfg)
-    bits = extract_bits(seq, KEY, CODE.n, CODE.k, 0).bits
+    bits = extract_bits(seq, KEY, CODE.n, CODE.k, 0)
     ber = float(np.mean(bits != _schedule(4000)))
     assert 0.45 <= ber <= 0.55
 
@@ -60,7 +71,7 @@ def test_soft_error_rate_follows_closed_form():
         cfg = EmbedConfig(code=CODE, delta=delta, scheme="soft",
                           token_count=20000, rng_seed=int(mass * 10) + 1)
         seq = embed(ControlledMassSource(1024, mass), KEY, PAYLOAD, cfg)
-        bits = extract_bits(seq, KEY, CODE.n, CODE.k, 0).bits
+        bits = extract_bits(seq, KEY, CODE.n, CODE.k, 0)
         ber = float(np.mean(bits != _schedule(20000)))
         import math
         expected = (1 - mass) / (mass * math.exp(delta) + 1 - mass)

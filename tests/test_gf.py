@@ -67,11 +67,3 @@ def test_alpha_pow_wraps():
     assert fld.alpha_pow(15) == 1
     assert fld.alpha_pow(16) == fld.alpha_pow(1)
     assert fld.alpha_pow(-1) == fld.inv(fld.alpha_pow(1))
-
-
-def test_poly_eval():
-    fld = FieldGF2m(4)
-    # p(x) = x^2 + x + 1 evaluated at alpha: alpha^2 ^ alpha ^ 1
-    a = fld.alpha_pow(1)
-    want = fld.mul(a, a) ^ a ^ 1
-    assert fld.poly_eval([1, 1, 1], a) == want

@@ -108,10 +108,11 @@ def test_diverse_target_never_all_zero():
     """Even when payload XOR r_j encodes to zero, the embedded schedule
     must carry signal."""
     code = BchCode.make(31, 6, 7)
-    zero_payload = np.zeros(6, dtype=np.uint8)
     for j in range(40):
-        plan = plan_block(ZERO_KEY, j, zero_payload, code, mode="diverse",
-                          randomizer=np.zeros(6, dtype=np.uint8))
+        # payload = r_j makes c1 = encode(payload XOR r_j) the zero word
+        r = derive_block_key(ZERO_KEY, j, 6).randomizer
+        plan = plan_block(ZERO_KEY, j, r, code, mode="diverse")
+        assert not plan.designated[0].any()
         assert plan.target_bits.any()
 
 

@@ -90,7 +90,7 @@ def test_cli_params(capsys):
     assert rep["found"]
 
 
-def test_cli_campaign(tmp_path):
+def test_cli_campaign(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "trials": 5, "text_len": 200, "master_seed": 2,
@@ -101,6 +101,10 @@ def test_cli_campaign(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("format_version,")
     assert len(lines) == 3
+    # without --output the same CSV bytes go to standard output
+    capsys.readouterr()
+    main(["campaign", "--config", str(cfg)])
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 def test_cli_bench(capsys):
@@ -136,15 +140,19 @@ def test_cli_detect_continues_past_malformed_lines(tmp_path):
                                 '{"tokens": [1], "vocab_size": 4294967296}',
                                 '{"tokens": [[1]], "vocab_size": 4}',
                                 '{"tokens": [1e30], "vocab_size": 4}',
+                                '{"tokens": [1.5, 2], "vocab_size": 4}',
+                                '{"tokens": [true, false], "vocab_size": 4}',
                                 good[1]]) + "\n")
     out = tmp_path / "rep.jsonl"
     main(["detect", "--key-file", str(key), "--s-max", "5", "--tau", "3",
           "--input", str(mixed), "--output", str(out)])
     reps = [json.loads(line) for line in out.read_text().splitlines()]
-    assert [r.get("line") for r in reps] == [None, 2, 4, 5, 6, 7, None]
+    assert [r.get("line") for r in reps] == [None, 2, 4, 5, 6, 7, 8, 9, None]
     assert "JSONDecodeError" in reps[1]["error"]
     assert "KeyError" in reps[2]["error"]
     assert "ContractError" in reps[3]["error"]
     assert "ContractError" in reps[4]["error"]
     assert "error" in reps[5]
-    assert all(r["is_wm"] and r["payload"] == 29 for r in (reps[0], reps[6]))
+    assert "ContractError" in reps[6]["error"]
+    assert "ContractError" in reps[7]["error"]
+    assert all(r["is_wm"] and r["payload"] == 29 for r in (reps[0], reps[8]))
