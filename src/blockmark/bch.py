@@ -247,24 +247,13 @@ def safe_decode(code: BchCode, received: np.ndarray):
 
 
 def max_weight_codeword(code: BchCode) -> np.ndarray:
-    """Codeword of maximal Hamming weight; ties go to the smallest message.
+    """Codeword of maximal Hamming weight: the all-ones word.
 
-    Narrow-sense BCH generators have g(1)=1, so the all-ones vector is
-    always a codeword and wins outright at weight n.
+    A narrow-sense BCH code of length 2^m - 1 has no root alpha^0 (0 is
+    never in the cyclotomic closure of 1..2t), so (x+1) does not divide
+    g(x), g(1) = 1 and the all-ones vector is a codeword of weight n.
     """
-    ones = np.ones(code.n, dtype=np.uint8)
-    if is_codeword(code, ones):
-        return ones
-    if code.k > 20:
-        raise NotImplementedError("exhaustive weight scan infeasible")
-    best = None
-    best_w = -1
-    for v in range(1 << code.k):
-        cw = encode(code, int_to_bits(v, code.k))
-        w = int(cw.sum())
-        if w > best_w:
-            best, best_w = cw, w
-    return best
+    return np.ones(code.n, dtype=np.uint8)
 
 
 def all_codewords(code: BchCode) -> np.ndarray:

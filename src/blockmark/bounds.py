@@ -174,22 +174,25 @@ def s_max_guideline(alpha: float, n: int, p_insdel: float) -> int:
     return math.ceil(alpha * n * p_insdel)
 
 
+# The grid that param_search scans.
+SEARCH_DELTAS = (1.5, 2.0, 2.5, 3.0, 6.0)
+SEARCH_S_MAX = (0, 1, 3, 5, 10)
+SEARCH_MAX_BLOCKS = 64
+
+
 def param_search(alpha: float, beta: float, p_att: float,
-                 mass: float = 0.5,
-                 delta_grid=(1.5, 2.0, 2.5, 3.0, 6.0),
-                 s_max_grid=(0, 1, 3, 5, 10),
-                 max_blocks: int = 64) -> BoundParams | None:
-    """Smallest-M configuration over the shipped code instances meeting
-    blind-FPR <= alpha and FNR <= beta; ties break toward smaller n,
-    then smaller delta."""
+                 mass: float = 0.5) -> BoundParams | None:
+    """Smallest-M configuration over the shipped code instances and the
+    SEARCH_* grid meeting blind-FPR <= alpha and FNR <= beta; ties break
+    toward smaller n, then smaller delta."""
     best = None
     for (n, k, t), _m in sorted(NAMED_CODES.items()):
-        for delta, s_max in itertools.product(delta_grid, s_max_grid):
+        for delta, s_max in itertools.product(SEARCH_DELTAS, SEARCH_S_MAX):
             pe = p_emb(delta, mass)
             ptot = min(1.0, pe + p_att)
             ps = p0_shift(p0(2, n, t), 2 * s_max + 1, "independent")
             p1v = p1(n, t, ptot)
-            for M in range(1, max_blocks + 1):
+            for M in range(1, SEARCH_MAX_BLOCKS + 1):
                 for tau in range(1, M + 1):
                     theta = tau / M
                     if theta >= 1.0 or not ps < theta < p1v:

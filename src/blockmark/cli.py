@@ -7,18 +7,18 @@ as CSV, reports as JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-
-import numpy as np
+from dataclasses import asdict
 
 from . import seqio
 from .attacks import KINDS, AttackSpec, attack
-from .bch import BchCode, int_to_bits
+from .bch import BchCode, bits_to_int, int_to_bits
 from .bounds import BoundParams, param_search, report as bounds_report
 from .detector import MODES, DetectConfig, detect
-from .generation import ControlledMassSource, EmbedConfig, UniformSource, \
-    embed, sample_unwatermarked
+from .generation import EmbedConfig, UniformSource, embed, logit_source, \
+    sample_unwatermarked
 from .harness import FORMAT_VERSION, ExperimentSpec, ber_curve, \
     latency_bench, roc_sweep, run_campaign, write_metrics
 
@@ -34,17 +34,21 @@ def _add_common(p):
     p.add_argument("--code", default="31,6,7", help="n,k,t")
 
 
-def _source(vocab_size: int, mass):
-    if mass is None:
-        return UniformSource(vocab_size)
-    return ControlledMassSource(vocab_size, mass)
+@contextlib.contextmanager
+def _output(path):
+    """Standard output for "-", else the file at `path` (UTF-8)."""
+    if path == "-":
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def cmd_embed(args):
     code = _parse_code(args.code)
     key = seqio.read_key(args.key_file)
     payload = int_to_bits(args.payload, code.k)
-    src = _source(args.vocab_size, args.mass)
+    src = logit_source(args.vocab_size, args.mass)
     seqs = []
     for i in range(args.count):
         cfg = EmbedConfig(code=code, delta=args.delta, scheme=args.scheme,
@@ -54,7 +58,7 @@ def cmd_embed(args):
 
 
 def cmd_sample_h0(args):
-    src = _source(args.vocab_size, None)
+    src = UniformSource(args.vocab_size)
     seqs = [sample_unwatermarked(src, args.tokens, args.seed + i)
             for i in range(args.count)]
     seqio.write_sequences(args.output, seqs)
@@ -79,32 +83,17 @@ def cmd_detect(args):
     cfg = DetectConfig(code=code, key=key, s_max=args.s_max, tau=args.tau,
                        mode=args.mode, diverse=args.diverse,
                        prompt_len=args.prompt_len)
-    out = sys.stdout if args.output == "-" else open(args.output, "w")
-    try:
-        for seq in seqio.read_sequences(args.input, keep_bad=True):
-            if isinstance(seq, seqio.BadRecord):
-                rec = {"format_version": seqio.FORMAT_VERSION,
-                       "line": seq.line, "error": seq.error}
-                out.write(json.dumps(rec, sort_keys=True) + "\n")
-                continue
-            rep = detect(seq, cfg)
-            rec = {"format_version": seqio.FORMAT_VERSION,
-                   "is_wm": rep.is_wm,
-                   "payload": None if rep.payload is None
-                   else int("".join(map(str, rep.payload)), 2),
-                   "best_offset": rep.best_offset,
-                   "matched": rep.matched,
-                   "block_count": rep.block_count,
-                   "score": rep.score,
-                   "per_block": [{"matched": b.matched,
-                                  "distance": b.distance,
-                                  "offset": b.offset}
-                                 for b in rep.per_block],
-                   "diagnostic": rep.diagnostic}
+    with _output(args.output) as out:
+        for item in seqio.read_sequences(args.input, keep_bad=True):
+            if isinstance(item, seqio.BadRecord):
+                rec = asdict(item)
+            else:
+                rep = detect(item, cfg)
+                rec = asdict(rep)
+                rec["payload"] = None if rep.payload is None \
+                    else bits_to_int(rep.payload)
+            rec["format_version"] = seqio.FORMAT_VERSION
             out.write(json.dumps(rec, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def cmd_bounds(args):
@@ -144,17 +133,13 @@ def cmd_campaign(args):
 def cmd_roc(args):
     spec = _load_spec(args.config)
     curves = roc_sweep(spec)
-    out = sys.stdout if args.output == "-" else open(args.output, "w")
-    try:
+    with _output(args.output) as out:
         out.write("format_version,attack_kind,attack_rate,mode,s_max,"
                   "tau,fpr,tpr\n")
         for (kind, rate, mode, s_max), pts in sorted(curves.items()):
             for tau, fpr, tpr in pts:
                 out.write(f"{FORMAT_VERSION},{kind},{rate:g},{mode},"
                           f"{s_max},{tau},{fpr:.6f},{tpr:.6f}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def cmd_ber(args):

@@ -61,6 +61,13 @@ class ControlledMassSource(LogitSource):
         return out
 
 
+def logit_source(vocab_size: int, mass: float | None) -> LogitSource:
+    """The uniform source, or with `mass` the controlled-mass source."""
+    if mass is None:
+        return UniformSource(vocab_size)
+    return ControlledMassSource(vocab_size, mass)
+
+
 @dataclass
 class EmbedConfig:
     code: BchCode
@@ -68,7 +75,7 @@ class EmbedConfig:
     scheme: str              # "soft" or "hard"
     token_count: int
     rng_seed: int
-    mode: str = "payload"    # designated-codeword plan mode
+    diverse: bool = False    # plan each block with the diverse pair
 
     def __post_init__(self):
         if self.delta < 0:
@@ -129,7 +136,8 @@ def embed(src: LogitSource, key: SecretKey, payload: np.ndarray,
         if j != cur_j:
             bk = derive_block_key(key, j, code.k)
             part = partition_bits(bk, src.vocab_size)
-            target = plan_block(key, j, payload, code, cfg.mode).target_bits
+            target = plan_block(key, j, payload, code,
+                                cfg.diverse).target_bits
             cur_j = j
         green = part == target[b]
         logits = src.logits(green)

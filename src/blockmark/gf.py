@@ -20,15 +20,14 @@ class FieldGF2m:
     through the discrete log of the primitive element alpha.
     """
 
-    def __init__(self, m: int, primitive_poly: int | None = None):
-        if not 2 <= m <= 16:
-            raise ValueError(f"unsupported extension degree m={m}")
-        if primitive_poly is None:
-            primitive_poly = PRIMITIVE_POLYS[m]
+    def __init__(self, m: int):
+        if m not in PRIMITIVE_POLYS:
+            raise ValueError(f"unsupported extension degree m={m}; "
+                             f"supported: {sorted(PRIMITIVE_POLYS)}")
+        primitive_poly = PRIMITIVE_POLYS[m]
         self.m = m
         self.order = 1 << m
         self.period = self.order - 1
-        self.primitive_poly = primitive_poly
 
         exp = np.zeros(2 * self.period, dtype=np.int64)
         log = np.zeros(self.order, dtype=np.int64)

@@ -8,23 +8,19 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from .attacks import AttackSpec, attack
-from .bch import BchCode, bits_to_int, int_to_bits
+from .bch import BchCode, int_to_bits
 from .detector import DetectConfig, detect, extract_bits
 from .generation import ControlledMassSource, EmbedConfig, TokenSequence, \
-    UniformSource, embed, sample_unwatermarked
+    UniformSource, embed, logit_source, sample_unwatermarked
 from .keying import SecretKey, plan_block
 
 FORMAT_VERSION = 1
-
-CSV_FIELDS = ["format_version", "config_id", "attack_kind", "attack_rate",
-              "mode", "s_max", "tau", "trials", "tpr", "fpr", "precision",
-              "f1", "match_rate", "mean_matched_ratio", "mean_latency_ms",
-              "tpr_lo", "tpr_hi", "fpr_lo", "fpr_hi", "diagnostic"]
+WILSON_Z = 1.959963984540054     # two-sided 95% normal quantile
 
 
 @dataclass
@@ -82,8 +78,12 @@ class MetricsRow:
     diagnostic: str = ""
 
 
-def wilson(successes: int, n: int, z: float = 1.959963984540054):
+CSV_FIELDS = ["format_version", *(f.name for f in fields(MetricsRow))]
+
+
+def wilson(successes: int, n: int):
     """Wilson 95% score interval for a binomial rate."""
+    z = WILSON_Z
     if n == 0:
         return 0.0, 1.0
     p = successes / n
@@ -121,10 +121,7 @@ def _run_trials(spec: ExperimentSpec):
     (attack index, mode, s_max, arm) where arm is 'wm' or 'h0'."""
     code = BchCode.make(*spec.code)
     key = _derive_key(spec.master_seed)
-    if spec.mass is None:
-        src = UniformSource(spec.vocab_size)
-    else:
-        src = ControlledMassSource(spec.vocab_size, spec.mass)
+    src = logit_source(spec.vocab_size, spec.mass)
 
     results: dict[tuple, list[TrialOutcome]] = {}
     for ai, atk in enumerate(spec.attacks):
@@ -134,7 +131,7 @@ def _run_trials(spec: ExperimentSpec):
             payload = _random_payload(code, rng)
             wm = embed(src, key, payload, EmbedConfig(
                 code=code, delta=spec.delta, scheme=spec.scheme,
-                token_count=spec.text_len,
+                token_count=spec.text_len, diverse=spec.diverse,
                 rng_seed=_seed_for(spec.master_seed, 2, ai, trial)))
             h0 = sample_unwatermarked(
                 src, spec.text_len, _seed_for(spec.master_seed, 3, ai, trial))

@@ -61,6 +61,10 @@ def _first_bits(data: bytes, count: int) -> np.ndarray:
 
 
 def check_vocab_size(vocab_size: int) -> None:
+    if isinstance(vocab_size, bool) \
+            or not isinstance(vocab_size, (int, np.integer)):
+        raise ContractError(f"vocab_size must be an integer, "
+                            f"got {vocab_size!r}")
     if not 1 <= vocab_size < MAX_VOCAB:
         raise ContractError(f"vocab_size must lie in [1, 2^32), "
                             f"got {vocab_size}")
@@ -105,8 +109,7 @@ def partition_bits(bk: BlockKey, vocab_size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockPlan:
-    block_index: int
-    designated: tuple      # one codeword (payload mode) or a pair (diverse)
+    designated: tuple      # one codeword (payload plan) or a pair (diverse)
     target_bits: np.ndarray
 
     def matches(self, cw: np.ndarray) -> bool:
@@ -114,22 +117,21 @@ class BlockPlan:
 
 
 def plan_block(key: SecretKey, j: int, payload: np.ndarray, code: BchCode,
-               mode: str = "payload") -> BlockPlan:
+               diverse: bool = False) -> BlockPlan:
     """Designated codeword(s) and embedded bit schedule for block j.
 
-    payload mode embeds encode(payload XOR r_j).  diverse mode pairs that
-    codeword with its offset by the maximum-weight codeword and picks one
-    of the two by a keyed coin; the all-zero vector is never a target.
+    The payload plan embeds encode(payload XOR r_j).  The diverse plan
+    pairs that codeword with its offset by the maximum-weight codeword and
+    picks one of the two by a keyed coin; the all-zero vector is never a
+    target.
     """
     payload = np.asarray(payload, dtype=np.uint8)
     if payload.shape != (code.k,):
         raise ContractError(f"payload must have length {code.k}")
     bk = derive_block_key(key, j, code.k)
     c1 = encode(code, payload ^ bk.randomizer)
-    if mode == "payload":
-        return BlockPlan(j, (c1,), c1)
-    if mode != "diverse":
-        raise ContractError(f"unknown plan mode {mode!r}")
+    if not diverse:
+        return BlockPlan((c1,), c1)
     c_max = max_weight_codeword(code)
     c2 = c1 ^ c_max
     if not c2.any():
@@ -139,4 +141,4 @@ def plan_block(key: SecretKey, j: int, payload: np.ndarray, code: BchCode,
     if not target.any():
         # c1 degenerate (zero): the pair partner is c_max, use it
         target = c2
-    return BlockPlan(j, (c1, c2), target)
+    return BlockPlan((c1, c2), target)

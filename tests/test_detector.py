@@ -174,7 +174,7 @@ def test_matched_monotone_in_s_max():
 
 def test_diverse_mode_roundtrip():
     cfg = EmbedConfig(code=CODE, delta=0.0, scheme="hard", token_count=200,
-                      rng_seed=2, mode="diverse")
+                      rng_seed=2, diverse=True)
     seq = embed(UniformSource(512), KEY, PAYLOAD, cfg)
     rep = detect(seq, _cfg(diverse=True))
     assert rep.is_wm
@@ -241,8 +241,7 @@ def _ref_detect(seq, cfg):
                 ok = dec is not None
             else:
                 ok = (dec is not None and payload is not None
-                      and plan_block(key, j, payload, code,
-                                     "diverse" if cfg.diverse else "payload")
+                      and plan_block(key, j, payload, code, cfg.diverse)
                       .matches(dec[0]))
             per_block.append(BlockResult(ok, dec[1] if dec else None, s))
         matched = sum(b.matched for b in per_block)
@@ -391,5 +390,5 @@ def test_vote_keys_equal_plan_matches(code, diverse):
                                    c_max if diverse else None)
             for p in range(1 << code.k):
                 plan = plan_block(KEY, j, int_to_bits(p, code.k), code,
-                                  "diverse" if diverse else "payload")
+                                  diverse)
                 assert (p in payloads) == plan.matches(cw)

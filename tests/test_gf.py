@@ -61,6 +61,13 @@ def test_mul_by_zero():
         assert fld.mul(0, a) == 0
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 9, 16, 17])
+def test_unsupported_degree_rejected(m):
+    """Only degrees with a shipped primitive polynomial are accepted."""
+    with pytest.raises(ValueError):
+        FieldGF2m(m)
+
+
 def test_alpha_pow_wraps():
     fld = FieldGF2m(4)
     assert fld.alpha_pow(0) == 1

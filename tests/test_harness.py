@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from blockmark import harness
 from blockmark.attacks import AttackSpec
 from blockmark.bch import BchCode
 from blockmark.harness import (CSV_FIELDS, ExperimentSpec, ber_curve,
@@ -77,6 +78,23 @@ def test_clean_campaign_separates(small_rows):
     clean = [r for r in rows if r.attack_rate == 0.0 and r.tau == 3
              and r.s_max == 0]
     assert clean and all(r.tpr == 1.0 and r.fpr == 0.0 for r in clean)
+
+
+def test_diverse_campaign_embeds_with_the_diverse_plan(monkeypatch):
+    """A diverse campaign embeds with the plan its detector checks."""
+    cfgs = []
+
+    def recording_embed(src, key, payload, cfg):
+        cfgs.append(cfg)
+        return embed(src, key, payload, cfg)
+
+    embed = harness.embed
+    monkeypatch.setattr(harness, "embed", recording_embed)
+    spec = ExperimentSpec(trials=3, s_max_grid=(0,), tau_grid=(3,),
+                          diverse=True, master_seed=12)
+    (row,) = run_campaign(spec)
+    assert len(cfgs) == 3 and all(cfg.diverse for cfg in cfgs)
+    assert row.tpr == 1.0
 
 
 def test_csv_deterministic(tmp_path):

@@ -97,7 +97,7 @@ def test_plan_diverse_mode():
     code = BchCode.make(31, 6, 7)
     payload = int_to_bits(13, 6)
     cmax = max_weight_codeword(code)
-    plan = plan_block(ZERO_KEY, 2, payload, code, mode="diverse")
+    plan = plan_block(ZERO_KEY, 2, payload, code, diverse=True)
     c1, c2 = plan.designated
     assert np.array_equal(c1 ^ c2, cmax)
     assert plan.matches(c1) and plan.matches(c2)
@@ -111,7 +111,7 @@ def test_diverse_target_never_all_zero():
     for j in range(40):
         # payload = r_j makes c1 = encode(payload XOR r_j) the zero word
         r = derive_block_key(ZERO_KEY, j, 6).randomizer
-        plan = plan_block(ZERO_KEY, j, r, code, mode="diverse")
+        plan = plan_block(ZERO_KEY, j, r, code, diverse=True)
         assert not plan.designated[0].any()
         assert plan.target_bits.any()
 
@@ -120,9 +120,6 @@ def test_plan_contracts():
     code = BchCode.make(31, 6, 7)
     with pytest.raises(ContractError):
         plan_block(ZERO_KEY, 0, np.zeros(5, dtype=np.uint8), code)
-    with pytest.raises(ContractError):
-        plan_block(ZERO_KEY, 0, np.zeros(6, dtype=np.uint8), code,
-                   mode="bogus")
 
 
 def test_token_bits_agree_with_partition():
@@ -133,10 +130,11 @@ def test_token_bits_agree_with_partition():
     assert [token_bit(bk, v) for v in toks] == part[toks].tolist()
 
 
-@pytest.mark.parametrize("V", [0, -1, 1 << 32, 1 << 40])
+@pytest.mark.parametrize("V", [0, -1, 1 << 32, 1 << 40,
+                               4.5, 2.0, True, "5"])
 def test_vocab_size_out_of_le32_range_rejected(V):
-    """Token ids hash as LE32, so V must lie in [1, 2^32); a larger V
-    raises before anything is allocated or hashed."""
+    """Token ids hash as LE32, so V must be an integer in [1, 2^32); any
+    other V raises before anything is allocated or hashed."""
     bk = derive_block_key(ZERO_KEY, 0, 6)
     t0 = time.perf_counter()
     with pytest.raises(ContractError):

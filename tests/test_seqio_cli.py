@@ -1,4 +1,5 @@
 """File formats and the command-line interface."""
+import hashlib
 import json
 
 import numpy as np
@@ -107,6 +108,32 @@ def test_cli_campaign(tmp_path, capsys):
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
+def test_cli_roc(tmp_path, capsys):
+    """The ROC CSV is deterministic: its bytes are pinned, and the same
+    bytes go to a file and to standard output."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "trials": 6, "text_len": 124, "master_seed": 3,
+        "attacks": [{"kind": "substitute", "rate": 0.0},
+                    {"kind": "insert", "rate": 0.1}],
+        "s_max_grid": [0, 2], "mode_grid": ["both", "naive"]}))
+    out = tmp_path / "roc.csv"
+    main(["roc", "--config", str(cfg), "--output", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "e8aeae74c46bf6f5021ee0a0513ced96069e2c29e4fcff90bef0c088d9dd73af"
+    capsys.readouterr()
+    main(["roc", "--config", str(cfg)])
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_cli_ber(capsys):
+    main(["ber", "--deltas", "0,2,6", "--bits", "600", "--vocab-size", "128",
+          "--seed", "1"])
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == \
+        "5a8046200b7c781d9618e3ae0de28c149fe5deea619037350cd925cb662d735f"
+
+
 def test_cli_bench(capsys):
     main(["bench", "--text-lens", "124", "--codes", "31,6,7",
           "--s-max-grid", "0", "--repeats", "1"])
@@ -142,12 +169,15 @@ def test_cli_detect_continues_past_malformed_lines(tmp_path):
                                 '{"tokens": [1e30], "vocab_size": 4}',
                                 '{"tokens": [1.5, 2], "vocab_size": 4}',
                                 '{"tokens": [true, false], "vocab_size": 4}',
+                                '{"tokens": [0, 0, 0], "vocab_size": 4.5}',
+                                '{"tokens": [0, 0, 0], "vocab_size": true}',
                                 good[1]]) + "\n")
     out = tmp_path / "rep.jsonl"
     main(["detect", "--key-file", str(key), "--s-max", "5", "--tau", "3",
           "--input", str(mixed), "--output", str(out)])
     reps = [json.loads(line) for line in out.read_text().splitlines()]
-    assert [r.get("line") for r in reps] == [None, 2, 4, 5, 6, 7, 8, 9, None]
+    assert [r.get("line") for r in reps] == [None, 2, 4, 5, 6, 7, 8, 9,
+                                             10, 11, None]
     assert "JSONDecodeError" in reps[1]["error"]
     assert "KeyError" in reps[2]["error"]
     assert "ContractError" in reps[3]["error"]
@@ -155,4 +185,6 @@ def test_cli_detect_continues_past_malformed_lines(tmp_path):
     assert "error" in reps[5]
     assert "ContractError" in reps[6]["error"]
     assert "ContractError" in reps[7]["error"]
-    assert all(r["is_wm"] and r["payload"] == 29 for r in (reps[0], reps[8]))
+    assert "ContractError" in reps[8]["error"]
+    assert "ContractError" in reps[9]["error"]
+    assert all(r["is_wm"] and r["payload"] == 29 for r in (reps[0], reps[10]))
