@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 from . import seqio
 from .attacks import KINDS, AttackSpec, attack
-from .bch import BchCode, bits_to_int, int_to_bits
+from .bch import BchCode, ContractError, bits_to_int, int_to_bits
 from .bounds import BoundParams, param_search, report as bounds_report
 from .detector import MODES, DetectConfig, detect
 from .generation import EmbedConfig, UniformSource, embed, logit_source, \
@@ -118,7 +118,11 @@ def cmd_params(args):
 
 def _load_spec(path) -> ExperimentSpec:
     with open(path, encoding="utf-8") as fh:
-        return ExperimentSpec.from_dict(json.load(fh))
+        cfg = json.load(fh)
+    try:
+        return ExperimentSpec.from_dict(cfg)
+    except ContractError as exc:
+        raise SystemExit(f"blockmark: {path}: {exc}") from exc
 
 
 def cmd_campaign(args):

@@ -21,7 +21,7 @@ import numpy as np
 from .bch import BchCode, ContractError, bits_to_int, int_to_bits, \
     max_weight_codeword, safe_decode
 from .generation import TokenSequence
-from .keying import SecretKey, derive_block_key, token_bits
+from .keying import SecretKey, derive_block_key, diverse_coin, token_bits
 
 MODES = ("designated_only", "shift_only", "both", "naive")
 
@@ -136,37 +136,46 @@ def _decode_blocks(code: BchCode, bits: np.ndarray):
             for j in range(M)]
 
 
-def _vote(code: BchCode, decoded, randomizers, c_max):
+def _vote(code: BchCode, decoded, randomizers, coins=None):
     """The stage-1 vote over decoded blocks, with messages and
     randomizers as ints.
 
-    Returns the winning message int (most votes, ties to the smallest;
-    None without votes), the vote table keyed by message int and, per
-    block, the payloads that designate its decoded codeword cw_j: the vote
-    key msg(cw_j) XOR r_j, none when the block does not decode.  In
-    diverse mode (`c_max` the maximum-weight codeword, else None) the pair
-    partner cw_j XOR c_max adds its key too: as a vote unless the partner
-    is zero, and as a designating payload unless cw_j is zero (plan_block
-    replaces a zero partner by c1).
+    Returns the winning message int (None without votes), the vote table
+    keyed by message int and, per block, the payloads that designate its
+    decoded codeword cw_j: the vote key msg(cw_j) XOR r_j, none when the
+    block does not decode.  In diverse mode (`coins`, each block's
+    diverse_coin, given) the pair partner cw_j XOR c_max adds its key too:
+    as a vote, and as a designating payload unless cw_j is zero
+    (plan_block replaces a zero partner by c1).
+
+    The most votes win.  In diverse mode a payload and its complement
+    therefore draw the same votes, so ties go first to the most
+    orientation votes: each decodable block votes its key, complemented
+    when its coin is 1, which is the payload when the block carries the
+    codeword its coin picked.  Remaining ties go to the smallest message.
     """
     designating = []
     votes: dict[int, int] = {}
-    c_max_key = None if c_max is None else bits_to_int(c_max[:code.k])
-    for dec, r in zip(decoded, randomizers):
+    orientation: dict[int, int] = {}
+    if coins is not None:
+        c_max_key = bits_to_int(max_weight_codeword(code)[:code.k])
+    for j, (dec, r) in enumerate(zip(decoded, randomizers)):
         if dec is None:
             designating.append(())
             continue
         cw = dec[0]
         key = bits_to_int(cw[:code.k]) ^ r
         votes[key] = votes.get(key, 0) + 1
-        if c_max_key is None:
+        if coins is None:
             designating.append((key,))
             continue
         alt = key ^ c_max_key        # msg is linear: msg(cw ^ c_max)
-        if (cw ^ c_max).any():
-            votes[alt] = votes.get(alt, 0) + 1
+        votes[alt] = votes.get(alt, 0) + 1
         designating.append((key, alt) if cw.any() else (key,))
-    best = min(votes, key=lambda v: (-votes[v], v)) if votes else None
+        oriented = alt if coins[j] else key
+        orientation[oriented] = orientation.get(oriented, 0) + 1
+    best = min(votes, key=lambda v: (-votes[v], -orientation.get(v, 0), v)) \
+        if votes else None
     return best, votes, designating
 
 
@@ -175,14 +184,14 @@ def stage1_vote(bits: np.ndarray, code: BchCode, key: SecretKey,
     """Blind payload estimation by majority vote over the decodable blocks
     of an extract_bits stream.
 
-    Returns (message or None, vote table keyed by message int).  Ties go
-    to the smallest message value.
+    Returns (message or None, vote table keyed by message int), with
+    ties broken as in `_vote`.
     """
     decoded = _decode_blocks(code, bits)
-    rands = [bits_to_int(derive_block_key(key, j, code.k).randomizer)
-             for j in range(len(decoded))]
-    c_max = max_weight_codeword(code) if diverse else None
-    best, votes, _ = _vote(code, decoded, rands, c_max)
+    bks = [derive_block_key(key, j, code.k) for j in range(len(decoded))]
+    rands = [bits_to_int(bk.randomizer) for bk in bks]
+    coins = [diverse_coin(bk) for bk in bks] if diverse else None
+    best, votes, _ = _vote(code, decoded, rands, coins)
     return (None if best is None else int_to_bits(best, code.k)), votes
 
 
@@ -217,14 +226,15 @@ def detect(seq: TokenSequence, cfg: DetectConfig) -> DetectionReport:
 
     table = keyed_table(seq, cfg.key, n, code.k, offsets, cfg.prompt_len)
     rands = [bits_to_int(bk.randomizer) for bk in table.block_keys]
-    c_max = max_weight_codeword(code) if cfg.diverse else None
+    coins = [diverse_coin(bk) for bk in table.block_keys] if cfg.diverse \
+        else None
 
     best = None   # (score, matched, offset, payload, per_block, M)
     for s in offsets:
         bits = extract_bits(seq, cfg.key, n, code.k, s, cfg.prompt_len,
                             table=table)
         decoded = _decode_blocks(code, bits)
-        payload, _, designating = _vote(code, decoded, rands, c_max)
+        payload, _, designating = _vote(code, decoded, rands, coins)
 
         per_block = []
         for dec, payloads in zip(decoded, designating):

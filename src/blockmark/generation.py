@@ -25,16 +25,31 @@ class LogitSource:
         raise NotImplementedError
 
 
-class UniformSource(LogitSource):
-    def __init__(self, vocab_size: int):
-        self.vocab_size = vocab_size
-        self._zeros = np.zeros(vocab_size)
+class _TwoLevelSource(LogitSource):
+    """A history-free source whose logits are `green_logit(g)` on a green
+    list of g tokens and 0 on the rest (0 everywhere without a list).
+    `embed` and `sample_unwatermarked` sample the two classes below from
+    uniforms (`_two_level_argmax`) instead of calling `logits` per step."""
+
+    def green_logit(self, green_count: int) -> float:
+        raise NotImplementedError
 
     def logits(self, green_mask=None) -> np.ndarray:
-        return self._zeros
+        out = np.zeros(self.vocab_size)
+        if green_mask is not None:
+            out[green_mask] = self.green_logit(int(green_mask.sum()))
+        return out
 
 
-class ControlledMassSource(LogitSource):
+class UniformSource(_TwoLevelSource):
+    def __init__(self, vocab_size: int):
+        self.vocab_size = vocab_size
+
+    def green_logit(self, green_count: int) -> float:
+        return 0.0
+
+
+class ControlledMassSource(_TwoLevelSource):
     """Pins the pre-bias softmax mass of the green list to exactly `mass`.
 
     With g green tokens out of V, assigning green logit
@@ -48,17 +63,17 @@ class ControlledMassSource(LogitSource):
         self.vocab_size = vocab_size
         self.mass = mass
 
-    def logits(self, green_mask=None) -> np.ndarray:
-        out = np.zeros(self.vocab_size)
-        if green_mask is None:
-            return out
-        g = int(green_mask.sum())
+    def green_logit(self, green_count: int) -> float:
+        g = green_count
         if g == 0 or g == self.vocab_size:
             raise GenerationError("degenerate partition for controlled mass")
-        a = math.log(self.mass * (self.vocab_size - g)
-                     / ((1.0 - self.mass) * g))
-        out[green_mask] = a
-        return out
+        return math.log(self.mass * (self.vocab_size - g)
+                        / ((1.0 - self.mass) * g))
+
+
+# Exactly these classes take the two-level sampler; any other source,
+# a subclass included, gets one `logits` call per step.
+_TWO_LEVEL = (UniformSource, ControlledMassSource)
 
 
 def logit_source(vocab_size: int, mass: float | None) -> LogitSource:
@@ -110,9 +125,119 @@ class TokenSequence:
         return len(self.tokens)
 
 
+_CHUNK = 1 << 14          # uniform doubles drawn at a time
+_WINDOW = 2.0 ** -20      # see _two_level_argmax
+
+
 def _gumbel_sample(rng: np.random.Generator, logits: np.ndarray) -> int:
     # argmax of logits + Gumbel noise == softmax sampling
     return int(np.argmax(logits + rng.gumbel(size=logits.shape)))
+
+
+def _gumbel(u: float) -> float:
+    """The variate rng.gumbel makes of the uniform double u: numpy's
+    loc - scale * log(-log(1 - u)) with the libm log that math.log calls."""
+    return 0.0 - math.log(-math.log(1.0 - u))
+
+
+def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The next `size` doubles that rng.gumbel(size=size) would transform.
+    It redraws u = 0, so a zero leaves the stream and the rest move up."""
+    u = rng.random(size)
+    while not u.all():
+        u = u[u != 0.0]
+        u = np.concatenate([u, rng.random(size - u.size)])
+    return u
+
+
+def _two_level_argmax(rng: np.random.Generator, order, sizes,
+                      consts: np.ndarray) -> list:
+    """One token per row r of `consts`, equal to
+    np.argmax(logits + rng.gumbel(size=V)) for logits that are consts[r, i]
+    on the i-th class, and drawing the same doubles.  The classes are the
+    consecutive runs of sizes[i] ids in `order`, each run sorted (order
+    None: range(V) as one class).
+
+    The variate G(u) falls as u grows, by at least e per unit, and
+    |c + G(u)| < |c| + 64.  So an id whose u exceeds its class minimum by
+    more than w = max(2^-20, ulp(|c| + 64)) scores below the class's best,
+    c + G(u_min), even after rounding and the error of log.  Only the ids
+    within w are scored, exactly; the highest score wins, ties go to the
+    smallest id and NaN beats everything, as in np.argmax.  A constant
+    that is not finite scores every id alike, so the class's smallest id
+    stands for it.
+    """
+    rows, V = consts.shape[0], sum(sizes)
+    u = _uniforms(rng, rows * V).reshape(rows, V)
+    if order is not None:
+        u = np.take(u, order, axis=1)
+    finite = np.abs(consts[np.isfinite(consts)])
+    w = max(_WINDOW, math.ulp(float(finite.max(initial=0.0)) + 64.0))
+    best = [(False, -math.inf, -math.inf)] * rows
+    start = 0
+    for size, col in zip(sizes, consts.T):
+        if size:
+            sub = u[:, start:start + size]
+            near = sub <= (sub.min(axis=1) + w)[:, None]
+            near[:, 0] |= ~np.isfinite(col)
+            rr, kk = np.divmod(np.flatnonzero(near), size)
+            kk += start
+            ids = kk if order is None else order[kk]
+            for r, c, x, v in zip(rr.tolist(), col[rr].tolist(),
+                                  u[rr, kk].tolist(), ids.tolist()):
+                s = c + _gumbel(x)
+                key = (True, 0.0, -v) if s != s else (False, s, -v)
+                if key > best[r]:
+                    best[r] = key
+        start += size
+    return [-key[2] for key in best]
+
+
+def _levels(src: LogitSource, cfg: EmbedConfig, green_count: int):
+    """A two-level step's scores before the noise, off and on its green
+    list of green_count tokens, by the same numpy operations as the
+    per-step path below."""
+    level = np.array([0.0, src.green_logit(green_count)])
+    on = np.array([False, True])
+    if cfg.scheme == "hard":
+        if not green_count:
+            raise GenerationError("empty target list in hard mode")
+        return np.where(on, level, -np.inf)
+    return level + cfg.delta * on
+
+
+def _two_level_block(src, rng, cfg, part, bits) -> np.ndarray:
+    # class b: the ids whose keyed bit is b, the green list of rows with
+    # target bit b
+    order = np.argsort(part, kind="stable")
+    ones = int(part.sum())
+    sizes = (len(part) - ones, ones)
+    # levels per target bit, in the order the per-step path meets (and
+    # may fail on) them
+    by_bit = {}
+    for bit in dict.fromkeys(bits.tolist()):
+        off, on = _levels(src, cfg, sizes[bit])
+        by_bit[bit] = (on, off) if bit == 0 else (off, on)
+    consts = np.array([by_bit[bit] for bit in bits.tolist()])
+    rows = max(1, _CHUNK // src.vocab_size)
+    return np.concatenate([
+        _two_level_argmax(rng, order, sizes, consts[a:a + rows])
+        for a in range(0, len(bits), rows)])
+
+
+def _per_step_block(src, rng, cfg, part, bits) -> np.ndarray:
+    out = np.empty(len(bits), dtype=np.int64)
+    for b, bit in enumerate(bits):
+        green = part == bit
+        logits = src.logits(green)
+        if cfg.scheme == "hard":
+            if not green.any():
+                raise GenerationError("empty target list in hard mode")
+            masked = np.where(green, logits, -np.inf)
+            out[b] = _gumbel_sample(rng, masked)
+        else:
+            out[b] = _gumbel_sample(rng, logits + cfg.delta * green)
+    return out
 
 
 def embed(src: LogitSource, key: SecretKey, payload: np.ndarray,
@@ -121,33 +246,24 @@ def embed(src: LogitSource, key: SecretKey, payload: np.ndarray,
 
     Token t lives in block j = t // n at in-block position b = t % n and
     is biased (soft) or restricted (hard) toward the token list whose
-    keyed bit equals the block's target bit at position b.
+    keyed bit equals the block's target bit at position b.  Tokens are
+    Gumbel-max samples; the two-level sources draw them block by block
+    from uniforms, with the same tokens and the same random stream.
     """
     code = cfg.code
     n = code.n
     rng = np.random.default_rng(cfg.rng_seed)
     tokens = np.empty(cfg.token_count, dtype=np.int64)
-
-    part = None
-    target = None
-    cur_j = -1
-    for t in range(cfg.token_count):
-        j, b = divmod(t, n)
-        if j != cur_j:
-            bk = derive_block_key(key, j, code.k)
-            part = partition_bits(bk, src.vocab_size)
-            target = plan_block(key, j, payload, code,
-                                cfg.diverse).target_bits
-            cur_j = j
-        green = part == target[b]
-        logits = src.logits(green)
-        if cfg.scheme == "hard":
-            if not green.any():
-                raise GenerationError("empty target list in hard mode")
-            masked = np.where(green, logits, -np.inf)
-            tokens[t] = _gumbel_sample(rng, masked)
-        else:
-            tokens[t] = _gumbel_sample(rng, logits + cfg.delta * green)
+    sample = _two_level_block if type(src) in _TWO_LEVEL \
+        else _per_step_block
+    for start in range(0, cfg.token_count, n):
+        j = start // n
+        bk = derive_block_key(key, j, code.k)
+        part = partition_bits(bk, src.vocab_size)
+        target = plan_block(key, j, payload, code, cfg.diverse).target_bits
+        stop = min(start + n, cfg.token_count)
+        tokens[start:stop] = sample(src, rng, cfg, part,
+                                    target[:stop - start])
     return TokenSequence(tokens, src.vocab_size,
                          meta={"scheme": cfg.scheme, "delta": cfg.delta,
                                "n": n, "k": code.k, "t": code.t})
@@ -157,9 +273,15 @@ def sample_unwatermarked(src: LogitSource, token_count: int,
                          rng_seed: int) -> TokenSequence:
     """Plain softmax sampling, no bias; the H0 corpus."""
     rng = np.random.default_rng(rng_seed)
-    logits = None
     tokens = np.empty(token_count, dtype=np.int64)
-    for t in range(token_count):
-        logits = src.logits(None)
-        tokens[t] = _gumbel_sample(rng, logits)
+    if type(src) in _TWO_LEVEL:
+        # one class, every logit 0
+        rows = max(1, _CHUNK // src.vocab_size)
+        for a in range(0, token_count, rows):
+            m = min(rows, token_count - a)
+            tokens[a:a + m] = _two_level_argmax(
+                rng, None, (src.vocab_size,), np.zeros((m, 1)))
+    else:
+        for t in range(token_count):
+            tokens[t] = _gumbel_sample(rng, src.logits(None))
     return TokenSequence(tokens, src.vocab_size, meta={"scheme": "none"})

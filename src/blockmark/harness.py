@@ -13,13 +13,14 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .attacks import AttackSpec, attack
-from .bch import BchCode, int_to_bits
+from .bch import BchCode, ContractError, int_to_bits
 from .detector import DetectConfig, detect, extract_bits
 from .generation import ControlledMassSource, EmbedConfig, TokenSequence, \
     UniformSource, embed, logit_source, sample_unwatermarked
 from .keying import SecretKey, plan_block
 
 FORMAT_VERSION = 1
+ATTACK_KEYS = ("kind", "rate", "rng_seed")     # an attack entry's settings
 WILSON_Z = 1.959963984540054     # two-sided 95% normal quantile
 
 
@@ -42,11 +43,19 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentSpec":
+        """The spec a config dict spells; a key that names no setting
+        raises ContractError, so a misspelt one cannot fall back to its
+        default unseen."""
+        known = ExperimentSpec.__dataclass_fields__
+        entries = cfg.get("attacks", [{"kind": "substitute", "rate": 0.0}])
+        unknown = [str(k) for k in cfg if k not in known] + [
+            f"attacks[{i}].{k}" for i, a in enumerate(entries)
+            for k in a if k not in ATTACK_KEYS]
+        if unknown:
+            raise ContractError(f"unknown config keys: {', '.join(unknown)}")
         attacks = [AttackSpec(a["kind"], a["rate"], a.get("rng_seed", 0))
-                   for a in cfg.get("attacks", [{"kind": "substitute",
-                                                 "rate": 0.0}])]
-        known = {f for f in ExperimentSpec.__dataclass_fields__}
-        kwargs = {k: v for k, v in cfg.items() if k in known and k != "attacks"}
+                   for a in entries]
+        kwargs = {k: v for k, v in cfg.items() if k != "attacks"}
         if "code" in kwargs:
             kwargs["code"] = tuple(kwargs["code"])
         for grid in ("s_max_grid", "tau_grid", "mode_grid"):

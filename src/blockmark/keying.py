@@ -107,6 +107,12 @@ def partition_bits(bk: BlockKey, vocab_size: int) -> np.ndarray:
     return _partition_cached(bk.seed, vocab_size)
 
 
+def diverse_coin(bk: BlockKey) -> int:
+    """The keyed coin that picks a diverse block's codeword from its pair:
+    SHA-256(seed_j || 0x04)[0] & 1."""
+    return _digest(bk.seed, b"\x04")[0] & 1
+
+
 @dataclass(frozen=True)
 class BlockPlan:
     designated: tuple      # one codeword (payload plan) or a pair (diverse)
@@ -136,8 +142,7 @@ def plan_block(key: SecretKey, j: int, payload: np.ndarray, code: BchCode,
     c2 = c1 ^ c_max
     if not c2.any():
         c2 = c1
-    pick = _digest(bk.seed, b"\x04")[0] & 1
-    target = (c1, c2)[pick]
+    target = (c1, c2)[diverse_coin(bk)]
     if not target.any():
         # c1 degenerate (zero): the pair partner is c_max, use it
         target = c2

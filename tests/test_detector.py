@@ -10,8 +10,8 @@ from blockmark.detector import (BlockResult, DetectConfig, _vote, detect,
                                 extract_bits, keyed_table, stage1_vote)
 from blockmark.generation import EmbedConfig, TokenSequence, UniformSource, \
     embed, sample_unwatermarked
-from blockmark.keying import SecretKey, derive_block_key, partition_bits, \
-    plan_block, token_bit
+from blockmark.keying import SecretKey, derive_block_key, diverse_coin, \
+    partition_bits, plan_block, token_bit
 
 KEY = SecretKey(bytes(range(32)))
 CODE = BchCode.make(31, 6, 7)
@@ -182,6 +182,28 @@ def test_diverse_mode_roundtrip():
     assert np.array_equal(rep.payload, PAYLOAD)
 
 
+def test_diverse_mode_recovers_payload_not_complement():
+    """A payload and its complement draw the same diverse votes; the
+    keyed coins orient the tie.  Random keys and payloads, so some blocks
+    have c1 = 0 or c1 = c_max."""
+    src = UniformSource(512)
+    for i in range(60):
+        rng = np.random.default_rng(i)
+        key = SecretKey(rng.bytes(32))
+        payload = rng.integers(0, 2, CODE.k).astype(np.uint8)
+        seq = embed(src, key, payload, EmbedConfig(
+            code=CODE, delta=6.0, scheme="soft", token_count=200,
+            rng_seed=i, diverse=True))
+        rep = detect(seq, DetectConfig(code=CODE, key=key, s_max=2,
+                                       diverse=True))
+        assert rep.is_wm and np.array_equal(rep.payload, payload), i
+        stream = extract_bits(seq, key, CODE.n, CODE.k, 0)
+        msg, votes = stage1_vote(stream, CODE, key, diverse=True)
+        assert np.array_equal(msg, payload), i
+        p = bits_to_int(payload)
+        assert votes[p] == votes[p ^ (1 << CODE.k) - 1]
+
+
 # ------------------------------------------------ differential properties
 
 CODES = [BchCode.make(*c) for c in sorted(NAMED_CODES)]
@@ -221,20 +243,23 @@ def _ref_detect(seq, cfg):
             continue
         decoded = [safe_decode(code, bits[j * n:(j + 1) * n])
                    for j in range(M)]
-        votes = {}
+        votes, orientation = {}, {}
         for j, dec in enumerate(decoded):
             if dec is None:
                 continue
-            r = derive_block_key(key, j, k).randomizer
-            cands = [message_of(code, dec[0]) ^ r]
-            if cfg.diverse and (dec[0] ^ c_max).any():
-                cands.append(message_of(code, dec[0] ^ c_max) ^ r)
+            bk = derive_block_key(key, j, k)
+            cands = [message_of(code, dec[0]) ^ bk.randomizer]
+            if cfg.diverse:
+                cands.append(message_of(code, dec[0] ^ c_max)
+                             ^ bk.randomizer)
+                o = bits_to_int(cands[diverse_coin(bk)])
+                orientation[o] = orientation.get(o, 0) + 1
             for c in cands:
                 votes[bits_to_int(c)] = votes.get(bits_to_int(c), 0) + 1
         payload = None
         if votes:
-            payload = int_to_bits(min(votes, key=lambda v: (-votes[v], v)),
-                                  k)
+            payload = int_to_bits(min(votes, key=lambda v: (
+                -votes[v], -orientation.get(v, 0), v)), k)
         per_block = []
         for j, dec in enumerate(decoded):
             if cfg.mode in ("shift_only", "naive"):
@@ -386,8 +411,10 @@ def test_vote_keys_equal_plan_matches(code, diverse):
     for j in range(4):
         r = derive_block_key(KEY, j, code.k).randomizer
         for cw in words:
+            coins = [diverse_coin(derive_block_key(KEY, j, code.k))] \
+                if diverse else None
             _, _, (payloads,) = _vote(code, [(cw, 0)], [bits_to_int(r)],
-                                   c_max if diverse else None)
+                                   coins)
             for p in range(1 << code.k):
                 plan = plan_block(KEY, j, int_to_bits(p, code.k), code,
                                   diverse)

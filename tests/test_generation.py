@@ -2,11 +2,13 @@
 import numpy as np
 import pytest
 
-from blockmark.bch import BchCode, ContractError, int_to_bits
+from blockmark import generation
+from blockmark.bch import NAMED_CODES, BchCode, ContractError, int_to_bits
 from blockmark.detector import extract_bits
 from blockmark.generation import (ControlledMassSource, EmbedConfig,
-                                  GenerationError, TokenSequence,
-                                  UniformSource, embed, sample_unwatermarked)
+                                  GenerationError, LogitSource,
+                                  TokenSequence, UniformSource, embed,
+                                  sample_unwatermarked)
 from blockmark.keying import SecretKey, derive_block_key, partition_bits, \
     plan_block
 
@@ -125,3 +127,155 @@ def test_unwatermarked_is_uniform():
     expected = 1000.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 40.0
+
+
+# ------------------------------------------------ the two-level sampler
+
+class _PerStep(LogitSource):
+    """Delegates `logits` to a source, so embedding and H0 sampling take
+    the per-step Gumbel path with the same logits."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab_size = inner.vocab_size
+
+    def logits(self, green_mask=None):
+        return self.inner.logits(green_mask)
+
+
+def _outcome(fn):
+    try:
+        return fn().tokens.tolist()
+    except Exception as exc:           # the same exception on both paths
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("nkt", sorted(NAMED_CODES),
+                         ids=lambda nkt: "-".join(map(str, nkt)))
+def test_two_level_embed_equals_per_step(nkt):
+    """Tokens (or the exception) of the two-level sampler equal the
+    per-step Gumbel path's, over V from 1 to 32768, soft, hard and huge
+    deltas, both sources, both plans and a partial last block."""
+    code = BchCode.make(*nkt)
+    cases = [(V, scheme, delta, mass)
+             for V in (1, 2, 3, 512, 32768)
+             for scheme, delta in (("soft", 2.5), ("hard", 0.0))
+             for mass in (None, 0.3)]
+    cases += [(64, "soft", delta, mass) for delta in (0.0, 1e30, np.inf)
+              for mass in (None, 0.3)]
+    for i, (V, scheme, delta, mass) in enumerate(cases):
+        src = ControlledMassSource(V, mass) if mass else UniformSource(V)
+        payload = int_to_bits(i % (1 << code.k), code.k)
+        for diverse in (False, True):
+            cfg = EmbedConfig(code=code, delta=delta, scheme=scheme,
+                              token_count=code.n + 2, rng_seed=i,
+                              diverse=diverse)
+            with np.errstate(invalid="ignore"):     # inf * 0 off the list
+                fast = _outcome(lambda: embed(src, KEY, payload, cfg))
+                slow = _outcome(lambda: embed(_PerStep(src), KEY, payload,
+                                              cfg))
+            assert fast == slow, (V, scheme, delta, mass, diverse)
+
+
+def test_two_level_unwatermarked_equals_per_step():
+    for V in (1, 2, 3, 512, 32768):
+        rows = max(1, generation._CHUNK // V)     # one chunk and a bit
+        for seed, T in ((0, 0), (1, 5), (2, rows + 3)):
+            src = ControlledMassSource(V, 0.4) if V > 1 else UniformSource(V)
+            assert _outcome(lambda: sample_unwatermarked(src, T, seed)) == \
+                _outcome(lambda: sample_unwatermarked(_PerStep(src), T,
+                                                      seed))
+
+
+def _zero_at(index: int, seed: int = 5) -> np.random.Generator:
+    """A generator whose draw number `index` is the double 0.0: PCG64 emits
+    the state it steps to, and 0.0 when that state is 0."""
+    mult = 0x2360ED051FC65DA44385DF649FCCF645     # PCG64's LCG multiplier
+    bg = np.random.PCG64(seed)
+    state = bg.state
+    inc = state["state"]["inc"]
+    state["state"]["state"] = -inc * pow(mult, -1, 1 << 128) % (1 << 128)
+    bg.state = state
+    bg.advance((1 << 128) - index)
+    return np.random.Generator(bg)
+
+
+@pytest.mark.parametrize("index", [0, 1, 63, 64, 100, 255])
+def test_zero_uniform_is_redrawn_like_gumbel(index):
+    """rng.gumbel redraws u = 0; the sampler drops that double from the
+    stream in the same place, within a row and across rows."""
+    V, rows = 64, 4
+    probe = _zero_at(index).random(index + 1)
+    assert probe[index] == 0.0 and probe[:index].all()
+    rng_a, rng_b = _zero_at(index), _zero_at(index)
+    consts = np.array([[0.0, 1.5], [2.0, -np.inf], [0.0, 0.0], [3.0, 1.0]])
+    part = np.arange(V) % 3 == 0
+    order = np.argsort(part, kind="stable")
+    sizes = (int((~part).sum()), int(part.sum()))
+    got = generation._two_level_argmax(rng_a, order, sizes, consts)
+    want = [int(np.argmax(np.where(part, c1, c0) + rng_b.gumbel(size=V)))
+            for c0, c1 in consts]
+    assert got == want
+    assert rng_a.random() == rng_b.random()     # the streams stay aligned
+
+
+class _Scripted:
+    """A generator that hands out a fixed list of doubles."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size):
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+def test_near_minimum_ties_go_to_smallest_id():
+    """Where G is flat and the constant large, ids whose u lies a few
+    doubles above the minimum round to the same score; np.argmax then
+    takes the smallest id, not the smallest u."""
+    d = 2.0 ** -53
+    u = [0.6 + 3 * d, 0.6 + d, 0.6, 0.9, 0.5, 0.1, 0.3, 0.9]
+    consts = np.array([[100.0], [0.0]])
+    want = [int(np.argmax(c + np.array([generation._gumbel(x) for x in row])))
+            for c, row in zip(consts[:, 0], (u[:4], u[4:]))]
+    assert want == [0, 1]
+    assert generation._two_level_argmax(_Scripted(u), None, (4,),
+                                        consts) == want
+
+
+def test_uniforms_follow_gumbel_stream():
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    u = generation._uniforms(a, 4096)
+    assert np.array_equal([generation._gumbel(x) for x in u],
+                          b.gumbel(size=4096))
+
+
+class _Recording(ControlledMassSource):
+    """A stateful subclass: it records every green list it is asked for,
+    and its logits depend on how many calls came before."""
+
+    def __init__(self, vocab_size):
+        super().__init__(vocab_size, 0.5)
+        self.calls = []
+
+    def logits(self, green_mask=None):
+        self.calls.append(None if green_mask is None else green_mask.copy())
+        out = np.zeros(self.vocab_size)
+        out[len(self.calls) % self.vocab_size] = 1.0
+        return out
+
+
+def test_overriding_source_gets_one_logits_call_per_step():
+    src = _Recording(64)
+    cfg = EmbedConfig(code=CODE, delta=2.0, scheme="soft", token_count=70,
+                      rng_seed=4)
+    embed(src, KEY, PAYLOAD, cfg)
+    bits = _schedule(70)
+    want = [partition_bits(derive_block_key(KEY, t // CODE.n, CODE.k), 64)
+            == bits[t] for t in range(70)]
+    assert len(src.calls) == 70
+    assert all(np.array_equal(g, w) for g, w in zip(src.calls, want))
+    src.calls.clear()
+    sample_unwatermarked(src, 9, 1)
+    assert src.calls == [None] * 9

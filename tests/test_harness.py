@@ -8,7 +8,7 @@ import pytest
 
 from blockmark import harness
 from blockmark.attacks import AttackSpec
-from blockmark.bch import BchCode
+from blockmark.bch import BchCode, ContractError
 from blockmark.harness import (CSV_FIELDS, ExperimentSpec, ber_curve,
                                latency_bench, roc_auc, roc_sweep,
                                run_campaign, wilson, write_metrics_csv)
@@ -95,6 +95,24 @@ def test_diverse_campaign_embeds_with_the_diverse_plan(monkeypatch):
     (row,) = run_campaign(spec)
     assert len(cfgs) == 3 and all(cfg.diverse for cfg in cfgs)
     assert row.tpr == 1.0
+
+
+def test_from_dict_rejects_unknown_keys():
+    """A misspelt setting raises instead of running the default."""
+    with pytest.raises(ContractError, match="diverce"):
+        ExperimentSpec.from_dict({"diverce": True})
+    with pytest.raises(ContractError) as err:
+        ExperimentSpec.from_dict({"trails": 5, "mode": "naive", "attacks": [
+            {"kind": "delete", "rate": 0.1, "seed": 2},
+            {"kind": "insert", "rate": 0.1, "rng_seed": 1, "sed": 3}]})
+    for name in ("trails", "mode", "attacks[0].seed", "attacks[1].sed"):
+        assert name in str(err.value)
+    spec = ExperimentSpec.from_dict({"diverse": True, "code": [15, 5, 3],
+                                     "attacks": [{"kind": "delete",
+                                                  "rate": 0.1,
+                                                  "rng_seed": 4}]})
+    assert spec.diverse and spec.code == (15, 5, 3)
+    assert spec.attacks == [AttackSpec("delete", 0.1, 4)]
 
 
 def test_csv_deterministic(tmp_path):

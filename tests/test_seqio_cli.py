@@ -108,6 +108,14 @@ def test_cli_campaign(tmp_path, capsys):
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
+def test_cli_campaign_rejects_unknown_key(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 2, "diverce": True}))
+    with pytest.raises(SystemExit) as exit_:
+        main(["campaign", "--config", str(cfg)])
+    assert "unknown config keys: diverce" in str(exit_.value.code)
+
+
 def test_cli_roc(tmp_path, capsys):
     """The ROC CSV is deterministic: its bytes are pinned, and the same
     bytes go to a file and to standard output."""
