@@ -148,11 +148,13 @@ def _vote(code: BchCode, decoded, randomizers, coins=None):
     as a vote, and as a designating payload unless cw_j is zero
     (plan_block replaces a zero partner by c1).
 
-    The most votes win.  In diverse mode a payload and its complement
-    therefore draw the same votes, so ties go first to the most
-    orientation votes: each decodable block votes its key, complemented
-    when its coin is 1, which is the payload when the block carries the
-    codeword its coin picked.  Remaining ties go to the smallest message.
+    The most votes win, ties to the smallest message.  In diverse mode a
+    payload and its complement draw the same votes, so their ties go
+    first to the most orientation votes: each block that decodes to a
+    codeword other than c_max votes its key, complemented when its coin
+    is 1, which is the payload when the block carries the codeword its
+    coin picked.  A block that decodes to c_max casts none: plan_block
+    embeds c_max for c1 = 0 and for c1 = c_max whatever the coin says.
     """
     designating = []
     votes: dict[int, int] = {}
@@ -164,7 +166,8 @@ def _vote(code: BchCode, decoded, randomizers, coins=None):
             designating.append(())
             continue
         cw = dec[0]
-        key = bits_to_int(cw[:code.k]) ^ r
+        msg = bits_to_int(cw[:code.k])
+        key = msg ^ r
         votes[key] = votes.get(key, 0) + 1
         if coins is None:
             designating.append((key,))
@@ -172,8 +175,9 @@ def _vote(code: BchCode, decoded, randomizers, coins=None):
         alt = key ^ c_max_key        # msg is linear: msg(cw ^ c_max)
         votes[alt] = votes.get(alt, 0) + 1
         designating.append((key, alt) if cw.any() else (key,))
-        oriented = alt if coins[j] else key
-        orientation[oriented] = orientation.get(oriented, 0) + 1
+        if msg != c_max_key:         # the code is systematic: cw != c_max
+            oriented = alt if coins[j] else key
+            orientation[oriented] = orientation.get(oriented, 0) + 1
     best = min(votes, key=lambda v: (-votes[v], -orientation.get(v, 0), v)) \
         if votes else None
     return best, votes, designating

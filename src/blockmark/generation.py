@@ -193,17 +193,22 @@ def _two_level_argmax(rng: np.random.Generator, order, sizes,
     return [-key[2] for key in best]
 
 
+def _scores(logits: np.ndarray, on: np.ndarray, cfg: EmbedConfig):
+    """A step's scores before the noise: the logits plus delta on the
+    target list `on` (soft), or the logits on it and -inf off it (hard)."""
+    if cfg.scheme == "hard":
+        if not on.any():
+            raise GenerationError("empty target list in hard mode")
+        return np.where(on, logits, -np.inf)
+    return logits + cfg.delta * on
+
+
 def _levels(src: LogitSource, cfg: EmbedConfig, green_count: int):
     """A two-level step's scores before the noise, off and on its green
-    list of green_count tokens, by the same numpy operations as the
-    per-step path below."""
-    level = np.array([0.0, src.green_logit(green_count)])
-    on = np.array([False, True])
-    if cfg.scheme == "hard":
-        if not green_count:
-            raise GenerationError("empty target list in hard mode")
-        return np.where(on, level, -np.inf)
-    return level + cfg.delta * on
+    list of green_count tokens: `_scores` of the two classes, the second
+    on the list unless it is empty."""
+    return _scores(np.array([0.0, src.green_logit(green_count)]),
+                   np.array([False, green_count > 0]), cfg)
 
 
 def _two_level_block(src, rng, cfg, part, bits) -> np.ndarray:
@@ -229,14 +234,7 @@ def _per_step_block(src, rng, cfg, part, bits) -> np.ndarray:
     out = np.empty(len(bits), dtype=np.int64)
     for b, bit in enumerate(bits):
         green = part == bit
-        logits = src.logits(green)
-        if cfg.scheme == "hard":
-            if not green.any():
-                raise GenerationError("empty target list in hard mode")
-            masked = np.where(green, logits, -np.inf)
-            out[b] = _gumbel_sample(rng, masked)
-        else:
-            out[b] = _gumbel_sample(rng, logits + cfg.delta * green)
+        out[b] = _gumbel_sample(rng, _scores(src.logits(green), green, cfg))
     return out
 
 

@@ -204,6 +204,44 @@ def test_diverse_mode_recovers_payload_not_complement():
         assert votes[p] == votes[p ^ (1 << CODE.k) - 1]
 
 
+def test_diverse_block_carrying_c_max_casts_no_orientation_vote():
+    """With payload = r_0, block 0's c1 is zero and it embeds c_max
+    whatever its coin says.  Under a key whose block-0 coin is 0, a coin
+    vote from that block would go to the complement and tie block 1's
+    vote, and the smaller complement would win."""
+    code = BchCode.make(15, 5, 3)
+    mask = (1 << code.k) - 1
+
+    def fits(key):
+        bk = derive_block_key(key, 0, code.k)
+        p = bits_to_int(bk.randomizer)
+        return diverse_coin(bk) == 0 and p ^ mask < p
+
+    key = next(k for k in (SecretKey(bytes([i]) * 32) for i in range(256))
+               if fits(k))
+    payload = derive_block_key(key, 0, code.k).randomizer
+    plans = [plan_block(key, j, payload, code, diverse=True)
+             for j in range(2)]
+    assert np.array_equal(plans[0].target_bits, max_weight_codeword(code))
+    assert not np.array_equal(plans[1].target_bits,
+                              max_weight_codeword(code))
+
+    seq = embed(UniformSource(SMALL_V), key, payload, EmbedConfig(
+        code=code, delta=0.0, scheme="hard", token_count=2 * code.n,
+        rng_seed=0, diverse=True))
+    stream = extract_bits(seq, key, code.n, code.k, 0)
+    assert np.array_equal(stream, np.concatenate(
+        [plan.target_bits for plan in plans]))
+    msg, votes = stage1_vote(stream, code, key, diverse=True)
+    assert np.array_equal(msg, payload)
+    assert votes[bits_to_int(payload)] == votes[bits_to_int(payload) ^ mask]
+    cfg = DetectConfig(code=code, key=key, diverse=True)
+    rep = detect(seq, cfg)
+    assert rep.is_wm and rep.matched == 2
+    assert np.array_equal(rep.payload, payload)
+    assert np.array_equal(_ref_detect(seq, cfg)[3], payload)
+
+
 # ------------------------------------------------ differential properties
 
 CODES = [BchCode.make(*c) for c in sorted(NAMED_CODES)]
@@ -252,8 +290,9 @@ def _ref_detect(seq, cfg):
             if cfg.diverse:
                 cands.append(message_of(code, dec[0] ^ c_max)
                              ^ bk.randomizer)
-                o = bits_to_int(cands[diverse_coin(bk)])
-                orientation[o] = orientation.get(o, 0) + 1
+                if (dec[0] ^ c_max).any():
+                    o = bits_to_int(cands[diverse_coin(bk)])
+                    orientation[o] = orientation.get(o, 0) + 1
             for c in cands:
                 votes[bits_to_int(c)] = votes.get(bits_to_int(c), 0) + 1
         payload = None

@@ -2,18 +2,19 @@
 """Alternating parent/change benchmark pairs, written as BENCH_<topic>.json.
 
     python3 tools/bench_pairs.py --parent DIR --topic NAME --summary TEXT
-        [--change DIR] [--workloads W,W] [--pairs 10] [--seed0 501]
-        [--seconds 16] [--trace-metrics M,M] [--trace-seed 7]
+        [--seed0 501] [--trace-metrics M,M] [--host NOTE]
 
 DIR is a checkout of the parent commit (a git worktree, clone or archive);
---change defaults to the checkout that holds this script.  Pair i runs
-`perfbench/run.py --workload W --seed SEED0+i --seconds S --trace 0` in
-both checkouts, one run at a time, the parent first in even pairs and the
+the change is the checkout that holds this script.  For each of the four
+workloads, pair i of 10 runs `perfbench/run.py --workload W --seed SEED0+i
+--seconds S --trace 0`, S the run_seconds of BENCHMARK.json, in both
+checkouts, one run at a time, the parent first in even pairs and the
 change first in odd pairs.  Each metric's entry holds both sides' medians,
 quartiles and spread, the relative change of the medians, the number of
 pairs in which the change was better, and the bound from BENCHMARK.json.
-With --trace-metrics, one `--trace 1` run per side and workload adds the
-named per-layer metrics.  The file is written to the change's root.
+With --trace-metrics, one `--trace 1` run per side and workload, seed 7,
+adds the named per-layer metrics.  The file is written to the change's
+root.
 """
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("detect-warm", "detect-cold", "embed", "campaign")
+PAIRS = 10
+TRACE_SEED = 7
 COMMAND = ("python3 perfbench/run.py --workload W --seed S "
            "--seconds {seconds:g} --trace {trace}")
 
@@ -76,44 +79,39 @@ def compare(runs: dict, spec: dict) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True)
-    p.add_argument("--change", type=Path, default=ROOT)
     p.add_argument("--topic", required=True)
     p.add_argument("--summary", required=True)
-    p.add_argument("--workloads", default=",".join(WORKLOADS))
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed0", type=int, default=501)
-    p.add_argument("--seconds", type=float, default=16)
     p.add_argument("--trace-metrics", default="")
-    p.add_argument("--trace-seed", type=int, default=7)
     p.add_argument("--host", default="",
                    help="a note on the host, written under machine")
     args = p.parse_args(argv)
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    workloads = args.workloads.split(",")
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     traced = [m for m in args.trace_metrics.split(",") if m]
 
     report = {
         "topic": args.topic,
         "summary": args.summary,
-        "command": COMMAND.format(seconds=args.seconds, trace=0),
-        "design": (f"{args.pairs} pairs per workload; pair i runs seed "
+        "command": COMMAND.format(seconds=seconds, trace=0),
+        "design": (f"{PAIRS} pairs per workload; pair i runs seed "
                    f"{args.seed0}+i on the parent commit and on this "
                    "change, parent first in even pairs and change first "
                    "in odd pairs; one run at a time"),
         "machine": None,
-        "spread_definition": (f"(q3 - q1) / median over the {args.pairs} "
+        "spread_definition": (f"(q3 - q1) / median over the {PAIRS} "
                               "runs of one side"),
         "workloads": {},
     }
-    for wl in workloads:
+    for wl in WORKLOADS:
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 \
                 else ("change", "parent")
             for side in order:
                 runs[side].append(run(sides[side], wl, args.seed0 + i,
-                                      args.seconds, 0))
+                                      seconds, 0))
                 print(f"{wl} pair {i} {side} done", file=sys.stderr)
         info = runs["change"][0][0]
         report["machine"] = {**info["machine"], "host": args.host}
@@ -132,18 +130,18 @@ def main(argv=None) -> int:
     if traced:
         report["trace"] = {
             "command": COMMAND.replace(
-                "--seed S", f"--seed {args.trace_seed}").format(
-                    seconds=args.seconds, trace=1),
+                "--seed S", f"--seed {TRACE_SEED}").format(
+                    seconds=seconds, trace=1),
             "workloads": {}}
-        for wl in workloads:
+        for wl in WORKLOADS:
             entry = report["trace"]["workloads"][wl] = {}
             for side, checkout in sides.items():
-                _, res = run(checkout, wl, args.trace_seed, args.seconds, 1)
+                _, res = run(checkout, wl, TRACE_SEED, seconds, 1)
                 entry[side] = {"correct": res["correct"],
                                "failed": res["failed"],
                                **{m: round(res["metrics"][m]["value"], 4)
                                   for m in traced}}
-    path = sides["change"] / f"BENCH_{args.topic}.json"
+    path = ROOT / f"BENCH_{args.topic}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(path)
     return 0
