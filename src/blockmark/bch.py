@@ -80,15 +80,10 @@ class BchCode:
     n: int
     k: int
     t: int
-    m: int
     generator: int                       # bitmask, degree n-k
     fld: FieldGF2m = dc_field(repr=False)
     _synd_mat: np.ndarray = dc_field(repr=False)   # (2t, n) alpha^{i*(n-1-pos)}
     _chien_exp: np.ndarray = dc_field(repr=False)  # (n,) exponents -j mod period
-
-    @property
-    def d_min(self) -> int:
-        return 2 * self.t + 1
 
     @staticmethod
     def make(n: int, k: int, t: int) -> "BchCode":
@@ -113,7 +108,7 @@ class BchCode:
                 synd[i - 1, pos] = fld.alpha_pow(i * (n - 1 - pos))
         chien = np.array([(period - j) % period for j in range(n)],
                          dtype=np.int64)
-        code = BchCode(n=n, k=k, t=t, m=m, generator=gen, fld=fld,
+        code = BchCode(n=n, k=k, t=t, generator=gen, fld=fld,
                        _synd_mat=synd, _chien_exp=chien)
         _code_cache[key] = code
         return code

@@ -19,8 +19,8 @@ from .bounds import BoundParams, param_search, report as bounds_report
 from .detector import MODES, DetectConfig, detect
 from .generation import EmbedConfig, UniformSource, embed, logit_source, \
     sample_unwatermarked
-from .harness import FORMAT_VERSION, ExperimentSpec, ber_curve, \
-    latency_bench, roc_sweep, run_campaign, write_metrics
+from .harness import ExperimentSpec, ber_curve, latency_bench, roc_sweep, \
+    run_campaign, write_metrics
 
 
 def _parse_code(text: str) -> BchCode:
@@ -36,11 +36,12 @@ def _add_common(p):
 
 @contextlib.contextmanager
 def _output(path):
-    """Standard output for "-", else the file at `path` (UTF-8)."""
+    """Standard output for "-", else the file at `path` (UTF-8, written
+    with no newline translation)."""
     if path == "-":
         yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         yield fh
 
 
@@ -126,12 +127,9 @@ def _load_spec(path) -> ExperimentSpec:
 
 
 def cmd_campaign(args):
-    spec = _load_spec(args.config)
-    if args.output:
-        spec.output_path = args.output
-    rows = run_campaign(spec)
-    if not spec.output_path:
-        write_metrics(sys.stdout, rows)
+    rows = run_campaign(_load_spec(args.config))
+    with _output(args.output) as out:
+        write_metrics(out, rows)
 
 
 def cmd_roc(args):
@@ -142,7 +140,7 @@ def cmd_roc(args):
                   "tau,fpr,tpr\n")
         for (kind, rate, mode, s_max), pts in sorted(curves.items()):
             for tau, fpr, tpr in pts:
-                out.write(f"{FORMAT_VERSION},{kind},{rate:g},{mode},"
+                out.write(f"{seqio.FORMAT_VERSION},{kind},{rate:g},{mode},"
                           f"{s_max},{tau},{fpr:.6f},{tpr:.6f}\n")
 
 
@@ -154,7 +152,7 @@ def cmd_ber(args):
     print("format_version,delta,arm,ber")
     for r in rows:
         d = "" if r["delta"] is None else f"{r['delta']:g}"
-        print(f"{FORMAT_VERSION},{d},{r['arm']},{r['ber']:.6f}")
+        print(f"{seqio.FORMAT_VERSION},{d},{r['arm']},{r['ber']:.6f}")
 
 
 def cmd_bench(args):
@@ -167,7 +165,7 @@ def cmd_bench(args):
                          master_seed=args.seed)
     print("format_version,text_len,n,s_max,median_s")
     for r in rows:
-        print(f"{FORMAT_VERSION},{r['text_len']},{r['n']},{r['s_max']},"
+        print(f"{seqio.FORMAT_VERSION},{r['text_len']},{r['n']},{r['s_max']},"
               f"{r['median_s']:.4f}")
 
 
@@ -237,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("campaign", help="Monte-Carlo metrics campaign")
     c.add_argument("--config", required=True, help="JSON ExperimentSpec")
-    c.add_argument("--output", default=None)
+    c.add_argument("--output", default="-")
     c.set_defaults(func=cmd_campaign)
 
     r = sub.add_parser("roc", help="ROC sweep over tau")

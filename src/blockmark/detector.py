@@ -39,6 +39,8 @@ class DetectConfig:
     def __post_init__(self):
         if self.tau < 1:
             raise ContractError("tau must be >= 1")
+        if self.prompt_len < 0:
+            raise ContractError("prompt_len must be >= 0")
         if not 0 <= self.s_max <= self.code.n:
             raise ContractError("s_max must lie in [0, n]")
         if self.mode not in MODES:
@@ -118,6 +120,8 @@ def extract_bits(seq: TokenSequence, key: SecretKey, n: int, k: int,
     """
     if abs(offset) > n:
         raise ContractError("offset magnitude must be <= n")
+    if prompt_len < 0:
+        raise ContractError("prompt_len must be >= 0")
     toks = seq.tokens[prompt_len:]
     U = len(toks) - offset          # highest stream position + 1
     if U <= 0:

@@ -93,8 +93,8 @@ class EmbedConfig:
     diverse: bool = False    # plan each block with the diverse pair
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ContractError("delta must be >= 0")
+        if not 0 <= self.delta < math.inf:
+            raise ContractError("delta must be finite and >= 0")
         if self.token_count < 1:
             raise ContractError("token_count must be >= 1")
         if self.scheme not in ("soft", "hard"):
@@ -162,10 +162,10 @@ def _two_level_argmax(rng: np.random.Generator, order, sizes,
     |c + G(u)| < |c| + 64.  So an id whose u exceeds its class minimum by
     more than w = max(2^-20, ulp(|c| + 64)) scores below the class's best,
     c + G(u_min), even after rounding and the error of log.  Only the ids
-    within w are scored, exactly; the highest score wins, ties go to the
-    smallest id and NaN beats everything, as in np.argmax.  A constant
-    that is not finite scores every id alike, so the class's smallest id
-    stands for it.
+    within w are scored, exactly; the highest score wins and ties go to
+    the smallest id, as in np.argmax.  The only constant that is not
+    finite is hard mode's -inf off a list that is never empty, and its
+    scores never win.
     """
     rows, V = consts.shape[0], sum(sizes)
     u = _uniforms(rng, rows * V).reshape(rows, V)
@@ -173,24 +173,22 @@ def _two_level_argmax(rng: np.random.Generator, order, sizes,
         u = np.take(u, order, axis=1)
     finite = np.abs(consts[np.isfinite(consts)])
     w = max(_WINDOW, math.ulp(float(finite.max(initial=0.0)) + 64.0))
-    best = [(False, -math.inf, -math.inf)] * rows
+    best = [(-math.inf, -math.inf)] * rows
     start = 0
     for size, col in zip(sizes, consts.T):
         if size:
             sub = u[:, start:start + size]
             near = sub <= (sub.min(axis=1) + w)[:, None]
-            near[:, 0] |= ~np.isfinite(col)
             rr, kk = np.divmod(np.flatnonzero(near), size)
             kk += start
             ids = kk if order is None else order[kk]
             for r, c, x, v in zip(rr.tolist(), col[rr].tolist(),
                                   u[rr, kk].tolist(), ids.tolist()):
-                s = c + _gumbel(x)
-                key = (True, 0.0, -v) if s != s else (False, s, -v)
+                key = (c + _gumbel(x), -v)
                 if key > best[r]:
                     best[r] = key
         start += size
-    return [-key[2] for key in best]
+    return [-key[1] for key in best]
 
 
 def _scores(logits: np.ndarray, on: np.ndarray, cfg: EmbedConfig):

@@ -18,8 +18,8 @@ from .detector import DetectConfig, detect, extract_bits
 from .generation import ControlledMassSource, EmbedConfig, TokenSequence, \
     UniformSource, embed, logit_source, sample_unwatermarked
 from .keying import SecretKey, plan_block
+from .seqio import FORMAT_VERSION
 
-FORMAT_VERSION = 1
 ATTACK_KEYS = ("kind", "rate", "rng_seed")     # an attack entry's settings
 WILSON_Z = 1.959963984540054     # two-sided 95% normal quantile
 
@@ -39,7 +39,6 @@ class ExperimentSpec:
     mode_grid: tuple = ("both",)
     diverse: bool = False
     master_seed: int = 0
-    output_path: str | None = None
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentSpec":
@@ -208,11 +207,8 @@ def _make_row(spec, atk, mode, s_max, wm, h0, tau) -> MetricsRow:
 
 def run_campaign(spec: ExperimentSpec) -> list[MetricsRow]:
     _, results = _run_trials(spec)
-    rows = [_make_row(spec, *point, tau) for point in _grid(spec, results)
+    return [_make_row(spec, *point, tau) for point in _grid(spec, results)
             for tau in spec.tau_grid]
-    if spec.output_path:
-        write_metrics_csv(spec.output_path, rows)
-    return rows
 
 
 def roc_sweep(spec: ExperimentSpec) -> dict:
@@ -293,13 +289,6 @@ def latency_bench(text_lens, codes, s_max_grid, repeats: int = 5,
                 rows.append({"text_len": T, "n": code.n, "s_max": s_max,
                              "median_s": sorted(times)[len(times) // 2]})
     return rows
-
-
-def write_metrics_csv(path, rows: list[MetricsRow],
-                      include_latency: bool = False) -> None:
-    """Write the campaign CSV to the file at `path`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_metrics(fh, rows, include_latency)
 
 
 def write_metrics(fh, rows: list[MetricsRow],

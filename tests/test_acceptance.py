@@ -22,7 +22,7 @@ from blockmark.detector import DetectConfig, detect, extract_bits
 from blockmark.generation import (ControlledMassSource, EmbedConfig,
                                   TokenSequence, UniformSource, embed)
 from blockmark.harness import ExperimentSpec, ber_curve, latency_bench, \
-    run_campaign
+    run_campaign, write_metrics
 from blockmark.keying import SecretKey, plan_block
 
 KEY = SecretKey(bytes(range(32)))
@@ -336,10 +336,10 @@ def test_criterion_11_determinism(tmp_path):
         trials=50, text_len=200,
         attacks=[AttackSpec("substitute", 0.05), AttackSpec("delete", 0.05)],
         s_max_grid=(0, 5), tau_grid=(1, 3), mode_grid=("both",),
-        master_seed=5, output_path=str(tmp_path / "a.csv"))
-    run_campaign(spec)
-    spec.output_path = str(tmp_path / "b.csv")
-    run_campaign(spec)
+        master_seed=5)
+    for name in ("a.csv", "b.csv"):
+        with open(tmp_path / name, "w", newline="", encoding="utf-8") as fh:
+            write_metrics(fh, run_campaign(spec))
     ha = hashlib.sha256((tmp_path / "a.csv").read_bytes()).hexdigest()
     hb = hashlib.sha256((tmp_path / "b.csv").read_bytes()).hexdigest()
     _verdict(11, "campaign determinism", ha == hb,

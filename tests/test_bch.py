@@ -26,7 +26,7 @@ def small_codewords(small):
 def test_construction(n, k, t):
     code = BchCode.make(n, k, t)
     assert code.generator.bit_length() - 1 == n - k
-    assert code.d_min == 2 * t + 1
+    assert code.fld.period == n
     # generator has a constant term (it divides x^n - 1 and is square-free)
     assert code.generator & 1
 

@@ -37,6 +37,8 @@ def test_config_contracts():
         _cfg(s_max=-1)
     with pytest.raises(ContractError):
         _cfg(mode="fancy")
+    with pytest.raises(ContractError, match="prompt_len"):
+        _cfg(prompt_len=-1)
 
 
 def test_extract_offset_identities():
@@ -84,6 +86,9 @@ def test_extract_contracts():
     seq = _wm(50)
     with pytest.raises(ContractError):
         extract_bits(seq, KEY, CODE.n, CODE.k, CODE.n + 1)
+    # a negative prompt length would read only the end of the text
+    with pytest.raises(ContractError, match="prompt_len"):
+        extract_bits(seq, KEY, CODE.n, CODE.k, 0, -5)
     empty = extract_bits(seq, KEY, CODE.n, CODE.k, 31, prompt_len=40)
     assert len(empty) == 0 and empty.dtype == np.uint8
 

@@ -101,9 +101,11 @@ def test_controlled_mass_contracts():
 
 
 def test_embed_config_contracts():
-    with pytest.raises(ContractError):
-        EmbedConfig(code=CODE, delta=-1.0, scheme="soft", token_count=10,
-                    rng_seed=0)
+    for delta in (-1.0, np.inf, np.nan):      # delta must be finite, >= 0
+        for scheme in ("soft", "hard"):
+            with pytest.raises(ContractError, match="delta"):
+                EmbedConfig(code=CODE, delta=delta, scheme=scheme,
+                            token_count=10, rng_seed=0)
     with pytest.raises(ContractError):
         EmbedConfig(code=CODE, delta=1.0, scheme="medium", token_count=10,
                     rng_seed=0)
@@ -155,7 +157,8 @@ def _outcome(fn):
 def test_two_level_embed_equals_per_step(nkt):
     """Tokens (or the exception) of the two-level sampler equal the
     per-step Gumbel path's, over V from 1 to 32768, soft, hard and huge
-    deltas, both sources, both plans and a partial last block."""
+    deltas, both sources, both plans and a partial last block.  An
+    infinite delta is refused before either path runs."""
     code = BchCode.make(*nkt)
     cases = [(V, scheme, delta, mass)
              for V in (1, 2, 3, 512, 32768)
@@ -164,16 +167,19 @@ def test_two_level_embed_equals_per_step(nkt):
     cases += [(64, "soft", delta, mass) for delta in (0.0, 1e30, np.inf)
               for mass in (None, 0.3)]
     for i, (V, scheme, delta, mass) in enumerate(cases):
+        if delta == np.inf:
+            with pytest.raises(ContractError):
+                EmbedConfig(code=code, delta=delta, scheme=scheme,
+                            token_count=code.n + 2, rng_seed=i)
+            continue
         src = ControlledMassSource(V, mass) if mass else UniformSource(V)
         payload = int_to_bits(i % (1 << code.k), code.k)
         for diverse in (False, True):
             cfg = EmbedConfig(code=code, delta=delta, scheme=scheme,
                               token_count=code.n + 2, rng_seed=i,
                               diverse=diverse)
-            with np.errstate(invalid="ignore"):     # inf * 0 off the list
-                fast = _outcome(lambda: embed(src, KEY, payload, cfg))
-                slow = _outcome(lambda: embed(_PerStep(src), KEY, payload,
-                                              cfg))
+            fast = _outcome(lambda: embed(src, KEY, payload, cfg))
+            slow = _outcome(lambda: embed(_PerStep(src), KEY, payload, cfg))
             assert fast == slow, (V, scheme, delta, mass, diverse)
 
 

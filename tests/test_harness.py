@@ -1,6 +1,6 @@
 """Campaign harness: determinism, metric arithmetic, output format."""
 import csv
-import hashlib
+import io
 import math
 
 import numpy as np
@@ -11,7 +11,7 @@ from blockmark.attacks import AttackSpec
 from blockmark.bch import BchCode, ContractError
 from blockmark.harness import (CSV_FIELDS, ExperimentSpec, ber_curve,
                                latency_bench, roc_auc, roc_sweep,
-                               run_campaign, wilson, write_metrics_csv)
+                               run_campaign, wilson, write_metrics)
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +107,9 @@ def test_from_dict_rejects_unknown_keys():
             {"kind": "insert", "rate": 0.1, "rng_seed": 1, "sed": 3}]})
     for name in ("trails", "mode", "attacks[0].seed", "attacks[1].sed"):
         assert name in str(err.value)
+    # where a campaign's CSV goes is the CLI's --output, not a setting
+    with pytest.raises(ContractError, match="output_path"):
+        ExperimentSpec.from_dict({"output_path": "m.csv"})
     spec = ExperimentSpec.from_dict({"diverse": True, "code": [15, 5, 3],
                                      "attacks": [{"kind": "delete",
                                                   "rate": 0.1,
@@ -115,30 +118,29 @@ def test_from_dict_rejects_unknown_keys():
     assert spec.attacks == [AttackSpec("delete", 0.1, 4)]
 
 
-def test_csv_deterministic(tmp_path):
+def test_csv_deterministic():
     spec = ExperimentSpec(trials=15, s_max_grid=(3,), tau_grid=(1, 2),
-                          master_seed=99,
-                          output_path=str(tmp_path / "a.csv"))
-    run_campaign(spec)
-    spec.output_path = str(tmp_path / "b.csv")
-    run_campaign(spec)
-    a = (tmp_path / "a.csv").read_bytes()
-    b = (tmp_path / "b.csv").read_bytes()
-    assert hashlib.sha256(a).hexdigest() == hashlib.sha256(b).hexdigest()
+                          master_seed=99)
+    a, b = io.StringIO(), io.StringIO()
+    write_metrics(a, run_campaign(spec))
+    write_metrics(b, run_campaign(spec))
+    assert a.getvalue() == b.getvalue()
 
 
-def test_csv_format(tmp_path, small_rows):
+def _csv_records(rows, **kw):
+    out = io.StringIO(newline="")
+    write_metrics(out, rows, **kw)
+    out.seek(0)
+    return list(csv.DictReader(out))
+
+
+def test_csv_format(small_rows):
     _, rows = small_rows
-    path = tmp_path / "m.csv"
-    write_metrics_csv(path, rows)
-    with open(path, newline="") as fh:
-        recs = list(csv.DictReader(fh))
+    recs = _csv_records(rows)
     assert list(recs[0]) == CSV_FIELDS
     assert all(r["format_version"] == "1" for r in recs)
     assert all(r["mean_latency_ms"] == "" for r in recs)
-    write_metrics_csv(path, rows, include_latency=True)
-    with open(path, newline="") as fh:
-        recs = list(csv.DictReader(fh))
+    recs = _csv_records(rows, include_latency=True)
     assert all(float(r["mean_latency_ms"]) > 0 for r in recs)
 
 

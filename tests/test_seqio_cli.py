@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blockmark import seqio
+from blockmark.bch import ContractError
 from blockmark.cli import main
 from blockmark.generation import TokenSequence
 from blockmark.keying import SecretKey
@@ -50,6 +51,29 @@ def test_cli_embed_detect_roundtrip(tmp_path):
     reps = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(reps) == 2
     assert all(r["is_wm"] and r["payload"] == 29 for r in reps)
+
+
+def test_cli_embed_rejects_infinite_delta(tmp_path):
+    key = tmp_path / "key.txt"
+    seqio.write_key(key, SecretKey(bytes(32)))
+    wm = tmp_path / "wm.jsonl"
+    with pytest.raises(ContractError, match="delta"):
+        main(["embed", "--key-file", str(key), "--payload", "29",
+              "--delta", "inf", "--output", str(wm)])
+    assert not wm.exists()
+
+
+def test_cli_detect_rejects_negative_prompt_len(tmp_path):
+    key = tmp_path / "key.txt"
+    seqio.write_key(key, SecretKey(bytes(32)))
+    wm = tmp_path / "wm.jsonl"
+    out = tmp_path / "rep.jsonl"
+    main(["embed", "--key-file", str(key), "--payload", "29",
+          "--output", str(wm)])
+    with pytest.raises(ContractError, match="prompt_len"):
+        main(["detect", "--key-file", str(key), "--prompt-len", "-5",
+              "--input", str(wm), "--output", str(out)])
+    assert not out.exists()
 
 
 def test_cli_attack_changes_tokens(tmp_path):
@@ -108,12 +132,34 @@ def test_cli_campaign(tmp_path, capsys):
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
+def test_cli_campaign_csv_is_pinned(tmp_path, capsys):
+    """The acceptance campaign of criterion 11 gives pinned CSV bytes, in
+    a file and on standard output alike."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "trials": 50, "text_len": 200, "master_seed": 5,
+        "attacks": [{"kind": "substitute", "rate": 0.05},
+                    {"kind": "delete", "rate": 0.05}],
+        "s_max_grid": [0, 5], "tau_grid": [1, 3], "mode_grid": ["both"]}))
+    out = tmp_path / "m.csv"
+    main(["campaign", "--config", str(cfg), "--output", str(out)])
+    capsys.readouterr()
+    main(["campaign", "--config", str(cfg)])
+    stdout = capsys.readouterr().out.encode("utf-8")
+    pinned = "d801535d3689bd8f764000e94540e3fac459147a7e776f2ea9c598e1356a8ab7"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned
+    assert hashlib.sha256(stdout).hexdigest() == pinned
+
+
 def test_cli_campaign_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"trials": 2, "diverce": True}))
-    with pytest.raises(SystemExit) as exit_:
-        main(["campaign", "--config", str(cfg)])
-    assert "unknown config keys: diverce" in str(exit_.value.code)
+    out = tmp_path / "m.csv"
+    for key in ("diverce", "output_path"):
+        cfg.write_text(json.dumps({"trials": 2, key: True}))
+        with pytest.raises(SystemExit) as exit_:
+            main(["campaign", "--config", str(cfg), "--output", str(out)])
+        assert f"unknown config keys: {key}" in str(exit_.value.code)
+        assert not out.exists()
 
 
 def test_cli_roc(tmp_path, capsys):
