@@ -123,18 +123,16 @@ class BchCode:
 
 def bits_to_int(bits: np.ndarray) -> int:
     """Pack a bit array, bits[0] most significant."""
-    out = 0
-    for b in np.asarray(bits, dtype=np.uint8):
-        out = (out << 1) | int(b)
-    return out
+    bits = np.asarray(bits, dtype=np.uint8)
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") \
+        >> (-len(bits) % 8)
 
 
 def int_to_bits(value: int, width: int) -> np.ndarray:
-    out = np.zeros(width, dtype=np.uint8)
-    for i in range(width - 1, -1, -1):
-        out[i] = value & 1
-        value >>= 1
-    return out
+    """The low `width` bits of value, most significant first."""
+    size = -(-width // 8)
+    raw = (value & ((1 << width) - 1)).to_bytes(size, "big")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[8 * size - width:]
 
 
 def encode(code: BchCode, msg: np.ndarray) -> np.ndarray:

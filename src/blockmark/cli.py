@@ -55,27 +55,30 @@ def cmd_embed(args):
         cfg = EmbedConfig(code=code, delta=args.delta, scheme=args.scheme,
                           token_count=args.tokens, rng_seed=args.seed + i)
         seqs.append(embed(src, key, payload, cfg))
-    seqio.write_sequences(args.output, seqs)
+    with _output(args.output) as out:
+        seqio.dump_sequences(out, seqs)
 
 
 def cmd_sample_h0(args):
     src = UniformSource(args.vocab_size)
     seqs = [sample_unwatermarked(src, args.tokens, args.seed + i)
             for i in range(args.count)]
-    seqio.write_sequences(args.output, seqs)
+    with _output(args.output) as out:
+        seqio.dump_sequences(out, seqs)
 
 
 def cmd_attack(args):
     seqs = seqio.read_sequences(args.input)
     key = seqio.read_key(args.key_file) if args.key_file else None
     code = _parse_code(args.code) if args.code else None
-    out = []
+    attacked = []
     for i, seq in enumerate(seqs):
         spec = AttackSpec(args.kind, args.rate, args.seed + i)
-        out.append(attack(seq, spec, key=key,
-                          n=code.n if code else None,
-                          k=code.k if code else None))
-    seqio.write_sequences(args.output, out)
+        attacked.append(attack(seq, spec, key=key,
+                               n=code.n if code else None,
+                               k=code.k if code else None))
+    with _output(args.output) as out:
+        seqio.dump_sequences(out, attacked)
 
 
 def cmd_detect(args):

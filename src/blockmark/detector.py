@@ -96,8 +96,8 @@ def keyed_table(seq: TokenSequence, key: SecretKey, n: int, k: int,
     """Hash every distinct (block, token) pair that extract_bits reads at
     any of `offsets`: O(T) hashes per text, whatever the vocabulary."""
     toks = seq.tokens[prompt_len:]
-    pairs = np.unique(np.concatenate([_reads(toks, n, s)[1]
-                                      for s in offsets]))
+    pairs = np.sort(np.concatenate([_reads(toks, n, s)[1] for s in offsets]))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     blocks = pairs >> 32
     bks = [derive_block_key(key, j, k)
            for j in range(blocks[-1] + 1 if len(pairs) else 0)]

@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .bch import BchCode, ContractError
-from .keying import SecretKey, check_vocab_size, derive_block_key, \
-    partition_bits, plan_block
+from .keying import SecretKey, bits_of, check_vocab_size, \
+    derive_block_key, keyed_bits, partition_bits, plan_block
 
 
 class GenerationError(RuntimeError):
@@ -125,8 +126,10 @@ class TokenSequence:
         return len(self.tokens)
 
 
-_CHUNK = 1 << 14          # uniform doubles drawn at a time
+_CHUNK = 1 << 16          # uniform doubles drawn at a time
 _WINDOW = 2.0 ** -20      # see _two_level_argmax
+_READ = 8.0               # mean ids a row of _two_level_argmax reads first
+_EMPTY = "empty target list in hard mode"
 
 
 def _gumbel_sample(rng: np.random.Generator, logits: np.ndarray) -> int:
@@ -150,44 +153,54 @@ def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
     return u
 
 
-def _two_level_argmax(rng: np.random.Generator, order, sizes,
+def _two_level_argmax(rng: np.random.Generator, vocab_size: int, classes,
                       consts: np.ndarray) -> list:
     """One token per row r of `consts`, equal to
-    np.argmax(logits + rng.gumbel(size=V)) for logits that are consts[r, i]
-    on the i-th class, and drawing the same doubles.  The classes are the
-    consecutive runs of sizes[i] ids in `order`, each run sorted (order
-    None: range(V) as one class).
+    np.argmax(logits + rng.gumbel(size=V)) for logits that are consts[r, c]
+    on the ids of class c, and drawing the same doubles.  `classes(ids)`
+    gives the class of each id of an array (None: every id is class 0);
+    it is asked only about the ids a row reads.
 
     The variate G(u) falls as u grows, by at least e per unit, and
-    |c + G(u)| < |c| + 64.  So an id whose u exceeds its class minimum by
+    |c + G(u)| < |c| + 64.  So an id whose u exceeds its class minimum m by
     more than w = max(2^-20, ulp(|c| + 64)) scores below the class's best,
-    c + G(u_min), even after rounding and the error of log.  Only the ids
-    within w are scored, exactly; the highest score wins and ties go to
-    the smallest id, as in np.argmax.  The only constant that is not
-    finite is hard mode's -inf off a list that is never empty, and its
-    scores never win.
+    c + G(m), even after rounding and the error of log.  A row reads the
+    ids with u <= top, from top = _READ / V up by a factor 4 per pass,
+    until every class that can win (constant not -inf) has m + w <= top:
+    then every id within w of m has been read.  Once top >= 1 all V ids
+    are read, and a class with none is empty.  The ids read within w of
+    their class minimum are scored, exactly; the highest score wins and
+    ties go to the smallest id, as in np.argmax.  A row whose classes
+    that can win are all empty is hard mode with an empty list: it raises.
     """
-    rows, V = consts.shape[0], sum(sizes)
+    (rows, C), V = consts.shape, vocab_size
     u = _uniforms(rng, rows * V).reshape(rows, V)
-    if order is not None:
-        u = np.take(u, order, axis=1)
-    finite = np.abs(consts[np.isfinite(consts)])
+    can_win = np.isfinite(consts)
+    finite = np.abs(consts[can_win])
     w = max(_WINDOW, math.ulp(float(finite.max(initial=0.0)) + 64.0))
-    best = [(-math.inf, -math.inf)] * rows
-    start = 0
-    for size, col in zip(sizes, consts.T):
-        if size:
-            sub = u[:, start:start + size]
-            near = sub <= (sub.min(axis=1) + w)[:, None]
-            rr, kk = np.divmod(np.flatnonzero(near), size)
-            kk += start
-            ids = kk if order is None else order[kk]
-            for r, c, x, v in zip(rr.tolist(), col[rr].tolist(),
-                                  u[rr, kk].tolist(), ids.tolist()):
-                key = (c + _gumbel(x), -v)
-                if key > best[r]:
-                    best[r] = key
-        start += size
+    # per cell r*C + c (class c of row r): inf, -inf if it cannot win
+    unseen = np.where(can_win, math.inf, -math.inf)
+    best = [None] * rows
+    todo, sub, top = np.arange(rows), u, _READ / V
+    while todo.size:
+        flat = np.flatnonzero(sub <= top)
+        rr, ids = np.divmod(flat, V)
+        x = sub.ravel()[flat]
+        cell = rr * C if classes is None else rr * C + classes(ids)
+        end = unseen[todo].ravel()        # a cell's minimum plus w
+        np.minimum.at(end, cell, x)
+        end += w
+        done = (end <= top).reshape(-1, C).all(axis=1) | (top >= 1)
+        near = np.flatnonzero((x <= end[cell]) & done[rr])
+        for r, c, xu, v in zip(todo[rr[near]].tolist(),
+                               consts[todo].ravel()[cell[near]].tolist(),
+                               x[near].tolist(), ids[near].tolist()):
+            key = (c + _gumbel(xu), -v)
+            if best[r] is None or key > best[r]:
+                best[r] = key
+        todo, sub, top = todo[~done], sub[~done], top * 4
+    if None in best:
+        raise GenerationError(_EMPTY)
     return [-key[1] for key in best]
 
 
@@ -196,7 +209,7 @@ def _scores(logits: np.ndarray, on: np.ndarray, cfg: EmbedConfig):
     target list `on` (soft), or the logits on it and -inf off it (hard)."""
     if cfg.scheme == "hard":
         if not on.any():
-            raise GenerationError("empty target list in hard mode")
+            raise GenerationError(_EMPTY)
         return np.where(on, logits, -np.inf)
     return logits + cfg.delta * on
 
@@ -209,12 +222,15 @@ def _levels(src: LogitSource, cfg: EmbedConfig, green_count: int):
                    np.array([False, green_count > 0]), cfg)
 
 
-def _two_level_block(src, rng, cfg, part, bits) -> np.ndarray:
+def _two_level_block(src, rng, cfg, seed, part, bits) -> np.ndarray:
     # class b: the ids whose keyed bit is b, the green list of rows with
-    # target bit b
-    order = np.argsort(part, kind="stable")
-    ones = int(part.sum())
-    sizes = (len(part) - ones, ones)
+    # target bit b.  A UniformSource's levels need only that a list is not
+    # empty, which the walk finds out; others need the list's size.
+    if type(src) is UniformSource:
+        sizes = (1, 1)
+    else:
+        ones = int(part.sum())
+        sizes = (len(part) - ones, ones)
     # levels per target bit, in the order the per-step path meets (and
     # may fail on) them
     by_bit = {}
@@ -224,11 +240,12 @@ def _two_level_block(src, rng, cfg, part, bits) -> np.ndarray:
     consts = np.array([by_bit[bit] for bit in bits.tolist()])
     rows = max(1, _CHUNK // src.vocab_size)
     return np.concatenate([
-        _two_level_argmax(rng, order, sizes, consts[a:a + rows])
+        _two_level_argmax(rng, src.vocab_size, partial(bits_of, seed, part),
+                          consts[a:a + rows])
         for a in range(0, len(bits), rows)])
 
 
-def _per_step_block(src, rng, cfg, part, bits) -> np.ndarray:
+def _per_step_block(src, rng, cfg, seed, part, bits) -> np.ndarray:
     out = np.empty(len(bits), dtype=np.int64)
     for b, bit in enumerate(bits):
         green = part == bit
@@ -252,13 +269,16 @@ def embed(src: LogitSource, key: SecretKey, payload: np.ndarray,
     tokens = np.empty(cfg.token_count, dtype=np.int64)
     sample = _two_level_block if type(src) in _TWO_LEVEL \
         else _per_step_block
+    # a UniformSource hashes only the keyed bits that its walk reads
+    lazy = type(src) is UniformSource
     for start in range(0, cfg.token_count, n):
         j = start // n
         bk = derive_block_key(key, j, code.k)
-        part = partition_bits(bk, src.vocab_size)
+        part = keyed_bits(bk.seed, src.vocab_size) if lazy \
+            else partition_bits(bk, src.vocab_size)
         target = plan_block(key, j, payload, code, cfg.diverse).target_bits
         stop = min(start + n, cfg.token_count)
-        tokens[start:stop] = sample(src, rng, cfg, part,
+        tokens[start:stop] = sample(src, rng, cfg, bk.seed, part,
                                     target[:stop - start])
     return TokenSequence(tokens, src.vocab_size,
                          meta={"scheme": cfg.scheme, "delta": cfg.delta,
@@ -276,7 +296,7 @@ def sample_unwatermarked(src: LogitSource, token_count: int,
         for a in range(0, token_count, rows):
             m = min(rows, token_count - a)
             tokens[a:a + m] = _two_level_argmax(
-                rng, None, (src.vocab_size,), np.zeros((m, 1)))
+                rng, src.vocab_size, None, np.zeros((m, 1)))
     else:
         for t in range(token_count):
             tokens[t] = _gumbel_sample(rng, src.logits(None))

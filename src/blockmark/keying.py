@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -94,17 +94,56 @@ def token_bit(bk: BlockKey, v: int) -> int:
     return int(token_bits(bk.seed, (v,))[0])
 
 
-@lru_cache(maxsize=512)
-def _partition_cached(seed: bytes, vocab_size: int) -> np.ndarray:
-    out = token_bits(seed, range(vocab_size))
-    out.setflags(write=False)
-    return out
+# Bound on the bytes of keyed bits kept between calls: 16 MiB, 512 blocks
+# at V = 32768.  An entry counts its bits and _ENTRY_BYTES for the
+# objects that hold them.
+CACHE_BYTES = 16 << 20
+_ENTRY_BYTES = 512
+_cache: OrderedDict = OrderedDict()   # (seed, V) -> bits, LRU first
+_held = 0                             # bytes that _cache counts
+
+
+def keyed_bits(seed: bytes, vocab_size: int) -> np.ndarray:
+    """The cached keyed bits of block seed `seed` over the ids of a
+    vocabulary: one int8 per id, -1 for an id not yet hashed.  `bits_of`
+    fills it in.  The cache keeps at most CACHE_BYTES, dropping the least
+    recently used; an array larger than that is returned but not kept."""
+    global _held
+    check_vocab_size(vocab_size)
+    key = (seed, int(vocab_size))
+    bits = _cache.get(key)
+    if bits is not None:
+        _cache.move_to_end(key)
+        return bits
+    bits = np.full(vocab_size, -1, dtype=np.int8)
+    size = bits.nbytes + _ENTRY_BYTES
+    if size <= CACHE_BYTES:
+        while _held + size > CACHE_BYTES:
+            _held -= _cache.popitem(last=False)[1].nbytes + _ENTRY_BYTES
+        _cache[key] = bits
+        _held += size
+    return bits
+
+
+def bits_of(seed: bytes, bits: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """bits[ids] of a `keyed_bits` array, hashing first each id of `ids`
+    (any shape) that is not yet hashed."""
+    got = bits[ids]
+    new = np.sort(ids[got < 0], axis=None)
+    if new.size:
+        new = new[np.diff(new, prepend=-1) != 0]
+        bits[new] = token_bits(seed, new.tolist())
+        got = bits[ids]
+    return got
 
 
 def partition_bits(bk: BlockKey, vocab_size: int) -> np.ndarray:
     """Keyed bit per token id for the whole vocabulary (read-only array)."""
-    check_vocab_size(vocab_size)
-    return _partition_cached(bk.seed, vocab_size)
+    bits = keyed_bits(bk.seed, vocab_size)
+    bits_of(bk.seed, bits, np.flatnonzero(bits < 0))
+    out = bits.view(np.uint8)
+    out.setflags(write=False)
+    return out
 
 
 def diverse_coin(bk: BlockKey) -> int:

@@ -11,13 +11,18 @@ from .keying import SecretKey
 FORMAT_VERSION = 1
 
 
+def dump_sequences(fh, seqs) -> None:
+    """Write sequences to an open text stream, one JSON record a line."""
+    for seq in seqs:
+        rec = {"tokens": seq.tokens.tolist(),
+               "vocab_size": seq.vocab_size,
+               "meta": dict(seq.meta, format_version=FORMAT_VERSION)}
+        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
 def write_sequences(path, seqs) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for seq in seqs:
-            rec = {"tokens": seq.tokens.tolist(),
-                   "vocab_size": seq.vocab_size,
-                   "meta": dict(seq.meta, format_version=FORMAT_VERSION)}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        dump_sequences(fh, seqs)
 
 
 @dataclass(frozen=True)

@@ -153,3 +153,39 @@ def test_roundtrip_property(msg_int, err_positions):
     assert out is not None
     assert np.array_equal(out[0], cw)
     assert out[1] == len(err_positions)
+
+
+def _bits_to_int_loop(bits):
+    out = 0
+    for b in np.asarray(bits, dtype=np.uint8):
+        out = (out << 1) | int(b)
+    return out
+
+
+def _int_to_bits_loop(value, width):
+    out = np.zeros(width, dtype=np.uint8)
+    for i in range(width - 1, -1, -1):
+        out[i] = value & 1
+        value >>= 1
+    return out
+
+
+def test_bit_packing_equals_bitwise_loops():
+    """bits_to_int and int_to_bits equal the bit-at-a-time loops they
+    replace, for widths 1-127 with leading zeros, values wider than the
+    width and negative values."""
+    rng = np.random.default_rng(11)
+    for width in range(1, 128):
+        for lead in {0, 1, width // 2, width - 1, width}:
+            bits = rng.integers(0, 2, width).astype(np.uint8)
+            bits[:lead] = 0
+            value = _bits_to_int_loop(bits)
+            assert bits_to_int(bits) == value
+            assert bits_to_int(bits.astype(bool)) == value
+            got = int_to_bits(value, width)
+            assert got.dtype == np.uint8 and np.array_equal(got, bits)
+        for value in (0, 1, (1 << width) - 1, 1 << width, 3 << width,
+                      -1, -5, int(rng.integers(1 << 62)) << 70):
+            assert np.array_equal(int_to_bits(value, width),
+                                  _int_to_bits_loop(value, width))
+    assert bits_to_int([]) == 0 and int_to_bits(9, 0).shape == (0,)

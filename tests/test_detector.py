@@ -1,4 +1,9 @@
 """Extraction alignment, blind voting and the full detector."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -463,3 +468,26 @@ def test_vote_keys_equal_plan_matches(code, diverse):
                 plan = plan_block(KEY, j, int_to_bits(p, code.k), code,
                                   diverse)
                 assert (p in payloads) == plan.matches(cw)
+
+
+def test_detect_does_not_import_numpy_ma():
+    """keyed_table deduplicates without np.unique, whose first call
+    imports numpy.ma: a fresh process's first detect pays for no more
+    than it uses."""
+    import blockmark
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from blockmark.bch import BchCode\n"
+        "from blockmark.detector import DetectConfig, detect\n"
+        "from blockmark.generation import TokenSequence\n"
+        "from blockmark.keying import SecretKey\n"
+        "cfg = DetectConfig(code=BchCode.make(31, 6, 7),\n"
+        "                   key=SecretKey(bytes(32)), s_max=2)\n"
+        "detect(TokenSequence(np.arange(100) % 50, 64), cfg)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(blockmark.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

@@ -1,8 +1,12 @@
 """Embedding schemes and synthetic logit sources."""
+import hashlib
+import itertools
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
-from blockmark import generation
+from blockmark import generation, keying
 from blockmark.bch import NAMED_CODES, BchCode, ContractError, int_to_bits
 from blockmark.detector import extract_bits
 from blockmark.generation import (ControlledMassSource, EmbedConfig,
@@ -15,6 +19,9 @@ from blockmark.keying import SecretKey, derive_block_key, partition_bits, \
 KEY = SecretKey(bytes(range(32)))
 CODE = BchCode.make(31, 6, 7)
 PAYLOAD = int_to_bits(45, 6)
+# _grid_digest() as the sampler that hashed every block's whole partition
+# computed it
+GRID_SHA256 = "8b36446d06d801acd21842ff5cce8cf0bea70c6fd572d8ba37058b7b7ea60ee3"
 
 
 def _schedule(token_count):
@@ -156,16 +163,19 @@ def _outcome(fn):
                          ids=lambda nkt: "-".join(map(str, nkt)))
 def test_two_level_embed_equals_per_step(nkt):
     """Tokens (or the exception) of the two-level sampler equal the
-    per-step Gumbel path's, over V from 1 to 32768, soft, hard and huge
-    deltas, both sources, both plans and a partial last block.  An
-    infinite delta is refused before either path runs."""
+    per-step Gumbel path's, which reads the whole partition: V from 1 to
+    32768, soft, hard and huge deltas, both sources, both plans and a
+    partial last block.  At V = 1 one class is empty, so hard mode meets
+    an empty list.  An infinite delta is refused before either path
+    runs."""
     code = BchCode.make(*nkt)
     cases = [(V, scheme, delta, mass)
-             for V in (1, 2, 3, 512, 32768)
+             for V in (1, 2, 3, 64, 1024, 32768)
              for scheme, delta in (("soft", 2.5), ("hard", 0.0))
              for mass in (None, 0.3)]
-    cases += [(64, "soft", delta, mass) for delta in (0.0, 1e30, np.inf)
-              for mass in (None, 0.3)]
+    cases += [(V, "soft", delta, mass) for V in (64, 1024)
+              for delta in (0.0, 1e30, np.inf) for mass in (None, 0.3)]
+    errors = set()
     for i, (V, scheme, delta, mass) in enumerate(cases):
         if delta == np.inf:
             with pytest.raises(ContractError):
@@ -181,16 +191,71 @@ def test_two_level_embed_equals_per_step(nkt):
             fast = _outcome(lambda: embed(src, KEY, payload, cfg))
             slow = _outcome(lambda: embed(_PerStep(src), KEY, payload, cfg))
             assert fast == slow, (V, scheme, delta, mass, diverse)
+            if isinstance(fast, tuple) and mass is None:
+                errors.add(fast)
+    assert errors == {(GenerationError, "empty target list in hard mode")}
 
 
 def test_two_level_unwatermarked_equals_per_step():
-    for V in (1, 2, 3, 512, 32768):
+    for V in (1, 2, 3, 64, 1024, 32768):
         rows = max(1, generation._CHUNK // V)     # one chunk and a bit
         for seed, T in ((0, 0), (1, 5), (2, rows + 3)):
             src = ControlledMassSource(V, 0.4) if V > 1 else UniformSource(V)
             assert _outcome(lambda: sample_unwatermarked(src, T, seed)) == \
                 _outcome(lambda: sample_unwatermarked(_PerStep(src), T,
                                                       seed))
+
+
+def _grid_digest() -> str:
+    """sha256 over the tokens, or the exception's type and text, of one
+    embedding per code, V in {2, 3, 64, 1024}, soft or hard scheme and
+    uniform or controlled-mass source."""
+    h = hashlib.sha256()
+    for i, (nkt, V, (scheme, delta), mass) in enumerate(itertools.product(
+            sorted(NAMED_CODES), (2, 3, 64, 1024),
+            (("soft", 2.5), ("hard", 0.0)), (None, 0.3))):
+        code = BchCode.make(*nkt)
+        src = ControlledMassSource(V, mass) if mass else UniformSource(V)
+        cfg = EmbedConfig(code=code, delta=delta, scheme=scheme,
+                          token_count=code.n + 5, rng_seed=i,
+                          diverse=bool(i % 3 == 0))
+        try:
+            seq = embed(src, KEY, int_to_bits(7 * i + 1, code.k), cfg)
+            h.update(seq.tokens.astype("<i8").tobytes())
+        except GenerationError as exc:
+            h.update(f"{type(exc).__name__}: {exc}".encode())
+    return h.hexdigest()
+
+
+def test_embed_grid_is_pinned():
+    """The two-level sampler's tokens and exceptions over a grid of codes,
+    vocabularies, schemes and sources, pinned as the full-partition
+    sampler produced them."""
+    assert _grid_digest() == GRID_SHA256
+
+
+def test_cold_uniform_embedding_hashes_few_ids(monkeypatch):
+    """A UniformSource embedding hashes the keyed bits of only the few ids
+    that each token's walk reads, not the whole vocabulary per block."""
+    monkeypatch.setattr(keying, "_cache", OrderedDict())
+    monkeypatch.setattr(keying, "_held", 0)
+    hashed = []
+    token_bits = keying.token_bits
+
+    def counting(seed, tokens):
+        hashed.append(len(tokens))
+        return token_bits(seed, tokens)
+    monkeypatch.setattr(keying, "token_bits", counting)
+    code = BchCode.make(127, 92, 5)
+    tokens = 0
+    for i, (scheme, delta) in enumerate((("soft", 6.0), ("soft", 0.0),
+                                         ("hard", 0.0))):
+        cfg = EmbedConfig(code=code, delta=delta, scheme=scheme,
+                          token_count=400, rng_seed=i)
+        key = SecretKey(bytes([i]) * 32)
+        tokens += len(embed(UniformSource(32768), key,
+                            int_to_bits(i, code.k), cfg))
+    assert 0 < sum(hashed) / tokens <= 16
 
 
 def _zero_at(index: int, seed: int = 5) -> np.random.Generator:
@@ -216,9 +281,8 @@ def test_zero_uniform_is_redrawn_like_gumbel(index):
     rng_a, rng_b = _zero_at(index), _zero_at(index)
     consts = np.array([[0.0, 1.5], [2.0, -np.inf], [0.0, 0.0], [3.0, 1.0]])
     part = np.arange(V) % 3 == 0
-    order = np.argsort(part, kind="stable")
-    sizes = (int((~part).sum()), int(part.sum()))
-    got = generation._two_level_argmax(rng_a, order, sizes, consts)
+    got = generation._two_level_argmax(rng_a, V, part.astype(np.int8)
+                                       .__getitem__, consts)
     want = [int(np.argmax(np.where(part, c1, c0) + rng_b.gumbel(size=V)))
             for c0, c1 in consts]
     assert got == want
@@ -246,7 +310,7 @@ def test_near_minimum_ties_go_to_smallest_id():
     want = [int(np.argmax(c + np.array([generation._gumbel(x) for x in row])))
             for c, row in zip(consts[:, 0], (u[:4], u[4:]))]
     assert want == [0, 1]
-    assert generation._two_level_argmax(_Scripted(u), None, (4,),
+    assert generation._two_level_argmax(_Scripted(u), 4, None,
                                         consts) == want
 
 

@@ -1,14 +1,17 @@
 """Key derivation, vocabulary partitioning and block plans."""
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from blockmark import keying
 from blockmark.bch import BchCode, ContractError, encode, int_to_bits, \
     max_weight_codeword
 from blockmark.generation import TokenSequence
-from blockmark.keying import (SecretKey, derive_block_key, partition_bits,
-                              plan_block, token_bit, token_bits)
+from blockmark.keying import (SecretKey, bits_of, derive_block_key,
+                              keyed_bits, partition_bits, plan_block,
+                              token_bit, token_bits)
 
 ZERO_KEY = SecretKey(bytes(32))
 
@@ -149,3 +152,44 @@ def test_largest_vocab_size_accepted():
     seq = TokenSequence([0, V - 1], V)
     bk = derive_block_key(ZERO_KEY, 0, 6)
     assert token_bits(bk.seed, seq.tokens.tolist()).shape == (2,)
+
+
+def test_keyed_bits_fill_lazily_and_complete_the_partition(monkeypatch):
+    monkeypatch.setattr(keying, "_cache", OrderedDict())
+    monkeypatch.setattr(keying, "_held", 0)
+    bk = derive_block_key(ZERO_KEY, 9, 6)
+    whole = token_bits(bk.seed, range(500))
+    bits = keyed_bits(bk.seed, 500)
+    ids = np.array([[7, 499], [7, 0]])
+    assert bits_of(bk.seed, bits, ids).tolist() == whole[ids].tolist()
+    assert np.flatnonzero(bits >= 0).tolist() == [0, 7, 499]
+    assert partition_bits(bk, 500).tolist() == whole.tolist()
+    assert keyed_bits(bk.seed, 500) is bits and (bits >= 0).all()
+
+
+def test_keyed_bit_cache_is_bounded_by_bytes(monkeypatch):
+    """The cache holds at most CACHE_BYTES, counting each entry's bits and
+    _ENTRY_BYTES, drops the least recently used first, and hands out an
+    entry larger than the bound without keeping it."""
+    bound = 4 * (1000 + keying._ENTRY_BYTES)
+    monkeypatch.setattr(keying, "CACHE_BYTES", bound)
+    monkeypatch.setattr(keying, "_cache", OrderedDict())
+    monkeypatch.setattr(keying, "_held", 0)
+
+    def held():
+        total = sum(b.nbytes + keying._ENTRY_BYTES
+                    for b in keying._cache.values())
+        assert total == keying._held
+        return total
+    seeds = [derive_block_key(ZERO_KEY, j, 6).seed for j in range(12)]
+    for seed in seeds:
+        keyed_bits(seed, 1000)
+        keyed_bits(seeds[0], 1000)          # keep block 0 recently used
+        assert held() <= bound
+    assert [s for s, _ in keying._cache] == seeds[9:] + seeds[:1]
+    big = derive_block_key(ZERO_KEY, 99, 6)
+    V = 2 * bound
+    part = partition_bits(big, V)
+    assert part.tolist() == token_bits(big.seed, range(V)).tolist()
+    assert [s for s, _ in keying._cache] == seeds[9:] + seeds[:1]
+    assert held() <= bound

@@ -103,6 +103,29 @@ def test_cli_h0_detect_negative(tmp_path):
     assert not rep["is_wm"] and rep["payload"] is None
 
 
+def test_cli_sequence_commands_write_dash_to_stdout(tmp_path, monkeypatch,
+                                                   capsys):
+    """`--output -` of sample-h0, embed and attack is standard output, the
+    same bytes as the file, and no file named `-` appears."""
+    monkeypatch.chdir(tmp_path)
+    key = tmp_path / "key.txt"
+    seqio.write_key(key, SecretKey(bytes(32)))
+    h0 = ["sample-h0", "--tokens", "5", "--vocab-size", "16"]
+    wm = ["embed", "--key-file", str(key), "--payload", "3",
+          "--tokens", "40", "--vocab-size", "64"]
+    att = ["attack", "--kind", "insert", "--rate", "0.3",
+           "--input", "wm.jsonl"]
+    for name, argv in (("h0.jsonl", h0), ("wm.jsonl", wm),
+                       ("att.jsonl", att)):
+        main(argv + ["--output", name])
+        capsys.readouterr()
+        main(argv + ["--output", "-"])
+        printed = capsys.readouterr().out
+        assert printed.encode("utf-8") == (tmp_path / name).read_bytes()
+        assert json.loads(printed.splitlines()[0])["tokens"]
+        assert not (tmp_path / "-").exists()
+
+
 def test_cli_bounds(capsys):
     main(["bounds", "--code", "31,6,7", "--s-max", "10"])
     rep = json.loads(capsys.readouterr().out)
