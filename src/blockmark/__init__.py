@@ -10,8 +10,8 @@ from .keying import BlockKey, BlockPlan, SecretKey, derive_block_key, \
 from .generation import ControlledMassSource, EmbedConfig, LogitSource, \
     TokenSequence, UniformSource, embed, sample_unwatermarked
 from .attacks import AttackSpec, attack, delete_prefix, insert_prefix
-from .detector import DetectConfig, DetectionReport, detect, extract_bits, \
-    stage1_vote
+from .detector import DetectConfig, DetectionReport, detect, detect_all, \
+    extract_bits, stage1_vote
 
 __all__ = [
     "BchCode", "ContractError", "encode", "message_of",
@@ -21,8 +21,8 @@ __all__ = [
     "ControlledMassSource", "EmbedConfig", "LogitSource", "TokenSequence",
     "UniformSource", "embed", "sample_unwatermarked",
     "AttackSpec", "attack", "delete_prefix", "insert_prefix",
-    "DetectConfig", "DetectionReport", "detect", "extract_bits",
-    "stage1_vote",
+    "DetectConfig", "DetectionReport", "detect", "detect_all",
+    "extract_bits", "stage1_vote",
 ]
 
 __version__ = "0.1.0"

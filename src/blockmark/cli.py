@@ -122,11 +122,7 @@ def cmd_params(args):
 
 def _load_spec(path) -> ExperimentSpec:
     with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    try:
-        return ExperimentSpec.from_dict(cfg)
-    except ContractError as exc:
-        raise SystemExit(f"blockmark: {path}: {exc}") from exc
+        return ExperimentSpec.from_dict(json.load(fh))
 
 
 def cmd_campaign(args):
@@ -268,7 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except ContractError as exc:
+        raise SystemExit(f"blockmark: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -203,62 +203,67 @@ def stage1_vote(bits: np.ndarray, code: BchCode, key: SecretKey,
     return (None if best is None else int_to_bits(best, code.k)), votes
 
 
-def _offset_order(s_max: int):
-    yield 0
-    for s in range(1, s_max + 1):
-        yield -s
-        yield s
+def detect_all(seq: TokenSequence, cfgs) -> list:
+    """The detection core: one report per config sharing code, key,
+    diverse and prompt_len.  Each offset that any config searches is
+    extracted, decoded and voted once, over one keyed table.  A config
+    then picks its offsets (0 alone, or 0, -1, +1, ... +-s_max with the
+    shift search) and its match rule: the block's vote key msg(cw_j) XOR
+    r_j is the voted payload, so cw_j is the designated codeword and none
+    is rebuilt, or (naive, shift_only) the block decodes.  It keeps the
+    offset of the strictly best matched ratio, first in search order."""
+    shared = {(c.code, c.key, c.diverse, c.prompt_len) for c in cfgs}
+    if len(shared) != 1:
+        raise ContractError("detect_all needs configs that share code, key, "
+                            "diverse and prompt_len")
+    (code, key, diverse, prompt_len), = shared
+    T = len(seq.tokens[prompt_len:])
+    reaches = [c.s_max if c.mode in ("shift_only", "both") else 0
+               for c in cfgs]
+    order = [0, *(s for d in range(1, max(reaches) + 1) for s in (-d, d))]
+    offsets = [s for s in order if T - s >= code.n]
+    passes = {}   # offset: (decoded blocks, voted payload, designating)
+    if offsets:
+        table = keyed_table(seq, key, code.n, code.k, offsets, prompt_len)
+        rands = [bits_to_int(bk.randomizer) for bk in table.block_keys]
+        coins = [diverse_coin(bk) for bk in table.block_keys] if diverse \
+            else None
+        for s in offsets:
+            bits = extract_bits(seq, key, code.n, code.k, s, prompt_len,
+                                table=table)
+            decoded = _decode_blocks(code, bits)
+            payload, _, designating = _vote(code, decoded, rands, coins)
+            passes[s] = decoded, payload, designating
+
+    reports = []
+    for cfg, reach in zip(cfgs, reaches):
+        any_codeword = cfg.mode in ("naive", "shift_only")
+        best = None   # (score, matched, offset, payload, per_block)
+        for s in order[:2 * reach + 1]:
+            if s not in passes:
+                continue
+            decoded, payload, designating = passes[s]
+            per_block = [BlockResult(dec is not None if any_codeword
+                                     else payload in payloads,
+                                     dec[1] if dec else None, s)
+                         for dec, payloads in zip(decoded, designating)]
+            matched = sum(b.matched for b in per_block)
+            score = matched / len(per_block)
+            if best is None or score > best[0]:
+                best = (score, matched, s, payload, per_block)
+        if best is None:
+            reports.append(DetectionReport(
+                False, None, 0, 0, 0, diagnostic="text shorter than one block"))
+            continue
+        score, matched, s, payload, per_block = best
+        is_wm = matched >= cfg.tau
+        reports.append(DetectionReport(
+            is_wm, int_to_bits(payload, code.k) if is_wm else None,
+            best_offset=s, matched=matched, block_count=len(per_block),
+            per_block=per_block, score=score))
+    return reports
 
 
 def detect(seq: TokenSequence, cfg: DetectConfig) -> DetectionReport:
-    """Algorithmic core: per candidate offset, vote a payload and count
-    the blocks whose decoded codeword is the one designated for that
-    payload; keep the offset with the strictly best matched ratio (search
-    order 0, -1, +1, -2, +2, ...).
-
-    The code is systematic, so a block's codeword is the designated
-    encode(payload XOR r_j) exactly when its vote key msg(cw_j) XOR r_j
-    is the payload; no designated codeword is rebuilt.  The naive and
-    shift_only modes count every decodable block instead.
-    """
-    code = cfg.code
-    any_codeword = cfg.mode in ("naive", "shift_only")
-    n = code.n
-    offsets = [0] if cfg.mode in ("designated_only", "naive") \
-        else list(_offset_order(cfg.s_max))
-    T = len(seq.tokens[cfg.prompt_len:])
-    offsets = [s for s in offsets if T - s >= n]
-    if not offsets:
-        return DetectionReport(False, None, 0, 0, 0,
-                               diagnostic="text shorter than one block")
-
-    table = keyed_table(seq, cfg.key, n, code.k, offsets, cfg.prompt_len)
-    rands = [bits_to_int(bk.randomizer) for bk in table.block_keys]
-    coins = [diverse_coin(bk) for bk in table.block_keys] if cfg.diverse \
-        else None
-
-    best = None   # (score, matched, offset, payload, per_block, M)
-    for s in offsets:
-        bits = extract_bits(seq, cfg.key, n, code.k, s, cfg.prompt_len,
-                            table=table)
-        decoded = _decode_blocks(code, bits)
-        payload, _, designating = _vote(code, decoded, rands, coins)
-
-        per_block = []
-        for dec, payloads in zip(decoded, designating):
-            ok = dec is not None if any_codeword else payload in payloads
-            per_block.append(BlockResult(ok, dec[1] if dec else None, s))
-        matched = sum(b.matched for b in per_block)
-
-        M = len(decoded)
-        score = matched / M
-        if best is None or score > best[0]:
-            best = (score, matched, s, payload, per_block, M)
-
-    score, matched, s, payload, per_block, M = best
-    is_wm = matched >= cfg.tau
-    return DetectionReport(is_wm=is_wm,
-                           payload=int_to_bits(payload, code.k) if is_wm
-                           else None,
-                           best_offset=s, matched=matched, block_count=M,
-                           per_block=per_block, score=score)
+    """Two-stage detection of one text: detect_all for one config."""
+    return detect_all(seq, [cfg])[0]

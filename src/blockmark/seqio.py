@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .bch import ContractError
 from .generation import TokenSequence
 from .keying import SecretKey
 
@@ -57,8 +59,8 @@ def read_sequences(path, keep_bad: bool = False) -> list:
 
 def read_key(path) -> SecretKey:
     text = Path(path).read_text(encoding="utf-8").strip()
-    if len(text) != 64:
-        raise ValueError("key file must hold exactly 64 hex characters")
+    if not re.fullmatch("[0-9a-fA-F]{64}", text):
+        raise ContractError("key file must hold exactly 64 hex characters")
     return SecretKey.from_hex(text)
 
 

@@ -12,7 +12,8 @@ from blockmark.attacks import AttackSpec, attack, delete_prefix, insert_prefix
 from blockmark.bch import NAMED_CODES, BchCode, ContractError, bits_to_int, \
     encode, int_to_bits, max_weight_codeword, message_of, safe_decode
 from blockmark.detector import (BlockResult, DetectConfig, _vote, detect,
-                                extract_bits, keyed_table, stage1_vote)
+                                detect_all, extract_bits, keyed_table,
+                                stage1_vote)
 from blockmark.generation import EmbedConfig, TokenSequence, UniformSource, \
     embed, sample_unwatermarked
 from blockmark.keying import SecretKey, derive_block_key, diverse_coin, \
@@ -393,25 +394,10 @@ def test_keyed_table_rejects_uncovered_offset():
         extract_bits(seq, KEY, CODE.n, CODE.k, -1, table=table)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_texts(), st.data())
-def test_detect_matches_reference(text, data):
-    code, key, _, toks, rng = text
-    shift = data.draw(st.integers(-3, 3))
-    toks = (np.concatenate([rng.integers(0, SMALL_V, shift), toks])
-            if shift > 0 else toks[-shift:])
-    prompt = data.draw(st.integers(0, 3))
-    seq = TokenSequence(
-        np.concatenate([rng.integers(0, SMALL_V, prompt), toks]), SMALL_V)
-    cfg = DetectConfig(code=code, key=key,
-                       s_max=data.draw(st.integers(0, min(code.n, 8))),
-                       tau=data.draw(st.integers(1, 3)),
-                       mode=data.draw(st.sampled_from(
-                           ("designated_only", "shift_only", "both",
-                            "naive"))),
-                       diverse=data.draw(st.booleans()), prompt_len=prompt)
-    rep = detect(seq, cfg)
-    ref = _ref_detect(seq, cfg)
+MODE_NAMES = ("designated_only", "shift_only", "both", "naive")
+
+
+def _assert_report_equals_reference(rep, ref, cfg):
     if ref is None:
         assert (rep.is_wm, rep.payload, rep.best_offset, rep.matched,
                 rep.block_count, rep.per_block, rep.score) == \
@@ -427,6 +413,56 @@ def test_detect_matches_reference(text, data):
     assert (rep.best_offset, rep.matched, rep.block_count, rep.score,
             rep.diagnostic) == (s, matched, M, score, "")
     assert rep.per_block == per_block
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts(), st.data())
+def test_detect_matches_reference(text, data):
+    """detect, and detect_all over 1-4 configs that share code, key,
+    diverse and prompt but vary mode, s_max and tau, equal the reference
+    field by field."""
+    code, key, _, toks, rng = text
+    shift = data.draw(st.integers(-3, 3))
+    toks = (np.concatenate([rng.integers(0, SMALL_V, shift), toks])
+            if shift > 0 else toks[-shift:])
+    prompt = data.draw(st.integers(0, 3))
+    seq = TokenSequence(
+        np.concatenate([rng.integers(0, SMALL_V, prompt), toks]), SMALL_V)
+    diverse = data.draw(st.booleans())
+    cfgs = [DetectConfig(code=code, key=key,
+                         s_max=data.draw(st.integers(0, min(code.n, 8))),
+                         tau=data.draw(st.integers(1, 3)),
+                         mode=data.draw(st.sampled_from(MODE_NAMES)),
+                         diverse=diverse, prompt_len=prompt)
+            for _ in range(data.draw(st.integers(1, 4)))]
+    reps = detect_all(seq, cfgs)
+    assert len(reps) == len(cfgs)
+    for cfg, rep in zip(cfgs, reps):
+        ref = _ref_detect(seq, cfg)
+        _assert_report_equals_reference(rep, ref, cfg)
+    _assert_report_equals_reference(detect(seq, cfgs[0]),
+                                    _ref_detect(seq, cfgs[0]), cfgs[0])
+
+
+def test_detect_all_rejects_configs_that_do_not_share_a_pass():
+    """One pass per text serves only configs with the same code, key,
+    diverse flag and prompt length; anything else is a broken contract,
+    and so is an empty config list."""
+    seq = _wm(100)
+    base = dict(code=CODE, key=KEY, s_max=2, mode="both")
+    for other in (dict(code=BchCode.make(15, 5, 3)),
+                  dict(key=SecretKey(bytes(32))), dict(diverse=True),
+                  dict(prompt_len=1)):
+        with pytest.raises(ContractError, match="share"):
+            detect_all(seq, [DetectConfig(**base),
+                             DetectConfig(**{**base, **other})])
+    with pytest.raises(ContractError, match="share"):
+        detect_all(seq, [])
+    # mode, s_max and tau may differ
+    reps = detect_all(seq, [DetectConfig(**base),
+                            DetectConfig(**{**base, "mode": "naive",
+                                            "s_max": 0, "tau": 2})])
+    assert len(reps) == 2
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

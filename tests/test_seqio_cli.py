@@ -1,15 +1,22 @@
 """File formats and the command-line interface."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockmark
 from blockmark import seqio
 from blockmark.bch import ContractError
 from blockmark.cli import main
 from blockmark.generation import TokenSequence
 from blockmark.keying import SecretKey
+
+SRC = str(Path(blockmark.__file__).resolve().parents[1])
 
 
 def test_sequence_roundtrip(tmp_path):
@@ -31,11 +38,18 @@ def test_key_roundtrip(tmp_path):
     assert seqio.read_key(path) == key
 
 
+BAD_KEYS = ("abcd", "0" * 63, "0" * 65, "g" * 64, "0" * 31 + " " + "0" * 32,
+            "0x" + "0" * 62)
+
+
 def test_key_file_validation(tmp_path):
     path = tmp_path / "key.txt"
-    path.write_text("abcd\n")
-    with pytest.raises(ValueError):
-        seqio.read_key(path)
+    for text in BAD_KEYS:
+        path.write_text(text + "\n")
+        with pytest.raises(ContractError, match="64 hex characters"):
+            seqio.read_key(path)
+    path.write_text(" " + "aB" * 32 + "\n")
+    assert seqio.read_key(path) == SecretKey(bytes([0xab]) * 32)
 
 
 def test_cli_embed_detect_roundtrip(tmp_path):
@@ -57,7 +71,7 @@ def test_cli_embed_rejects_infinite_delta(tmp_path):
     key = tmp_path / "key.txt"
     seqio.write_key(key, SecretKey(bytes(32)))
     wm = tmp_path / "wm.jsonl"
-    with pytest.raises(ContractError, match="delta"):
+    with pytest.raises(SystemExit, match="^blockmark: .*delta"):
         main(["embed", "--key-file", str(key), "--payload", "29",
               "--delta", "inf", "--output", str(wm)])
     assert not wm.exists()
@@ -70,9 +84,38 @@ def test_cli_detect_rejects_negative_prompt_len(tmp_path):
     out = tmp_path / "rep.jsonl"
     main(["embed", "--key-file", str(key), "--payload", "29",
           "--output", str(wm)])
-    with pytest.raises(ContractError, match="prompt_len"):
+    with pytest.raises(SystemExit, match="^blockmark: .*prompt_len"):
         main(["detect", "--key-file", str(key), "--prompt-len", "-5",
               "--input", str(wm), "--output", str(out)])
+    assert not out.exists()
+
+
+def test_cli_detect_rejects_bad_key_file(tmp_path):
+    """A key file that is not exactly 64 hex characters ends `blockmark
+    detect` with one line on standard error and status 1, no traceback
+    and no report file."""
+    good = tmp_path / "good.txt"
+    seqio.write_key(good, SecretKey(bytes(32)))
+    wm = tmp_path / "wm.jsonl"
+    main(["embed", "--key-file", str(good), "--payload", "29",
+          "--tokens", "40", "--output", str(wm)])
+    key = tmp_path / "key.txt"
+    out = tmp_path / "rep.jsonl"
+    argv = ["detect", "--key-file", str(key), "--input", str(wm),
+            "--output", str(out)]
+    for text in BAD_KEYS:
+        key.write_text(text + "\n")
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == \
+            "blockmark: key file must hold exactly 64 hex characters"
+        assert not out.exists()
+    run = subprocess.run([sys.executable, "-m", "blockmark.cli", *argv],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC))
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr == \
+        "blockmark: key file must hold exactly 64 hex characters\n"
     assert not out.exists()
 
 
@@ -175,14 +218,23 @@ def test_cli_campaign_csv_is_pinned(tmp_path, capsys):
 
 
 def test_cli_campaign_rejects_unknown_key(tmp_path):
+    """A config that names no setting, or a grid with tau 0 or an unknown
+    mode, exits with one `blockmark: ...` line and writes no CSV."""
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "m.csv"
-    for key in ("diverce", "output_path"):
-        cfg.write_text(json.dumps({"trials": 2, key: True}))
-        with pytest.raises(SystemExit) as exit_:
-            main(["campaign", "--config", str(cfg), "--output", str(out)])
-        assert f"unknown config keys: {key}" in str(exit_.value.code)
-        assert not out.exists()
+    for extra, message in (({"diverce": True}, "unknown config keys: diverce"),
+                           ({"output_path": True},
+                            "unknown config keys: output_path"),
+                           ({"tau_grid": [0]}, "tau"),
+                           ({"mode_grid": ["bothh"]}, "unknown mode 'bothh'")):
+        cfg.write_text(json.dumps({"trials": 2, **extra}))
+        for command in ("campaign", "roc"):
+            with pytest.raises(SystemExit) as exit_:
+                main([command, "--config", str(cfg), "--output", str(out)])
+            assert exit_.value.code.startswith("blockmark: ")
+            assert message in exit_.value.code
+            assert "\n" not in exit_.value.code
+            assert not out.exists()
 
 
 def test_cli_roc(tmp_path, capsys):
