@@ -91,8 +91,8 @@ class BchCode:
         if key in _code_cache:
             return _code_cache[key]
         if key not in NAMED_CODES:
-            raise ValueError(f"unknown code instance {key}; "
-                             f"supported: {sorted(NAMED_CODES)}")
+            raise ContractError(f"unknown code instance {key}; "
+                                f"supported: {sorted(NAMED_CODES)}")
         m = NAMED_CODES[key]
         fld = FieldGF2m(m)
         if n != (1 << m) - 1:

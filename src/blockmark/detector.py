@@ -66,78 +66,43 @@ class DetectionReport:
     diagnostic: str = ""
 
 
-@dataclass(frozen=True)
-class KeyedTable:
-    """Keyed bits f_j(v) of the (block j, token v) pairs that a set of
-    offsets reads in one text, each pair hashed once.  `block_keys[j]` is
-    block j's key, derived once."""
-    pairs: np.ndarray        # sorted codes j << 32 | v
-    bits: np.ndarray
-    block_keys: list
-
-    def lookup(self, pairs: np.ndarray) -> np.ndarray:
-        i = np.searchsorted(self.pairs, pairs)
-        if not (i < len(self.pairs)).all() or \
-                not np.array_equal(self.pairs[i], pairs):
-            raise ContractError("keyed table does not cover this offset")
-        return self.bits[i]
-
-
-def _reads(toks: np.ndarray, n: int, offset: int):
-    """Stream positions that tokens fill at `offset`, and the (block,
-    token) pair codes read there."""
-    idx = np.arange(max(offset, 0), len(toks))
-    pos = idx - offset
-    return pos, (pos // n << 32) | toks[idx]
-
-
-def keyed_table(seq: TokenSequence, key: SecretKey, n: int, k: int,
-                offsets, prompt_len: int = 0) -> KeyedTable:
-    """Hash every distinct (block, token) pair that extract_bits reads at
-    any of `offsets`: O(T) hashes per text, whatever the vocabulary."""
+def block_windows(seq: TokenSequence, key: SecretKey, n: int, k: int,
+                  lo: int, hi: int, prompt_len: int = 0):
+    """Keyed bits of everything block j reads at any offset in [lo, hi]:
+    row j holds f_j of the post-prompt tokens at j*n+lo ... (j+1)*n+hi-1,
+    and 0 where no token exists.  Block j of the stream at offset s is
+    rows[j, s-lo:s-lo+n].  Returns (rows, block keys), one
+    derive_block_key and one token_bits call per row: O(T) hashes per
+    text, whatever the vocabulary."""
     toks = seq.tokens[prompt_len:]
-    pairs = np.sort(np.concatenate([_reads(toks, n, s)[1] for s in offsets]))
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-    blocks = pairs >> 32
-    bks = [derive_block_key(key, j, k)
-           for j in range(blocks[-1] + 1 if len(pairs) else 0)]
-    bits = np.empty(len(pairs), dtype=np.uint8)
-    starts = np.flatnonzero(np.diff(blocks, prepend=-1))
-    for a, b in zip(starts, [*starts[1:], len(pairs)]):
-        bits[a:b] = token_bits(bks[blocks[a]].seed,
-                               (pairs[a:b] & 0xFFFFFFFF).tolist())
-    return KeyedTable(pairs, bits, bks)
+    T = len(toks)
+    width = n + hi - lo
+    rows = np.zeros((max(-(-(T - lo) // n), 0), width), dtype=np.uint8)
+    bks = []
+    for j in range(len(rows)):
+        a = j * n + lo
+        first, last = max(a, 0), min(a + width, T)
+        bks.append(derive_block_key(key, j, k))
+        rows[j, first - a:last - a] = token_bits(bks[j].seed,
+                                                 toks[first:last].tolist())
+    return rows, bks
 
 
 def extract_bits(seq: TokenSequence, key: SecretKey, n: int, k: int,
-                 offset: int = 0, prompt_len: int = 0,
-                 table: KeyedTable | None = None) -> np.ndarray:
+                 offset: int = 0, prompt_len: int = 0) -> np.ndarray:
     """Keyed binary projection of a token sequence at a given alignment,
-    as a uint8 bit array.
-
-    The bits come from `table` (a keyed_table of this text covering this
-    offset) or, without one, from a table hashed for this offset alone.
-    """
+    as a uint8 bit array: the blocks of a one-offset block_windows."""
     if abs(offset) > n:
         raise ContractError("offset magnitude must be <= n")
     if prompt_len < 0:
         raise ContractError("prompt_len must be >= 0")
-    toks = seq.tokens[prompt_len:]
-    U = len(toks) - offset          # highest stream position + 1
-    if U <= 0:
-        return np.zeros(0, dtype=np.uint8)
-    if table is None:
-        table = keyed_table(seq, key, n, k, [offset], prompt_len)
-    pos, pairs = _reads(toks, n, offset)
-    bits = np.zeros(U, dtype=np.uint8)
-    bits[pos] = table.lookup(pairs)
-    return bits
+    rows, _ = block_windows(seq, key, n, k, offset, offset, prompt_len)
+    return rows.ravel()[:len(seq.tokens[prompt_len:]) - offset]
 
 
-def _decode_blocks(code: BchCode, bits: np.ndarray):
-    M = len(bits) // code.n
-    return [safe_decode(code, bits[j * code.n:(j + 1) * code.n])
-            for j in range(M)]
+def _decode_blocks(code: BchCode, blocks: np.ndarray):
+    """safe_decode of each row of an (M, n) block matrix."""
+    return [safe_decode(code, block) for block in blocks]
 
 
 def _vote(code: BchCode, decoded, randomizers, coins=None):
@@ -195,7 +160,8 @@ def stage1_vote(bits: np.ndarray, code: BchCode, key: SecretKey,
     Returns (message or None, vote table keyed by message int), with
     ties broken as in `_vote`.
     """
-    decoded = _decode_blocks(code, bits)
+    M = len(bits) // code.n
+    decoded = _decode_blocks(code, bits[:M * code.n].reshape(M, code.n))
     bks = [derive_block_key(key, j, code.k) for j in range(len(decoded))]
     rands = [bits_to_int(bk.randomizer) for bk in bks]
     coins = [diverse_coin(bk) for bk in bks] if diverse else None
@@ -206,12 +172,13 @@ def stage1_vote(bits: np.ndarray, code: BchCode, key: SecretKey,
 def detect_all(seq: TokenSequence, cfgs) -> list:
     """The detection core: one report per config sharing code, key,
     diverse and prompt_len.  Each offset that any config searches is
-    extracted, decoded and voted once, over one keyed table.  A config
-    then picks its offsets (0 alone, or 0, -1, +1, ... +-s_max with the
-    shift search) and its match rule: the block's vote key msg(cw_j) XOR
-    r_j is the voted payload, so cw_j is the designated codeword and none
-    is rebuilt, or (naive, shift_only) the block decodes.  It keeps the
-    offset of the strictly best matched ratio, first in search order."""
+    decoded and voted once; its blocks are slices of one block_windows
+    over all those offsets.  A config then picks its offsets (0 alone,
+    or 0, -1, +1, ... +-s_max with the shift search) and its match rule:
+    the block's vote key msg(cw_j) XOR r_j is the voted payload, so cw_j
+    is the designated codeword and none is rebuilt, or (naive,
+    shift_only) the block decodes.  It keeps the offset of the strictly
+    best matched ratio, first in search order."""
     shared = {(c.code, c.key, c.diverse, c.prompt_len) for c in cfgs}
     if len(shared) != 1:
         raise ContractError("detect_all needs configs that share code, key, "
@@ -224,14 +191,14 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
     offsets = [s for s in order if T - s >= code.n]
     passes = {}   # offset: (decoded blocks, voted payload, designating)
     if offsets:
-        table = keyed_table(seq, key, code.n, code.k, offsets, prompt_len)
-        rands = [bits_to_int(bk.randomizer) for bk in table.block_keys]
-        coins = [diverse_coin(bk) for bk in table.block_keys] if diverse \
-            else None
+        lo = min(offsets)
+        rows, bks = block_windows(seq, key, code.n, code.k, lo,
+                                  max(offsets), prompt_len)
+        rands = [bits_to_int(bk.randomizer) for bk in bks]
+        coins = [diverse_coin(bk) for bk in bks] if diverse else None
         for s in offsets:
-            bits = extract_bits(seq, key, code.n, code.k, s, prompt_len,
-                                table=table)
-            decoded = _decode_blocks(code, bits)
+            decoded = _decode_blocks(
+                code, rows[:(T - s) // code.n, s - lo:s - lo + code.n])
             payload, _, designating = _vote(code, decoded, rands, coins)
             passes[s] = decoded, payload, designating
 

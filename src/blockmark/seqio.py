@@ -37,8 +37,9 @@ class BadRecord:
 def read_sequences(path, keep_bad: bool = False) -> list:
     """Sequences of a JSON-lines file, skipping blank lines.
 
-    A malformed line raises, or with `keep_bad` becomes a BadRecord in
-    its place so that the other lines can still be used.
+    A malformed line raises ContractError naming its 1-based number, or
+    with `keep_bad` becomes a BadRecord in its place so that the other
+    lines can still be used.
     """
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -51,9 +52,11 @@ def read_sequences(path, keep_bad: bool = False) -> list:
                 out.append(TokenSequence(rec["tokens"], rec["vocab_size"],
                                          meta=rec.get("meta", {})))
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
                 if not keep_bad:
-                    raise
-                out.append(BadRecord(number, f"{type(exc).__name__}: {exc}"))
+                    raise ContractError(f"{path}: line {number}: "
+                                        f"{error}") from exc
+                out.append(BadRecord(number, error))
     return out
 
 

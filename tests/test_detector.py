@@ -2,18 +2,20 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockmark import detector
 from blockmark.attacks import AttackSpec, attack, delete_prefix, insert_prefix
 from blockmark.bch import NAMED_CODES, BchCode, ContractError, bits_to_int, \
     encode, int_to_bits, max_weight_codeword, message_of, safe_decode
-from blockmark.detector import (BlockResult, DetectConfig, _vote, detect,
-                                detect_all, extract_bits, keyed_table,
-                                stage1_vote)
+from blockmark.detector import (BlockResult, DetectConfig, _vote,
+                                block_windows, detect, detect_all,
+                                extract_bits, stage1_vote)
 from blockmark.generation import EmbedConfig, TokenSequence, UniformSource, \
     embed, sample_unwatermarked
 from blockmark.keying import SecretKey, derive_block_key, diverse_coin, \
@@ -367,31 +369,32 @@ def _texts(draw, min_blocks=0, max_blocks=3, kinds=None):
 @settings(max_examples=60, deadline=None)
 @given(_texts(), st.data())
 def test_streams_match_token_bit_oracle(text, data):
+    """extract_bits at each offset, and each offset's blocks sliced from
+    one block_windows over [-s_max, s_max], equal the token_bit oracle,
+    texts shorter than a block included."""
     code, key, _, toks, rng = text
-    shift = data.draw(st.integers(-code.n, code.n))
+    n = code.n
+    shift = data.draw(st.integers(-n, n))
     if shift > 0:
         toks = np.concatenate([rng.integers(0, SMALL_V, shift), toks])
     else:
         toks = toks[-shift:]
+    toks = toks[:data.draw(st.sampled_from([len(toks), n - 1, 3, 0]))]
     prompt = data.draw(st.integers(0, 3))
     toks = np.concatenate([rng.integers(0, SMALL_V, prompt), toks])
-    s_max = data.draw(st.integers(0, code.n))
-    offsets = range(-s_max, s_max + 1)
+    s_max = data.draw(st.integers(0, n))
     seq = TokenSequence(toks, SMALL_V)
-    table = keyed_table(seq, key, code.n, code.k, offsets, prompt)
-    for s in offsets:
+    rows, bks = block_windows(seq, key, n, code.k, -s_max, s_max, prompt)
+    T = len(toks) - prompt
+    assert rows.shape == (max(-(-(T + s_max) // n), 0), n + 2 * s_max)
+    assert [bk.index for bk in bks] == list(range(len(rows)))
+    for s in range(-s_max, s_max + 1):
         want = _ref_stream(toks[prompt:], key, code, s)
-        for got in (extract_bits(seq, key, code.n, code.k, s, prompt),
-                    extract_bits(seq, key, code.n, code.k, s, prompt,
-                                 table=table)):
-            assert np.array_equal(got, want)
-
-
-def test_keyed_table_rejects_uncovered_offset():
-    seq = _wm(100)
-    table = keyed_table(seq, KEY, CODE.n, CODE.k, [0, 1])
-    with pytest.raises(ContractError):
-        extract_bits(seq, KEY, CODE.n, CODE.k, -1, table=table)
+        assert np.array_equal(extract_bits(seq, key, n, code.k, s, prompt),
+                              want)
+        M = len(want) // n
+        blocks = rows[:M, s + s_max:s + s_max + n]
+        assert np.array_equal(blocks.ravel(), want[:M * n])
 
 
 MODE_NAMES = ("designated_only", "shift_only", "both", "naive")
@@ -442,6 +445,43 @@ def test_detect_matches_reference(text, data):
         _assert_report_equals_reference(rep, ref, cfg)
     _assert_report_equals_reference(detect(seq, cfgs[0]),
                                     _ref_detect(seq, cfgs[0]), cfgs[0])
+
+
+def test_detect_at_largest_vocabulary_hashes_only_windows(monkeypatch):
+    """At V = 2^32 - 1 a detection hashes at most one window of
+    n + 2 s_max ids per block, allocates nothing of vocabulary size, and
+    equals the reference.  The text carries the payload's target bits,
+    each id drawn until its keyed bit fits, behind a 3-token prefix."""
+    V, T, s_max, n = (1 << 32) - 1, 300, 5, CODE.n
+    rng = np.random.default_rng(5)
+    toks = list(rng.integers(0, V, 3))
+    for j in range(-(-(T - 3) // n)):
+        bk = derive_block_key(KEY, j, CODE.k)
+        for b in plan_block(KEY, j, PAYLOAD, CODE).target_bits:
+            v = int(rng.integers(V))
+            while token_bit(bk, v) != b:
+                v = int(rng.integers(V))
+            toks.append(v)
+    seq = TokenSequence(toks[:T], V)
+    hashed = []
+    original = detector.token_bits
+
+    def counting(seed, tokens):
+        hashed.append(len(tokens))
+        return original(seed, tokens)
+    monkeypatch.setattr(detector, "token_bits", counting)
+    cfg = DetectConfig(code=CODE, key=KEY, s_max=s_max, tau=3)
+    tracemalloc.start()
+    try:
+        rep = detect(seq, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(hashed) <= -(-(T + s_max) // n) * (n + 2 * s_max)
+    assert peak < 1 << 24
+    assert rep.is_wm and rep.best_offset == 3
+    assert np.array_equal(rep.payload, PAYLOAD)
+    _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
 
 
 def test_detect_all_rejects_configs_that_do_not_share_a_pass():
@@ -507,9 +547,8 @@ def test_vote_keys_equal_plan_matches(code, diverse):
 
 
 def test_detect_does_not_import_numpy_ma():
-    """keyed_table deduplicates without np.unique, whose first call
-    imports numpy.ma: a fresh process's first detect pays for no more
-    than it uses."""
+    """Detection calls no np.unique, whose first call imports numpy.ma:
+    a fresh process's first detect pays for no more than it uses."""
     import blockmark
     script = (
         "import sys\n"

@@ -275,11 +275,65 @@ def test_read_sequences_rejects_bad_line(tmp_path):
     path = tmp_path / "seqs.jsonl"
     path.write_text('{"tokens": [1], "vocab_size": 4}\n{"tokens": [9], '
                     '"vocab_size": 4}\n')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line 2: ContractError"):
         seqio.read_sequences(path)
     good, bad = seqio.read_sequences(path, keep_bad=True)
     assert np.array_equal(good.tokens, [1])
     assert bad.line == 2 and "ContractError" in bad.error
+
+
+def _cli_exit(argv, cwd):
+    """Run `python -m blockmark.cli argv`: its status, stdout, stderr."""
+    run = subprocess.run([sys.executable, "-m", "blockmark.cli", *argv],
+                         capture_output=True, text=True, cwd=cwd,
+                         env=dict(os.environ, PYTHONPATH=SRC))
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_cli_rejects_bad_code(tmp_path):
+    """An unknown code or an "n,k,t" that is not three integers ends
+    every command with status 1 and one `blockmark: ...` line."""
+    key = tmp_path / "key.txt"
+    seqio.write_key(key, SecretKey(bytes(32)))
+    seqs = tmp_path / "seqs.jsonl"
+    seqio.write_sequences(seqs, [TokenSequence([1, 2, 3], 16)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 1, "code": [31, 6, 8]}))
+    cases = [
+        (["embed", "--key-file", str(key), "--payload", "1", "--code",
+          "31,6,8", "--output", "-"], "unknown code instance (31, 6, 8)"),
+        (["campaign", "--config", str(cfg)],
+         "unknown code instance (31, 6, 8)"),
+        (["detect", "--key-file", str(key), "--code", "31,6", "--input",
+          str(seqs)], "code must be three integers n,k,t, got '31,6'"),
+        (["bench", "--codes", "31,6,7;31,6", "--repeats", "1"],
+         "code must be three integers n,k,t, got '31,6'"),
+        (["bounds", "--code", "31,6,x"],
+         "code must be three integers n,k,t, got '31,6,x'"),
+    ]
+    for argv, message in cases:
+        status, out, err = _cli_exit(argv, tmp_path)
+        assert (status, out) == (1, ""), argv
+        assert err.startswith("blockmark: ") and err.count("\n") == 1, err
+        assert message in err, err
+
+
+def test_cli_attack_rejects_malformed_line(tmp_path):
+    """A line of an attack's input that holds no sequence ends the
+    command with status 1 and one line naming the line number."""
+    good = '{"tokens": [1, 2], "vocab_size": 4}'
+    path = tmp_path / "seqs.jsonl"
+    out = tmp_path / "att.jsonl"
+    for bad, error in (("{not json", "JSONDecodeError"),
+                       ('{"tokens": [1]}', "KeyError")):
+        path.write_text(f"{good}\n\n{bad}\n")
+        status, stdout, err = _cli_exit(
+            ["attack", "--kind", "delete", "--rate", "0.1", "--input",
+             str(path), "--output", str(out)], tmp_path)
+        assert (status, stdout) == (1, "")
+        assert err.startswith(f"blockmark: {path}: line 3: {error}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_cli_detect_continues_past_malformed_lines(tmp_path):
