@@ -8,6 +8,7 @@ so message recovery is a slice.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -31,6 +32,25 @@ NAMED_CODES = {
 }
 
 _code_cache: dict[tuple[int, int, int], "BchCode"] = {}
+
+# Rows that decode_rows decodes at once.  Its transient arrays grow with
+# this, not with the batch: about 11(t+1)n bytes a row in the Chien search
+# (int16 indices, the intp copy np.take makes of them, uint8 values).
+DECODE_CHUNK = 256
+
+
+def code_params(spec) -> tuple:
+    """The (n, k, t) of an "n,k,t" string or of a sequence of three
+    integers; anything else raises ContractError."""
+    try:
+        if isinstance(spec, str):
+            n, k, t = (int(x) for x in spec.split(","))
+        else:
+            n, k, t = (operator.index(x) for x in spec)
+    except (TypeError, ValueError):
+        raise ContractError(f"code must be three integers n,k,t, "
+                            f"got {spec!r}") from None
+    return n, k, t
 
 
 def _cyclotomic_closure(n: int, powers: range) -> set[int]:
@@ -84,6 +104,13 @@ class BchCode:
     fld: FieldGF2m = dc_field(repr=False)
     _synd_mat: np.ndarray = dc_field(repr=False)   # (2t, n) alpha^{i*(n-1-pos)}
     _chien_exp: np.ndarray = dc_field(repr=False)  # (n,) exponents -j mod period
+    # decode_rows' tables: per position the bits of S_1, S_3, ..., S_2t-1,
+    # bit b of S_2i+1 in column i*m + b; the exponents l*_chien_exp mod
+    # period of every locator degree l <= t; and alpha^i for i < 2*period
+    # followed by zeros, read at 2*period for a zero coefficient
+    _odd_planes: np.ndarray = dc_field(repr=False)  # (n, t*m) float32
+    _chien_pow: np.ndarray = dc_field(repr=False)   # (t+1, n) int16
+    _exp0: np.ndarray = dc_field(repr=False)        # (3*period,) uint8
 
     @staticmethod
     def make(n: int, k: int, t: int) -> "BchCode":
@@ -108,8 +135,15 @@ class BchCode:
                 synd[i - 1, pos] = fld.alpha_pow(i * (n - 1 - pos))
         chien = np.array([(period - j) % period for j in range(n)],
                          dtype=np.int64)
+        planes = (synd[0::2, :, None] >> np.arange(m)) & 1
         code = BchCode(n=n, k=k, t=t, generator=gen, fld=fld,
-                       _synd_mat=synd, _chien_exp=chien)
+                       _synd_mat=synd, _chien_exp=chien,
+                       _odd_planes=planes.transpose(1, 0, 2)
+                       .reshape(n, t * m).astype(np.float32),
+                       _chien_pow=(np.arange(t + 1)[:, None] * chien
+                                   % period).astype(np.int16),
+                       _exp0=np.concatenate([fld.exp, np.zeros(period)])
+                       .astype(np.uint8))
         _code_cache[key] = code
         return code
 
@@ -237,6 +271,104 @@ def safe_decode(code: BchCode, received: np.ndarray):
     if syndromes(code, corrected).any():
         return None
     return corrected, L
+
+
+def _odd_syndromes(code: BchCode, words: np.ndarray) -> np.ndarray:
+    """(R, t) odd syndromes S_1, S_3, ..., S_2t-1 of the rows of an (R, n)
+    uint8 matrix: one product with the bit planes, taken mod 2."""
+    planes = (words @ code._odd_planes).astype(np.uint8) & 1
+    return np.packbits(planes.reshape(len(words), code.t, code.fld.m),
+                       axis=-1, bitorder="little")[..., 0]
+
+
+def _binary_berlekamp_massey(fld: FieldGF2m, t: int, odd: list[int]):
+    """_berlekamp_massey over S_1 ... S_2t of a binary word, from its odd
+    syndromes: S_2i = S_i^2, and then the discrepancy of every step N odd
+    (0-based) is zero, so only the t steps N even are run."""
+    exp, log, period = fld._exp_l, fld._log_l, fld.period
+    S = [0] * (2 * t)
+    S[0::2] = odd
+    for j in range(1, t + 1):                  # S_2j = S_j^2
+        s = S[j - 1]
+        S[2 * j - 1] = exp[2 * log[s]] if s else 0
+    C = [1]
+    B = [1]
+    L = 0
+    shift = 1
+    b = 1
+    for N in range(0, 2 * t, 2):
+        d = S[N]
+        for i in range(1, min(L + 1, len(C))):
+            if C[i] and S[N - i]:
+                d ^= exp[log[C[i]] + log[S[N - i]]]
+        if d:
+            coef = log[d] - log[b]             # the log of d / b
+            if coef < 0:
+                coef += period
+            update_from = C[:]
+            need = shift + len(B)
+            if len(C) < need:
+                C += [0] * (need - len(C))
+            for i, bi in enumerate(B, shift):
+                if bi:
+                    C[i] ^= exp[coef + log[bi]]
+            if 2 * L <= N:
+                L = N + 1 - L
+                B = update_from
+                b = d
+                shift = 0
+        shift += 2                              # this step and step N + 1
+    return C, L
+
+
+def decode_rows(code: BchCode, words: np.ndarray) -> list:
+    """safe_decode of every row of an (R, n) bit matrix, DECODE_CHUNK rows
+    at a time: one syndrome product per chunk, a scalar binary
+    Berlekamp-Massey per row with a nonzero syndrome, one Chien search over
+    every locator of degree L <= t, and the syndrome product again on the
+    corrected rows.  A decoded row is a view of a fresh array."""
+    words = np.asarray(words, dtype=np.uint8)
+    if words.ndim != 2 or words.shape[1] != code.n:
+        raise ContractError(f"rows must have length {code.n}")
+    out = []
+    for a in range(0, len(words), DECODE_CHUNK):
+        out += _decode_chunk(code, words[a:a + DECODE_CHUNK])
+    return out
+
+
+def _decode_chunk(code: BchCode, words: np.ndarray) -> list:
+    fld, t = code.fld, code.t
+    log, zero = fld._log_l, 2 * fld.period
+    fixed = words.copy()
+    result = [None] * len(words)
+    synd = _odd_syndromes(code, words)
+    nonzero = synd.any(axis=1)
+    for i in np.flatnonzero(~nonzero).tolist():
+        result[i] = fixed[i], 0
+    rows, degrees, locators = [], [], []     # locators as logs, zero -> 2p
+    for i, odd in zip(np.flatnonzero(nonzero).tolist(),
+                      synd[nonzero].tolist()):
+        C, L = _binary_berlekamp_massey(fld, t, odd)
+        while len(C) > 1 and C[-1] == 0:
+            C.pop()
+        if L <= t and len(C) - 1 == L:
+            rows.append(i)
+            degrees.append(L)
+            locators.append([log[c] if c else zero for c in C]
+                            + [zero] * (t - L))
+    if not rows:
+        return result
+    # Chien search: C(alpha^-j) of every locator at every j at once
+    vals = np.bitwise_xor.reduce(np.take(code._exp0, np.array(
+        locators, dtype=np.int16)[:, :, None] + code._chien_pow), axis=1)
+    roots = vals == 0
+    rooted = roots.sum(axis=1) == degrees
+    rows, degrees = np.array(rows)[rooted], np.array(degrees)[rooted]
+    fixed[rows] ^= roots[rooted, ::-1]
+    clean = ~_odd_syndromes(code, fixed[rows]).any(axis=1)
+    for i, L in zip(rows[clean].tolist(), degrees[clean].tolist()):
+        result[i] = fixed[i], L
+    return result
 
 
 def max_weight_codeword(code: BchCode) -> np.ndarray:

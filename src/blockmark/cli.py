@@ -14,7 +14,8 @@ from dataclasses import asdict
 
 from . import seqio
 from .attacks import KINDS, AttackSpec, attack
-from .bch import BchCode, ContractError, bits_to_int, int_to_bits
+from .bch import BchCode, ContractError, bits_to_int, code_params, \
+    int_to_bits
 from .bounds import BoundParams, param_search, report as bounds_report
 from .detector import MODES, DetectConfig, detect
 from .generation import EmbedConfig, UniformSource, embed, logit_source, \
@@ -23,18 +24,8 @@ from .harness import ExperimentSpec, ber_curve, latency_bench, roc_sweep, \
     run_campaign, write_metrics
 
 
-def _code_params(text: str) -> tuple:
-    """The (n, k, t) of an "n,k,t" argument."""
-    try:
-        n, k, t = (int(x) for x in text.split(","))
-    except ValueError:
-        raise ContractError(f"code must be three integers n,k,t, "
-                            f"got {text!r}") from None
-    return n, k, t
-
-
 def _parse_code(text: str) -> BchCode:
-    return BchCode.make(*_code_params(text))
+    return BchCode.make(*code_params(text))
 
 
 def _add_common(p):
@@ -110,7 +101,7 @@ def cmd_detect(args):
 
 
 def cmd_bounds(args):
-    n, k, t = _code_params(args.code)
+    n, k, t = code_params(args.code)
     params = BoundParams(q=args.q, n=n, k=k, t=t, s_max=args.s_max,
                          theta=args.theta, M=args.blocks, delta=args.delta,
                          mass=args.mass, p_att=args.p_att)
@@ -164,7 +155,7 @@ def cmd_ber(args):
 
 
 def cmd_bench(args):
-    codes = [_code_params(c) for c in args.codes.split(";")]
+    codes = [code_params(c) for c in args.codes.split(";")]
     rows = latency_bench([int(x) for x in args.text_lens.split(",")],
                          codes,
                          [int(x) for x in args.s_max_grid.split(",")],

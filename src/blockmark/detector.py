@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bch import BchCode, ContractError, bits_to_int, int_to_bits, \
-    max_weight_codeword, safe_decode
+from .bch import BchCode, ContractError, bits_to_int, decode_rows, \
+    int_to_bits, max_weight_codeword, safe_decode
 from .generation import TokenSequence
 from .keying import SecretKey, derive_block_key, diverse_coin, token_bits
 
@@ -101,8 +101,11 @@ def extract_bits(seq: TokenSequence, key: SecretKey, n: int, k: int,
 
 
 def _decode_blocks(code: BchCode, blocks: np.ndarray):
-    """safe_decode of each row of an (M, n) block matrix."""
-    return [safe_decode(code, block) for block in blocks]
+    """safe_decode of each row of an (M, n) block matrix: block by block
+    for codes of k <= 7, in one decode_rows batch for longer messages."""
+    if code.k <= 7:
+        return [safe_decode(code, block) for block in blocks]
+    return decode_rows(code, blocks)
 
 
 def _vote(code: BchCode, decoded, randomizers, coins=None):
@@ -173,8 +176,9 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
     """The detection core: one report per config sharing code, key,
     diverse and prompt_len.  Each offset that any config searches is
     decoded and voted once; its blocks are slices of one block_windows
-    over all those offsets.  A config then picks its offsets (0 alone,
-    or 0, -1, +1, ... +-s_max with the shift search) and its match rule:
+    over all those offsets, stacked into one _decode_blocks call.  A
+    config then picks its offsets (0 alone, or 0, -1, +1, ... +-s_max
+    with the shift search) and its match rule:
     the block's vote key msg(cw_j) XOR r_j is the voted payload, so cw_j
     is the designated codeword and none is rebuilt, or (naive,
     shift_only) the block decodes.  It keeps the offset of the strictly
@@ -196,11 +200,16 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
                                   max(offsets), prompt_len)
         rands = [bits_to_int(bk.randomizer) for bk in bks]
         coins = [diverse_coin(bk) for bk in bks] if diverse else None
-        for s in offsets:
-            decoded = _decode_blocks(
-                code, rows[:(T - s) // code.n, s - lo:s - lo + code.n])
-            payload, _, designating = _vote(code, decoded, rands, coins)
-            passes[s] = decoded, payload, designating
+        counts = [(T - s) // code.n for s in offsets]
+        decoded = _decode_blocks(code, np.concatenate(
+            [rows[:M, s - lo:s - lo + code.n]
+             for s, M in zip(offsets, counts)]))
+        at = 0
+        for s, M in zip(offsets, counts):
+            blocks = decoded[at:at + M]
+            at += M
+            payload, _, designating = _vote(code, blocks, rands, coins)
+            passes[s] = blocks, payload, designating
 
     reports = []
     for cfg, reach in zip(cfgs, reaches):

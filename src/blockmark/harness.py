@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .attacks import AttackSpec, attack
-from .bch import BchCode, ContractError, int_to_bits
+from .bch import BchCode, ContractError, code_params, int_to_bits
 from .detector import DetectConfig, detect, detect_all, extract_bits
 from .generation import ControlledMassSource, EmbedConfig, TokenSequence, \
     UniformSource, embed, logit_source, sample_unwatermarked
@@ -40,6 +40,9 @@ class ExperimentSpec:
     diverse: bool = False
     master_seed: int = 0
 
+    def __post_init__(self):
+        self.code = code_params(self.code)
+
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentSpec":
         """The spec a config dict spells; a key that names no setting
@@ -55,7 +58,7 @@ class ExperimentSpec:
         attacks = [AttackSpec(a["kind"], a["rate"], a.get("rng_seed", 0))
                    for a in entries]
         kwargs = {k: v for k, v in cfg.items() if k != "attacks"}
-        for name in ("code", "s_max_grid", "tau_grid", "mode_grid"):
+        for name in ("s_max_grid", "tau_grid", "mode_grid"):
             if name in kwargs:
                 kwargs[name] = tuple(kwargs[name])
         return ExperimentSpec(attacks=attacks, **kwargs)

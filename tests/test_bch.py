@@ -1,15 +1,17 @@
 """Codec correctness, checked against brute-force oracles on the small
 instance and sampled on the larger ones."""
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockmark import bch, detector
 from blockmark.bch import (NAMED_CODES, BchCode, ContractError, all_codewords,
-                           bits_to_int, encode, int_to_bits, is_codeword,
-                           max_weight_codeword, message_of, safe_decode,
-                           syndromes)
+                           bits_to_int, code_params, decode_rows, encode,
+                           int_to_bits, is_codeword, max_weight_codeword,
+                           message_of, safe_decode, syndromes)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +133,17 @@ def test_shape_contracts(small):
         encode(small, np.zeros(small.k + 1, dtype=np.uint8))
     with pytest.raises(ContractError):
         safe_decode(small, np.zeros(small.n - 1, dtype=np.uint8))
+    for shape in ((2, small.n - 1), (small.n,)):
+        with pytest.raises(ContractError):
+            decode_rows(small, np.zeros(shape, dtype=np.uint8))
+
+
+def test_code_params():
+    assert code_params("31,6,7") == code_params([31, 6, 7]) == (31, 6, 7)
+    for bad in ("31,6", "31,6,x", [31, 6], [31, 6, 7, 1], [31, 6.0, 7],
+                31, None):
+        with pytest.raises(ContractError, match="three integers"):
+            code_params(bad)
 
 
 @pytest.mark.parametrize("n,k,t", sorted(NAMED_CODES))
@@ -189,3 +202,65 @@ def test_bit_packing_equals_bitwise_loops():
             assert np.array_equal(int_to_bits(value, width),
                                   _int_to_bits_loop(value, width))
     assert bits_to_int([]) == 0 and int_to_bits(9, 0).shape == (0,)
+
+
+# ------------------------------------- the batched decoder against the oracle
+
+def _assert_same_decode(got, want, words):
+    if want is None:
+        assert got is None
+        return
+    cw, distance = got
+    assert type(distance) is int and distance == want[1]
+    assert cw.dtype == np.uint8 and np.array_equal(cw, want[0])
+    assert cw.shape == want[0].shape and not np.shares_memory(cw, words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(NAMED_CODES)), st.data())
+def test_decode_rows_equals_safe_decode(params, data):
+    """decode_rows, and the detector's _decode_blocks, equal safe_decode
+    row by row on every field, for all six codes: words at distance
+    0 ... t+3 from random codewords, random words, the zero and the
+    all-ones word, in batches of 0, 1 or more rows than one chunk."""
+    code = BchCode.make(*params)
+    n, k, t = params
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kinds = data.draw(st.lists(st.one_of(
+        st.sampled_from(("zero", "ones", "random")),
+        st.integers(0, t + 3)), max_size=12))
+    words = np.zeros((len(kinds), n), dtype=np.uint8)
+    for w, kind in zip(words, kinds):
+        if kind == "ones":
+            w[:] = 1
+        elif kind == "random":
+            w[:] = rng.integers(0, 2, n)
+        elif kind != "zero":
+            w[:] = encode(code, rng.integers(0, 2, k).astype(np.uint8))
+            w[rng.choice(n, kind, replace=False)] ^= 1
+    chunk = data.draw(st.sampled_from((1, 2, 5, bch.DECODE_CHUNK)))
+    with mock.patch.object(bch, "DECODE_CHUNK", chunk):
+        got = decode_rows(code, words)
+        blocks = detector._decode_blocks(code, words)
+    assert len(got) == len(blocks) == len(words)
+    for word, g, b in zip(words, got, blocks):
+        want = safe_decode(code, word)
+        _assert_same_decode(g, want, words)
+        _assert_same_decode(b, want, words)
+
+
+def test_decode_rows_across_chunks():
+    """A batch of more than two chunks at the module's chunk size: every
+    third row a codeword with up to t flips, the others random."""
+    code = BchCode.make(127, 92, 5)
+    rng = np.random.default_rng(11)
+    words = rng.integers(0, 2, (2 * bch.DECODE_CHUNK + 3, code.n)) \
+        .astype(np.uint8)
+    for i in range(0, len(words), 3):
+        words[i] = encode(code, rng.integers(0, 2, code.k).astype(np.uint8))
+        words[i, rng.choice(code.n, i % (code.t + 1), replace=False)] ^= 1
+    got = decode_rows(code, words)
+    assert len(got) == len(words)
+    assert sum(g is not None for g in got) >= len(words) // 3
+    for word, g in zip(words, got):
+        _assert_same_decode(g, safe_decode(code, word), words)

@@ -261,18 +261,21 @@ CODES = [BchCode.make(*c) for c in sorted(NAMED_CODES)]
 SMALL_V = 64
 
 
-def _ref_stream(tokens, key, code, s):
-    """Brute force: one token_bit call per token read at offset s."""
+def _ref_stream(tokens, key, code, s, bits=None):
+    """Brute force: the token_bit of each token read at offset s, one
+    call per (block, id) pair; `bits` keeps those bits, and a caller may
+    share it across offsets."""
     U = len(tokens) - s
     out = np.zeros(max(U, 0), dtype=np.uint8)
-    bks = {}
+    bits = {} if bits is None else bits
     for idx, v in enumerate(tokens):
         p = idx - s
         if 0 <= p < U:
             j = p // code.n
-            if j not in bks:
-                bks[j] = derive_block_key(key, j, code.k)
-            out[p] = token_bit(bks[j], int(v))
+            if (j, v) not in bits:
+                bits[j, v] = token_bit(derive_block_key(key, j, code.k),
+                                       int(v))
+            out[p] = bits[j, v]
     return out
 
 
@@ -287,8 +290,9 @@ def _ref_detect(seq, cfg):
             offsets += [-s, s]
     c_max = max_weight_codeword(code)
     best = None
+    keyed = {}
     for s in offsets:
-        bits = _ref_stream(seq.tokens[cfg.prompt_len:], key, code, s)
+        bits = _ref_stream(seq.tokens[cfg.prompt_len:], key, code, s, keyed)
         M = len(bits) // n
         if M == 0:
             continue
@@ -423,7 +427,8 @@ def _assert_report_equals_reference(rep, ref, cfg):
 def test_detect_matches_reference(text, data):
     """detect, and detect_all over 1-4 configs that share code, key,
     diverse and prompt but vary mode, s_max and tau, equal the reference
-    field by field."""
+    field by field.  The codes of k > 7, whose blocks decode in one batch
+    per text, search up to s_max = n."""
     code, key, _, toks, rng = text
     shift = data.draw(st.integers(-3, 3))
     toks = (np.concatenate([rng.integers(0, SMALL_V, shift), toks])
@@ -433,7 +438,8 @@ def test_detect_matches_reference(text, data):
         np.concatenate([rng.integers(0, SMALL_V, prompt), toks]), SMALL_V)
     diverse = data.draw(st.booleans())
     cfgs = [DetectConfig(code=code, key=key,
-                         s_max=data.draw(st.integers(0, min(code.n, 8))),
+                         s_max=data.draw(st.integers(
+                             0, code.n if code.k > 7 else 8)),
                          tau=data.draw(st.integers(1, 3)),
                          mode=data.draw(st.sampled_from(MODE_NAMES)),
                          diverse=diverse, prompt_len=prompt)
@@ -482,6 +488,38 @@ def test_detect_at_largest_vocabulary_hashes_only_windows(monkeypatch):
     assert rep.is_wm and rep.best_offset == 3
     assert np.array_equal(rep.payload, PAYLOAD)
     _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
+
+
+def test_detect_at_s_max_n_decodes_in_bounded_memory():
+    """One (127,92,5) detection of a 4000-token text at s_max = n stacks
+    about 8k blocks into one decode, which decode_rows takes
+    DECODE_CHUNK rows at a time: the traced peak stays under 8 MiB, where
+    one Chien search over every block at once would need about 60 MiB.
+    The text carries the payload behind a 40-token prefix."""
+    code = BchCode.make(127, 92, 5)
+    V, T, prefix = 1 << 16, 4000, 40
+    payload = int_to_bits(0x2B0F_5A17_C3E9_64D1_8A2, code.k)
+    rng = np.random.default_rng(8)
+    toks = list(rng.integers(0, V, prefix))
+    for j in range(-(-(T - prefix) // code.n)):
+        bk = derive_block_key(KEY, j, code.k)
+        for b in plan_block(KEY, j, payload, code).target_bits:
+            v = int(rng.integers(V))
+            while token_bit(bk, v) != b:
+                v = int(rng.integers(V))
+            toks.append(v)
+    seq = TokenSequence(toks[:T], V)
+    cfg = DetectConfig(code=code, key=KEY, s_max=code.n, tau=3)
+    tracemalloc.start()
+    try:
+        rep = detect(seq, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 23
+    assert rep.is_wm and rep.best_offset == prefix
+    assert rep.matched == rep.block_count == (T - prefix) // code.n
+    assert np.array_equal(rep.payload, payload)
 
 
 def test_detect_all_rejects_configs_that_do_not_share_a_pass():

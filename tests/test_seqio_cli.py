@@ -291,19 +291,24 @@ def _cli_exit(argv, cwd):
 
 
 def test_cli_rejects_bad_code(tmp_path):
-    """An unknown code or an "n,k,t" that is not three integers ends
-    every command with status 1 and one `blockmark: ...` line."""
+    """An unknown code, or an "n,k,t" argument or a config's code list
+    that is not three integers, ends every command with status 1 and one
+    `blockmark: ...` line."""
     key = tmp_path / "key.txt"
     seqio.write_key(key, SecretKey(bytes(32)))
     seqs = tmp_path / "seqs.jsonl"
     seqio.write_sequences(seqs, [TokenSequence([1, 2, 3], 16)])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 1, "code": [31, 6, 8]}))
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"trials": 1, "code": [31, 6]}))
     cases = [
         (["embed", "--key-file", str(key), "--payload", "1", "--code",
           "31,6,8", "--output", "-"], "unknown code instance (31, 6, 8)"),
         (["campaign", "--config", str(cfg)],
          "unknown code instance (31, 6, 8)"),
+        (["campaign", "--config", str(short)],
+         "code must be three integers n,k,t, got [31, 6]"),
         (["detect", "--key-file", str(key), "--code", "31,6", "--input",
           str(seqs)], "code must be three integers n,k,t, got '31,6'"),
         (["bench", "--codes", "31,6,7;31,6", "--repeats", "1"],
