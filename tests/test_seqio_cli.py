@@ -293,7 +293,8 @@ def _cli_exit(argv, cwd):
 def test_cli_rejects_bad_code(tmp_path):
     """An unknown code, or an "n,k,t" argument or a config's code list
     that is not three integers, ends every command with status 1 and one
-    `blockmark: ...` line."""
+    `blockmark: ...` line.  A config's code is a list: the "n,k,t"
+    string of the options is refused there."""
     key = tmp_path / "key.txt"
     seqio.write_key(key, SecretKey(bytes(32)))
     seqs = tmp_path / "seqs.jsonl"
@@ -302,6 +303,8 @@ def test_cli_rejects_bad_code(tmp_path):
     cfg.write_text(json.dumps({"trials": 1, "code": [31, 6, 8]}))
     short = tmp_path / "short.json"
     short.write_text(json.dumps({"trials": 1, "code": [31, 6]}))
+    spelt = tmp_path / "spelt.json"
+    spelt.write_text(json.dumps({"trials": 1, "code": "31,6,7"}))
     cases = [
         (["embed", "--key-file", str(key), "--payload", "1", "--code",
           "31,6,8", "--output", "-"], "unknown code instance (31, 6, 8)"),
@@ -309,6 +312,8 @@ def test_cli_rejects_bad_code(tmp_path):
          "unknown code instance (31, 6, 8)"),
         (["campaign", "--config", str(short)],
          "code must be three integers n,k,t, got [31, 6]"),
+        (["campaign", "--config", str(spelt)],
+         "code must be three integers n,k,t, got '31,6,7'"),
         (["detect", "--key-file", str(key), "--code", "31,6", "--input",
           str(seqs)], "code must be three integers n,k,t, got '31,6'"),
         (["bench", "--codes", "31,6,7;31,6", "--repeats", "1"],
