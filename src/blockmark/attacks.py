@@ -2,6 +2,7 @@
 and the keyed bit-flip channel used for theory validation."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ContractError(f"unknown attack kind {self.kind!r}")
+        if isinstance(self.rate, bool) or \
+                not isinstance(self.rate, numbers.Real):
+            raise ContractError(f"rate must be a number, got {self.rate!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ContractError("rate must lie in [0, 1]")
 

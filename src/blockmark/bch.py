@@ -8,8 +8,9 @@ so message recovery is a slice.
 """
 from __future__ import annotations
 
+import functools
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +31,6 @@ NAMED_CODES = {
     (63, 45, 3): 6,
     (127, 92, 5): 7,
 }
-
-_code_cache: dict[tuple[int, int, int], "BchCode"] = {}
 
 # Rows that decode_rows decodes at once.  Its transient arrays grow with
 # this, not with the batch: about 11(t+1)n bytes a row in the Chien search
@@ -95,26 +94,15 @@ def _poly_mod(value: int, divisor: int, divisor_deg: int) -> int:
 
 @dataclass(frozen=True)
 class BchCode:
+    """A named code, equal to and hashed as its (n, k, t).  Building one
+    derives its field `fld`, its `generator` (a bitmask, degree n-k) and
+    the decoder tables; an unknown (n, k, t) raises ContractError."""
     n: int
     k: int
     t: int
-    generator: int                       # bitmask, degree n-k
-    fld: FieldGF2m = dc_field(repr=False)
-    _synd_mat: np.ndarray = dc_field(repr=False)   # (2t, n) alpha^{i*(n-1-pos)}
-    _chien_exp: np.ndarray = dc_field(repr=False)  # (n,) exponents -j mod period
-    # decode_rows' tables: per position the bits of S_1, S_3, ..., S_2t-1,
-    # bit b of S_2i+1 in column i*m + b; the exponents l*_chien_exp mod
-    # period of every locator degree l <= t; and alpha^i for i < 2*period
-    # followed by zeros, read at 2*period for a zero coefficient
-    _odd_planes: np.ndarray = dc_field(repr=False)  # (n, t*m) float32
-    _chien_pow: np.ndarray = dc_field(repr=False)   # (t+1, n) int16
-    _exp0: np.ndarray = dc_field(repr=False)        # (3*period,) uint8
 
-    @staticmethod
-    def make(n: int, k: int, t: int) -> "BchCode":
-        key = (n, k, t)
-        if key in _code_cache:
-            return _code_cache[key]
+    def __post_init__(self):
+        n, k, t = key = self.n, self.k, self.t
         if key not in NAMED_CODES:
             raise ContractError(f"unknown code instance {key}; "
                                 f"supported: {sorted(NAMED_CODES)}")
@@ -134,23 +122,27 @@ class BchCode:
         chien = np.array([(period - j) % period for j in range(n)],
                          dtype=np.int64)
         planes = (synd[0::2, :, None] >> np.arange(m)) & 1
-        code = BchCode(n=n, k=k, t=t, generator=gen, fld=fld,
-                       _synd_mat=synd, _chien_exp=chien,
-                       _odd_planes=planes.transpose(1, 0, 2)
-                       .reshape(n, t * m).astype(np.float32),
-                       _chien_pow=(np.arange(t + 1)[:, None] * chien
-                                   % period).astype(np.int16),
-                       _exp0=np.concatenate([fld.exp, np.zeros(period)])
-                       .astype(np.uint8))
-        _code_cache[key] = code
-        return code
+        self.__dict__.update(
+            generator=gen, fld=fld,
+            _synd_mat=synd,       # (2t, n) alpha^{i*(n-1-pos)}
+            _chien_exp=chien,     # (n,) exponents -j mod period
+            # decode_rows' tables: per position the bits of S_1, S_3, ...,
+            # S_2t-1, bit b of S_2i+1 in column i*m + b, (n, t*m) float32;
+            # the exponents l*_chien_exp mod period of every locator degree
+            # l <= t, (t+1, n) int16; and alpha^i for i < 2*period followed
+            # by zeros, read at 2*period for a zero coefficient, uint8
+            _odd_planes=planes.transpose(1, 0, 2).reshape(n, t * m)
+            .astype(np.float32),
+            _chien_pow=(np.arange(t + 1)[:, None] * chien
+                        % period).astype(np.int16),
+            _exp0=np.concatenate([fld.exp, np.zeros(period)])
+            .astype(np.uint8))
 
-    def __hash__(self):
-        return hash((self.n, self.k, self.t))
-
-    def __eq__(self, other):
-        return isinstance(other, BchCode) and \
-            (self.n, self.k, self.t) == (other.n, other.k, other.t)
+    @staticmethod
+    @functools.cache
+    def make(n: int, k: int, t: int) -> "BchCode":
+        """The one BchCode of each (n, k, t), built on first use."""
+        return BchCode(n, k, t)
 
 
 def bits_to_int(bits: np.ndarray) -> int:

@@ -168,24 +168,29 @@ def stage1_vote(bits: np.ndarray, code: BchCode, key: SecretKey,
     """
     M = len(bits) // code.n
     decoded = _decode_blocks(code, bits[:M * code.n].reshape(M, code.n))
-    bks = [derive_block_key(key, j, code.k) for j in range(len(decoded))]
-    rands = [bits_to_int(bk.randomizer) for bk in bks]
-    coins = [diverse_coin(bk) for bk in bks] if diverse else None
-    best, votes, _ = _vote(code, decoded, rands, coins)
+    best, votes, _ = _vote(code, decoded, *_randomizers_and_coins(
+        [derive_block_key(key, j, code.k) for j in range(M)], diverse))
     return (None if best is None else int_to_bits(best, code.k)), votes
+
+
+def _randomizers_and_coins(bks, diverse: bool):
+    """_vote's randomizers and coins (None unless diverse) of the blocks
+    keyed by `bks`."""
+    return ([bits_to_int(bk.randomizer) for bk in bks],
+            [diverse_coin(bk) for bk in bks] if diverse else None)
 
 
 def detect_all(seq: TokenSequence, cfgs) -> list:
     """The detection core: one report per config sharing code, key,
-    diverse and prompt_len.  Each offset that any config searches is
-    decoded and voted once; its blocks are slices of one block_windows
-    over all those offsets, stacked into one _decode_blocks call.  A
-    config then picks its offsets (0 alone, or 0, -1, +1, ... +-s_max
-    with the shift search) and its match rule:
-    the block's vote key msg(cw_j) XOR r_j is the voted payload, so cw_j
-    is the designated codeword and none is rebuilt, or (naive,
-    shift_only) the block decodes.  It keeps the offset of the strictly
-    best matched ratio, first in search order."""
+    diverse and prompt_len.  Each offset that any config searches gets one
+    record per text: its decoded blocks, voted payload, and which blocks
+    decode and which carry the designated codeword, i.e. have the voted
+    payload as their vote key msg(cw_j) XOR r_j, so none is rebuilt.  The
+    blocks of every offset are slices of one block_windows, stacked into
+    one _decode_blocks call.  A config searches its offsets (0 alone, or
+    0, -1, +1, ... +-s_max with the shift search) and keeps the first, in
+    that order, with the best ratio of blocks under its mask: decodable
+    (naive, shift_only) or designated."""
     shared = {(c.code, c.key, c.diverse, c.prompt_len) for c in cfgs}
     if len(shared) != 1:
         raise ContractError("detect_all needs configs that share code, key, "
@@ -196,13 +201,12 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
                for c in cfgs]
     order = [0, *(s for d in range(1, max(reaches) + 1) for s in (-d, d))]
     offsets = [s for s in order if T - s >= code.n]
-    passes = {}   # offset: (decoded blocks, voted payload, designating)
+    records = {}   # offset: (decoded, payload, decodable, designated)
     if offsets:
         lo = min(offsets)
         rows, bks = block_windows(seq, key, code.n, code.k, lo,
                                   max(offsets), prompt_len)
-        rands = [bits_to_int(bk.randomizer) for bk in bks]
-        coins = [diverse_coin(bk) for bk in bks] if diverse else None
+        rands, coins = _randomizers_and_coins(bks, diverse)
         counts = [(T - s) // code.n for s in offsets]
         decoded = _decode_blocks(code, np.concatenate(
             [rows[:M, s - lo:s - lo + code.n]
@@ -212,34 +216,32 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
             blocks = decoded[at:at + M]
             at += M
             payload, _, designating = _vote(code, blocks, rands, coins)
-            passes[s] = blocks, payload, designating
+            records[s] = (blocks, payload,
+                          [dec is not None for dec in blocks],
+                          [payload in keys for keys in designating])
 
     reports = []
     for cfg, reach in zip(cfgs, reaches):
-        any_codeword = cfg.mode in ("naive", "shift_only")
-        best = None   # (score, matched, offset, payload, per_block)
-        for s in order[:2 * reach + 1]:
-            if s not in passes:
-                continue
-            decoded, payload, designating = passes[s]
-            per_block = [BlockResult(dec is not None if any_codeword
-                                     else payload in payloads,
-                                     dec[1] if dec else None, s)
-                         for dec, payloads in zip(decoded, designating)]
-            matched = sum(b.matched for b in per_block)
-            score = matched / len(per_block)
-            if best is None or score > best[0]:
-                best = (score, matched, s, payload, per_block)
-        if best is None:
+        # the record's decodable mask, or its designated one
+        rule = 2 if cfg.mode in ("naive", "shift_only") else 3
+        searched = [s for s in order[:2 * reach + 1] if s in records]
+        if not searched:
             reports.append(DetectionReport(
                 False, None, 0, 0, 0, diagnostic="text shorter than one block"))
             continue
-        score, matched, s, payload, per_block = best
+        # max keeps the first of equal ratios, so the search order decides
+        s = max(searched, key=lambda o: sum(records[o][rule])
+                / len(records[o][rule]))
+        decoded, payload = records[s][:2]
+        matches = records[s][rule]
+        matched = sum(matches)
         is_wm = matched >= cfg.tau
         reports.append(DetectionReport(
             is_wm, int_to_bits(payload, code.k) if is_wm else None,
-            best_offset=s, matched=matched, block_count=len(per_block),
-            per_block=per_block, score=score))
+            best_offset=s, matched=matched, block_count=len(decoded),
+            per_block=[BlockResult(m, dec[1] if dec else None, s)
+                       for dec, m in zip(decoded, matches)],
+            score=matched / len(decoded)))
     return reports
 
 

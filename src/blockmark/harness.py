@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, asdict
 
@@ -20,7 +21,8 @@ from .generation import ControlledMassSource, EmbedConfig, TokenSequence, \
 from .keying import SecretKey, plan_block
 from .seqio import FORMAT_VERSION
 
-ATTACK_KEYS = ("kind", "rate", "rng_seed")     # an attack entry's settings
+# an attack entry's settings; its seed derives from master_seed
+ATTACK_KEYS = ("kind", "rate")
 WILSON_Z = 1.959963984540054     # two-sided 95% normal quantile
 
 
@@ -41,7 +43,30 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        """Refuse a setting of the wrong type with ContractError, before
+        the first trial; grids become tuples."""
         self.code = code_params(self.code)
+        for name in ("s_max_grid", "tau_grid", "mode_grid"):
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)):
+                raise ContractError(f"{name} must be a list, got {grid!r}")
+            setattr(self, name, tuple(grid))
+        if not isinstance(self.diverse, bool):
+            raise ContractError(f"diverse must be true or false, "
+                                f"got {self.diverse!r}")
+        numeric = [(name, getattr(self, name), numbers.Integral) for name in
+                   ("trials", "vocab_size", "text_len", "master_seed")]
+        numeric += [(f"{name} item", v, numbers.Integral)
+                    for name in ("s_max_grid", "tau_grid")
+                    for v in getattr(self, name)]
+        numeric += [(name, getattr(self, name), numbers.Real)
+                    for name in ("delta", "mass")
+                    if getattr(self, name) is not None]
+        for name, value, kind in numeric:
+            # Python counts a bool as an int; no setting takes one so
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is numbers.Integral else "a number"
+                raise ContractError(f"{name} must be {what}, got {value!r}")
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentSpec":
@@ -50,17 +75,18 @@ class ExperimentSpec:
         default unseen."""
         known = ExperimentSpec.__dataclass_fields__
         entries = cfg.get("attacks", [{"kind": "substitute", "rate": 0.0}])
+        if not isinstance(entries, list) or not all(
+                isinstance(a, dict) and {"kind", "rate"} <= a.keys()
+                for a in entries):
+            raise ContractError("attacks must be a list of objects with a "
+                                f"kind and a rate, got {entries!r}")
         unknown = [str(k) for k in cfg if k not in known] + [
             f"attacks[{i}].{k}" for i, a in enumerate(entries)
             for k in a if k not in ATTACK_KEYS]
         if unknown:
             raise ContractError(f"unknown config keys: {', '.join(unknown)}")
-        attacks = [AttackSpec(a["kind"], a["rate"], a.get("rng_seed", 0))
-                   for a in entries]
+        attacks = [AttackSpec(a["kind"], a["rate"]) for a in entries]
         kwargs = {k: v for k, v in cfg.items() if k != "attacks"}
-        for name in ("s_max_grid", "tau_grid", "mode_grid"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
         return ExperimentSpec(attacks=attacks, **kwargs)
 
 

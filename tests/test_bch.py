@@ -31,6 +31,15 @@ def test_construction(n, k, t):
     assert code.fld.period == n
     # generator has a constant term (it divides x^n - 1 and is square-free)
     assert code.generator & 1
+    # a code is its (n, k, t): built again it is equal and hashes alike,
+    # and make returns the one cached object
+    built = BchCode(n, k, t)
+    assert built == code and hash(built) == hash(code)
+    assert built is not code and BchCode.make(n, k, t) is code
+    assert {built: 1}[code] == 1
+    for build in (BchCode.make, BchCode):
+        with pytest.raises(ContractError, match="unknown code instance"):
+            build(n, k + 1, t)
 
 
 def test_make_rejects_unknown_instance():

@@ -37,7 +37,7 @@ def test_wilson_interval():
 def test_from_dict_roundtrip():
     spec = ExperimentSpec.from_dict({
         "trials": 10, "code": [15, 5, 3], "text_len": 60,
-        "attacks": [{"kind": "insert", "rate": 0.1, "rng_seed": 3}],
+        "attacks": [{"kind": "insert", "rate": 0.1}],
         "s_max_grid": [0, 1], "tau_grid": [1], "mode_grid": ["both"],
         "master_seed": 5})
     assert spec.code == (15, 5, 3)
@@ -105,17 +105,18 @@ def test_from_dict_rejects_unknown_keys():
         ExperimentSpec.from_dict({"trails": 5, "mode": "naive", "attacks": [
             {"kind": "delete", "rate": 0.1, "seed": 2},
             {"kind": "insert", "rate": 0.1, "rng_seed": 1, "sed": 3}]})
-    for name in ("trails", "mode", "attacks[0].seed", "attacks[1].sed"):
+    # a campaign seeds its attacks from master_seed, so rng_seed is none
+    for name in ("trails", "mode", "attacks[0].seed", "attacks[1].rng_seed",
+                 "attacks[1].sed"):
         assert name in str(err.value)
     # where a campaign's CSV goes is the CLI's --output, not a setting
     with pytest.raises(ContractError, match="output_path"):
         ExperimentSpec.from_dict({"output_path": "m.csv"})
     spec = ExperimentSpec.from_dict({"diverse": True, "code": [15, 5, 3],
                                      "attacks": [{"kind": "delete",
-                                                  "rate": 0.1,
-                                                  "rng_seed": 4}]})
+                                                  "rate": 0.1}]})
     assert spec.diverse and spec.code == (15, 5, 3)
-    assert spec.attacks == [AttackSpec("delete", 0.1, 4)]
+    assert spec.attacks == [AttackSpec("delete", 0.1)]
 
 
 def test_campaign_decodes_each_text_once_per_offset(monkeypatch):

@@ -237,6 +237,46 @@ def test_cli_campaign_rejects_unknown_key(tmp_path):
             assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"text_len": "200"}, "text_len must be an integer, got '200'"),
+    ({"master_seed": 2.5}, "master_seed must be an integer, got 2.5"),
+    ({"s_max_grid": [2.5]}, "s_max_grid item must be an integer, got 2.5"),
+    ({"tau_grid": [1.5]}, "tau_grid item must be an integer, got 1.5"),
+    ({"tau_grid": [False]}, "tau_grid item must be an integer, got False"),
+    ({"delta": "6"}, "delta must be a number, got '6'"),
+    ({"mass": "0.5"}, "mass must be a number, got '0.5'"),
+    ({"attacks": [{"kind": "insert", "rate": "0.1"}]},
+     "rate must be a number, got '0.1'"),
+    ({"diverse": "no"}, "diverse must be true or false, got 'no'"),
+    ({"mode_grid": "both"}, "mode_grid must be a list, got 'both'"),
+    ({"s_max_grid": 5}, "s_max_grid must be a list, got 5"),
+    ({"attacks": "insert"}, "attacks must be a list of objects with a kind "
+                            "and a rate, got 'insert'"),
+    ({"attacks": [{"kind": "insert"}]}, "attacks must be a list of objects "
+                                        "with a kind and a rate, got "
+                                        "[{'kind': 'insert'}]"),
+], ids=["trials-float", "trials-bool", "text_len-str", "master_seed-float",
+        "s_max-float", "tau-float", "tau-bool", "delta-str", "mass-str",
+        "rate-str", "diverse-str", "mode_grid-str", "s_max_grid-int",
+        "attacks-str", "attack-without-rate"])
+def test_cli_campaign_rejects_wrongly_typed_setting(tmp_path, setting,
+                                                    message):
+    """A setting of the wrong type ends campaign and roc in one
+    `blockmark: ...` line, where it used to raise a TypeError, write a
+    `tau1.5` row, run the diverse plan for "no", split a grid string
+    into one-letter modes or an attacks string into one-letter keys."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 2, **setting}))
+    out = tmp_path / "m.csv"
+    for command in ("campaign", "roc"):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", str(cfg), "--output", str(out)])
+        assert exit_.value.code == f"blockmark: {message}"
+        assert not out.exists()
+
+
 def test_cli_roc(tmp_path, capsys):
     """The ROC CSV is deterministic: its bytes are pinned, and the same
     bytes go to a file and to standard output."""

@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Count and sha256 of the detect_all reports over a fixed grid.
+
+    PYTHONPATH=src python3 tools/report_grid.py
+
+The package is imported from PYTHONPATH, so the same script checks any
+checkout: `PYTHONPATH=DIR/src python3 tools/report_grid.py` reads the
+one in DIR.  Two trees that print the same line detect alike on the grid.
+
+The grid: every named code, both plans, and per text one detect_all call
+over the four modes at s_max 0, 3 and n.  The texts are a clean
+embedding of 4n + 5 tokens, the same after insert@0.1 and after
+delete@0.1, an unwatermarked text of the same length, and embeddings of
+n - 1 and of n tokens.  Each report goes into the hash as the repr of its
+fields, the per-block results and the types of the numbers included.
+"""
+import hashlib
+from dataclasses import asdict
+
+import numpy as np
+
+from blockmark.attacks import AttackSpec, attack
+from blockmark.bch import NAMED_CODES, BchCode
+from blockmark.detector import MODES, DetectConfig, detect_all
+from blockmark.generation import EmbedConfig, UniformSource, embed, \
+    sample_unwatermarked
+from blockmark.keying import SecretKey
+
+KEY = SecretKey(bytes(range(32)))
+VOCAB = 1024
+
+
+def texts(code: BchCode, diverse: bool, seed: int):
+    src = UniformSource(VOCAB)
+    payload = np.random.default_rng(seed).integers(
+        0, 2, code.k).astype(np.uint8)
+
+    def wm(tokens):
+        return embed(src, KEY, payload, EmbedConfig(
+            code=code, delta=6.0, scheme="soft", token_count=tokens,
+            rng_seed=seed, diverse=diverse))
+
+    T = 4 * code.n + 5
+    clean = wm(T)
+    return [clean,
+            attack(clean, AttackSpec("insert", 0.1, seed)),
+            attack(clean, AttackSpec("delete", 0.1, seed)),
+            sample_unwatermarked(src, T, seed),
+            wm(code.n - 1),
+            wm(code.n)]
+
+
+def main():
+    digest = hashlib.sha256()
+    count = 0
+    for seed, (n, k, t) in enumerate(sorted(NAMED_CODES)):
+        code = BchCode.make(n, k, t)
+        for diverse in (False, True):
+            cfgs = [DetectConfig(code=code, key=KEY, s_max=s_max, mode=mode,
+                                 diverse=diverse)
+                    for mode in MODES for s_max in (0, 3, n)]
+            for seq in texts(code, diverse, seed):
+                for report in detect_all(seq, cfgs):
+                    digest.update(repr(asdict(report)).encode())
+                    count += 1
+    print(f"{count} reports sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
