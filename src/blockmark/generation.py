@@ -126,15 +126,13 @@ class TokenSequence:
         return len(self.tokens)
 
 
-_CHUNK = 1 << 16          # uniform doubles drawn at a time
+# Uniform doubles drawn at a time by the two-level sampler, and by the
+# per-step sampler, which ran slower and took more memory at 2^16.
+_CHUNK = 1 << 16
+_STEP_CHUNK = 1 << 14
 _WINDOW = 2.0 ** -20      # see _two_level_argmax
 _READ = 8.0               # mean ids a row of _two_level_argmax reads first
 _EMPTY = "empty target list in hard mode"
-
-
-def _gumbel_sample(rng: np.random.Generator, logits: np.ndarray) -> int:
-    # argmax of logits + Gumbel noise == softmax sampling
-    return int(np.argmax(logits + rng.gumbel(size=logits.shape)))
 
 
 def _gumbel(u: float) -> float:
@@ -151,6 +149,24 @@ def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
         u = u[u != 0.0]
         u = np.concatenate([u, rng.random(size - u.size)])
     return u
+
+
+def _window(values: np.ndarray) -> float:
+    """max(2^-20, ulp(M + 64)), M the largest finite |value|: at least
+    the rounding step of any score c + G(u), since |G(u)| < 64, and far
+    more than the error of a log."""
+    finite = np.abs(values[np.isfinite(values)])
+    return max(_WINDOW, math.ulp(float(finite.max(initial=0.0)) + 64.0))
+
+
+def _rescore(best: list, rows, consts, us, ids) -> None:
+    """Keep in best[r] the highest exact key (c + G(u), -id) of the
+    candidates of row r: np.argmax's choice, the highest score and on a
+    tie the smallest id."""
+    for r, c, x, v in zip(rows, consts, us, ids):
+        key = (c + _gumbel(x), -v)
+        if best[r] is None or key > best[r]:
+            best[r] = key
 
 
 def _two_level_argmax(rng: np.random.Generator, vocab_size: int, classes,
@@ -175,11 +191,9 @@ def _two_level_argmax(rng: np.random.Generator, vocab_size: int, classes,
     """
     (rows, C), V = consts.shape, vocab_size
     u = _uniforms(rng, rows * V).reshape(rows, V)
-    can_win = np.isfinite(consts)
-    finite = np.abs(consts[can_win])
-    w = max(_WINDOW, math.ulp(float(finite.max(initial=0.0)) + 64.0))
+    w = _window(consts)
     # per cell r*C + c (class c of row r): inf, -inf if it cannot win
-    unseen = np.where(can_win, math.inf, -math.inf)
+    unseen = np.where(np.isfinite(consts), math.inf, -math.inf)
     best = [None] * rows
     todo, sub, top = np.arange(rows), u, _READ / V
     while todo.size:
@@ -192,16 +206,54 @@ def _two_level_argmax(rng: np.random.Generator, vocab_size: int, classes,
         end += w
         done = (end <= top).reshape(-1, C).all(axis=1) | (top >= 1)
         near = np.flatnonzero((x <= end[cell]) & done[rr])
-        for r, c, xu, v in zip(todo[rr[near]].tolist(),
-                               consts[todo].ravel()[cell[near]].tolist(),
-                               x[near].tolist(), ids[near].tolist()):
-            key = (c + _gumbel(xu), -v)
-            if best[r] is None or key > best[r]:
-                best[r] = key
+        _rescore(best, todo[rr[near]].tolist(),
+                 consts[todo].ravel()[cell[near]].tolist(),
+                 x[near].tolist(), ids[near].tolist())
         todo, sub, top = todo[~done], sub[~done], top * 4
     if None in best:
         raise GenerationError(_EMPTY)
     return [-key[1] for key in best]
+
+
+def _gumbel_argmax(rng: np.random.Generator, scores: np.ndarray) -> list:
+    """One token per row r of `scores`, equal to
+    np.argmax(scores[r] + rng.gumbel(size=V)) row after row, and drawing
+    the same doubles.
+
+    Every id is scored at once with numpy's vectorised log, which may
+    differ from libm's in the last bits of G(u).  That error is far below
+    w (`_window`), which is at least a rounding step of any score, so a
+    score computed either way lies within w of the other, and the exact
+    best lies within 2w of the approximate best.  The ids that close to
+    their row's best are scored again exactly; the highest score wins and
+    ties go to the smallest id.  A row holding NaN scores NaN there, and
+    np.argmax returns its first NaN; no id of such a row is rescored.
+    """
+    u = _uniforms(rng, scores.size).reshape(scores.shape)
+    approx = scores - np.log(-np.log(1.0 - u))
+    top = approx.argmax(axis=1)
+    edge = approx[np.arange(len(top)), top] - 2 * _window(scores)
+    rows, ids = np.divmod(np.flatnonzero(approx >= edge[:, None]),
+                          scores.shape[1])
+    best = [None] * len(top)
+    _rescore(best, rows.tolist(), scores[rows, ids].tolist(),
+             u[rows, ids].tolist(), ids.tolist())
+    return [t if key is None else -key[1]
+            for t, key in zip(top.tolist(), best)]
+
+
+def _per_step(rng: np.random.Generator, vocab_size: int, steps: int,
+              scores) -> np.ndarray:
+    """`steps` tokens, token i equal to
+    np.argmax(scores(i) + rng.gumbel(size=V)).  `scores` is called once
+    per step, in order, a chunk of _STEP_CHUNK doubles of steps before the
+    chunk's noise is drawn (`_gumbel_argmax`)."""
+    out = np.empty(steps, dtype=np.int64)
+    rows = max(1, _STEP_CHUNK // vocab_size)
+    for a in range(0, steps, rows):
+        chunk = np.array([scores(i) for i in range(a, min(a + rows, steps))])
+        out[a:a + len(chunk)] = _gumbel_argmax(rng, chunk)
+    return out
 
 
 def _scores(logits: np.ndarray, on: np.ndarray, cfg: EmbedConfig):
@@ -246,11 +298,10 @@ def _two_level_block(src, rng, cfg, seed, part, bits) -> np.ndarray:
 
 
 def _per_step_block(src, rng, cfg, seed, part, bits) -> np.ndarray:
-    out = np.empty(len(bits), dtype=np.int64)
-    for b, bit in enumerate(bits):
-        green = part == bit
-        out[b] = _gumbel_sample(rng, _scores(src.logits(green), green, cfg))
-    return out
+    def scores(b):
+        green = part == bits[b]
+        return _scores(src.logits(green), green, cfg)
+    return _per_step(rng, src.vocab_size, len(bits), scores)
 
 
 def embed(src: LogitSource, key: SecretKey, payload: np.ndarray,
@@ -261,7 +312,8 @@ def embed(src: LogitSource, key: SecretKey, payload: np.ndarray,
     is biased (soft) or restricted (hard) toward the token list whose
     keyed bit equals the block's target bit at position b.  Tokens are
     Gumbel-max samples; the two-level sources draw them block by block
-    from uniforms, with the same tokens and the same random stream.
+    from uniforms, other sources a chunk of steps at a time, with the same
+    tokens and the same random stream as one rng.gumbel(size=V) per step.
     """
     code = cfg.code
     n = code.n
@@ -288,16 +340,19 @@ def embed(src: LogitSource, key: SecretKey, payload: np.ndarray,
 def sample_unwatermarked(src: LogitSource, token_count: int,
                          rng_seed: int) -> TokenSequence:
     """Plain softmax sampling, no bias; the H0 corpus."""
+    check_vocab_size(src.vocab_size)
+    if token_count < 0:
+        raise ContractError("token_count must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    tokens = np.empty(token_count, dtype=np.int64)
     if type(src) in _TWO_LEVEL:
         # one class, every logit 0
+        tokens = np.empty(token_count, dtype=np.int64)
         rows = max(1, _CHUNK // src.vocab_size)
         for a in range(0, token_count, rows):
             m = min(rows, token_count - a)
             tokens[a:a + m] = _two_level_argmax(
                 rng, src.vocab_size, None, np.zeros((m, 1)))
     else:
-        for t in range(token_count):
-            tokens[t] = _gumbel_sample(rng, src.logits(None))
+        tokens = _per_step(rng, src.vocab_size, token_count,
+                           lambda t: src.logits(None))
     return TokenSequence(tokens, src.vocab_size, meta={"scheme": "none"})

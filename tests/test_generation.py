@@ -1,10 +1,12 @@
 """Embedding schemes and synthetic logit sources."""
 import hashlib
 import itertools
+import math
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockmark import generation, keying
 from blockmark.bch import NAMED_CODES, BchCode, ContractError, int_to_bits
@@ -22,6 +24,10 @@ PAYLOAD = int_to_bits(45, 6)
 # _grid_digest() as the sampler that hashed every block's whole partition
 # computed it
 GRID_SHA256 = "8b36446d06d801acd21842ff5cce8cf0bea70c6fd572d8ba37058b7b7ea60ee3"
+# _per_step_digest() as the sampler that drew rng.gumbel(size=V) per step
+# computed it
+PER_STEP_SHA256 = \
+    "28069d2c0a3ccd3c39e2fa1ddc740a5bc9e991b1ab8fb1ac10b1174182342a3a"
 
 
 def _schedule(token_count):
@@ -138,36 +144,81 @@ def test_unwatermarked_is_uniform():
     assert chi2 < 40.0
 
 
-# ------------------------------------------------ the two-level sampler
+# ------------------------------------------ the package against the oracle
 
-class _PerStep(LogitSource):
-    """Delegates `logits` to a source, so embedding and H0 sampling take
-    the per-step Gumbel path with the same logits."""
+def _literal_embed(src, key, payload, cfg) -> list:
+    """`embed` as the scheme states it, one step at a time: one `logits`
+    call with the step's target list, the soft bias or the hard
+    restriction, then np.argmax(scores + rng.gumbel(size=V))."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    code, V = cfg.code, src.vocab_size
+    tokens = []
+    for t in range(cfg.token_count):
+        j, b = divmod(t, code.n)
+        if b == 0:
+            part = partition_bits(derive_block_key(key, j, code.k), V)
+            bits = plan_block(key, j, payload, code, cfg.diverse).target_bits
+        green = part == bits[b]
+        logits = src.logits(green)
+        if cfg.scheme == "hard":
+            if not green.any():
+                raise GenerationError("empty target list in hard mode")
+            scores = np.where(green, logits, -np.inf)
+        else:
+            scores = logits + cfg.delta * green
+        tokens.append(int(np.argmax(scores + rng.gumbel(size=V))))
+    return tokens
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.vocab_size = inner.vocab_size
+
+def _literal_h0(src, token_count, rng_seed) -> list:
+    """`sample_unwatermarked` one step at a time: one `logits(None)`
+    call, then np.argmax(logits + rng.gumbel(size=V))."""
+    rng = np.random.default_rng(rng_seed)
+    return [int(np.argmax(src.logits(None) + rng.gumbel(size=src.vocab_size)))
+            for _ in range(token_count)]
+
+
+class _Stateful(LogitSource):
+    """A source that is not two-level: its logits come from its own seeded
+    generator, so they depend on how many calls came before, and are
+    rounded to tenths, so many of them tie.  It records every green list
+    it is asked for."""
+
+    def __init__(self, vocab_size, seed):
+        self.vocab_size = vocab_size
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
 
     def logits(self, green_mask=None):
-        return self.inner.logits(green_mask)
+        self.calls.append(None if green_mask is None else green_mask.copy())
+        return np.round(self.rng.normal(scale=2.0, size=self.vocab_size), 1)
 
 
 def _outcome(fn):
     try:
-        return fn().tokens.tolist()
+        out = fn()
     except Exception as exc:           # the same exception on both paths
         return type(exc), str(exc)
+    return out if isinstance(out, list) else out.tokens.tolist()
+
+
+def _same_calls(a: _Stateful, b: _Stateful) -> bool:
+    """Both sources were asked for the same green lists, in order."""
+    return len(a.calls) == len(b.calls) and all(
+        (x is None and y is None) or np.array_equal(x, y)
+        for x, y in zip(a.calls, b.calls))
 
 
 @pytest.mark.parametrize("nkt", sorted(NAMED_CODES),
                          ids=lambda nkt: "-".join(map(str, nkt)))
 def test_two_level_embed_equals_per_step(nkt):
-    """Tokens (or the exception) of the two-level sampler equal the
-    per-step Gumbel path's, which reads the whole partition: V from 1 to
-    32768, soft, hard and huge deltas, both sources, both plans and a
-    partial last block.  At V = 1 one class is empty, so hard mode meets
-    an empty list.  An infinite delta is refused before either path
-    runs."""
+    """Tokens (or the exception) of both sampling paths equal the literal
+    sampler's, which reads the whole partition: the two-level sampler
+    through both synthetic sources, the per-step path through a stateful
+    source, which also gets the same `logits` calls.  V from 1 to 32768,
+    soft, hard and huge deltas, both plans and a partial last block.  At
+    V = 1 one class is empty, so hard mode meets an empty list.  An
+    infinite delta is refused before either path runs."""
     code = BchCode.make(*nkt)
     cases = [(V, scheme, delta, mass)
              for V in (1, 2, 3, 64, 1024, 32768)
@@ -189,21 +240,67 @@ def test_two_level_embed_equals_per_step(nkt):
                               token_count=code.n + 2, rng_seed=i,
                               diverse=diverse)
             fast = _outcome(lambda: embed(src, KEY, payload, cfg))
-            slow = _outcome(lambda: embed(_PerStep(src), KEY, payload, cfg))
-            assert fast == slow, (V, scheme, delta, mass, diverse)
+            want = _outcome(lambda: _literal_embed(src, KEY, payload, cfg))
+            assert fast == want, (V, scheme, delta, mass, diverse)
             if isinstance(fast, tuple) and mass is None:
                 errors.add(fast)
+            if mass is None:             # once per case and plan
+                a, b = _Stateful(V, i), _Stateful(V, i)
+                assert _outcome(lambda: embed(a, KEY, payload, cfg)) == \
+                    _outcome(lambda: _literal_embed(b, KEY, payload, cfg))
+                assert _same_calls(a, b)
     assert errors == {(GenerationError, "empty target list in hard mode")}
 
 
 def test_two_level_unwatermarked_equals_per_step():
+    """Both paths of H0 sampling equal the literal sampler, over lengths
+    that cross the chunks of either path."""
     for V in (1, 2, 3, 64, 1024, 32768):
-        rows = max(1, generation._CHUNK // V)     # one chunk and a bit
-        for seed, T in ((0, 0), (1, 5), (2, rows + 3)):
+        two_level = max(1, generation._CHUNK // V)
+        per_step = max(1, generation._STEP_CHUNK // V)
+        for seed, T in ((0, 0), (1, 5), (2, two_level + 3),
+                        (3, 2 * per_step + 1)):
             src = ControlledMassSource(V, 0.4) if V > 1 else UniformSource(V)
             assert _outcome(lambda: sample_unwatermarked(src, T, seed)) == \
-                _outcome(lambda: sample_unwatermarked(_PerStep(src), T,
-                                                      seed))
+                _outcome(lambda: _literal_h0(src, T, seed))
+            a, b = _Stateful(V, seed), _Stateful(V, seed)
+            assert _outcome(lambda: sample_unwatermarked(a, T, seed)) == \
+                _outcome(lambda: _literal_h0(b, T, seed))
+            assert a.calls == [None] * T and _same_calls(a, b)
+
+
+def _per_step_digest() -> str:
+    """sha256 over the tokens, or the exception's type and text, of the
+    per-step path through a stateful source: one embedding per code, V in
+    {1, 2, 3, 64, 1024}, soft delta 0, 2.5 or 1e30 or hard, and either
+    plan, with a partial last block; then H0 samples of lengths up to and
+    past a chunk of 2^14 doubles."""
+    h = hashlib.sha256()
+
+    def add(fn):
+        try:
+            h.update(fn().tokens.astype("<i8").tobytes())
+        except GenerationError as exc:
+            h.update(f"{type(exc).__name__}: {exc}".encode())
+    arms = (("soft", 0.0), ("soft", 2.5), ("soft", 1e30), ("hard", 0.0))
+    for i, (nkt, V, (scheme, delta), diverse) in enumerate(itertools.product(
+            sorted(NAMED_CODES), (1, 2, 3, 64, 1024), arms, (False, True))):
+        code = BchCode.make(*nkt)
+        cfg = EmbedConfig(code=code, delta=delta, scheme=scheme,
+                          token_count=code.n + 3, rng_seed=i,
+                          diverse=diverse)
+        add(lambda: embed(_Stateful(V, i), KEY,
+                          int_to_bits(5 * i + 3, code.k), cfg))
+    for i, V in enumerate((1, 2, 3, 64, 1024)):
+        for T in (0, 1, (1 << 14) // V, (1 << 14) // V + 3):
+            add(lambda: sample_unwatermarked(_Stateful(V, T), T, i))
+    return h.hexdigest()
+
+
+def test_per_step_is_pinned():
+    """The per-step path's tokens and exceptions, pinned as the sampler
+    that drew rng.gumbel(size=V) at every step produced them."""
+    assert _per_step_digest() == PER_STEP_SHA256
 
 
 def _grid_digest() -> str:
@@ -271,22 +368,57 @@ def _zero_at(index: int, seed: int = 5) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-@pytest.mark.parametrize("index", [0, 1, 63, 64, 100, 255])
+@pytest.mark.parametrize("index", [0, 1, 63, 64, 100, 127, 128, 255])
 def test_zero_uniform_is_redrawn_like_gumbel(index):
-    """rng.gumbel redraws u = 0; the sampler drops that double from the
-    stream in the same place, within a row and across rows."""
+    """rng.gumbel redraws u = 0; both samplers drop that double from the
+    stream in the same place, within a row, across rows and, for the
+    per-step sampler, at the edge of two chunks of two rows."""
     V, rows = 64, 4
     probe = _zero_at(index).random(index + 1)
     assert probe[index] == 0.0 and probe[:index].all()
-    rng_a, rng_b = _zero_at(index), _zero_at(index)
     consts = np.array([[0.0, 1.5], [2.0, -np.inf], [0.0, 0.0], [3.0, 1.0]])
     part = np.arange(V) % 3 == 0
-    got = generation._two_level_argmax(rng_a, V, part.astype(np.int8)
-                                       .__getitem__, consts)
-    want = [int(np.argmax(np.where(part, c1, c0) + rng_b.gumbel(size=V)))
-            for c0, c1 in consts]
-    assert got == want
+    scores = np.where(part, consts[:, 1:], consts[:, :1])
+    rng_b = _zero_at(index)
+    want = [int(np.argmax(row + rng_b.gumbel(size=V))) for row in scores]
+    rng_a = _zero_at(index)
+    assert generation._two_level_argmax(
+        rng_a, V, part.astype(np.int8).__getitem__, consts) == want
     assert rng_a.random() == rng_b.random()     # the streams stay aligned
+    rng_a, rng_b = _zero_at(index), _zero_at(index)
+    rng_b.gumbel(size=rows * V)
+    assert generation._gumbel_argmax(rng_a, scores[:2]) + \
+        generation._gumbel_argmax(rng_a, scores[2:]) == want
+    assert rng_a.random() == rng_b.random()
+
+
+_SCORE = st.one_of(
+    st.sampled_from([0.0, 2.5, -np.inf, np.inf, np.nan, 1e12, 1e17]),
+    st.floats(-40.0, 40.0),
+    st.floats(1e12 - 64.0, 1e12 + 64.0),     # ulp 2^-13
+    st.floats(2.0 ** 53, 2.0 ** 54))          # ulp 2: G rounds to ties
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_gumbel_argmax_equals_literal_sampler(V, data):
+    """The per-step kernel equals np.argmax(scores + rng.gumbel(size=V))
+    row by row over equal, infinite, NaN and huge scores, split into two
+    chunks anywhere, and leaves the stream where the literal sampler
+    does."""
+    rows = data.draw(st.integers(1, 8))
+    scores = np.array(data.draw(st.lists(
+        st.lists(_SCORE, min_size=V, max_size=V),
+        min_size=rows, max_size=rows)))
+    edge = data.draw(st.integers(1, rows))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = generation._gumbel_argmax(rng_a, scores[:edge])
+    if edge < rows:
+        got += generation._gumbel_argmax(rng_a, scores[edge:])
+    want = [int(np.argmax(row + rng_b.gumbel(size=V))) for row in scores]
+    assert got == want
+    assert rng_a.random() == rng_b.random()
 
 
 class _Scripted:
@@ -312,6 +444,33 @@ def test_near_minimum_ties_go_to_smallest_id():
     assert want == [0, 1]
     assert generation._two_level_argmax(_Scripted(u), 4, None,
                                         consts) == want
+
+
+def test_rescoring_follows_libm_where_vectorised_log_differs():
+    """numpy's vectorised log may differ from libm's in the last bit.  Two
+    ids whose errors go opposite ways can then rank one way in the
+    vectorised scores and the other way in rng.gumbel's; the kernel
+    rescores both and follows rng.gumbel."""
+    V = 1 << 14
+    u = np.random.default_rng(0).random((1, V))
+    fast = -np.log(-np.log(1.0 - u))[0]
+    exact = np.array([generation._gumbel(x) for x in u[0]])
+    band = (1.0 <= exact) & (exact < 2.0)        # one binade: one ulp
+    up = np.flatnonzero(band & (fast > exact))
+    down = np.flatnonzero(band & (fast < exact))
+    if not (up.size and down.size):
+        pytest.skip("numpy's vectorised log equals libm's on this host")
+    i0, i1 = up[0], down[0]
+    scores = np.full((1, V), -np.inf)
+    scores[0, i0] = 0.0
+    # exact: id i1 scores one ulp above id i0; vectorised: at least one
+    # ulp below it
+    scores[0, i1] = exact[i0] + math.ulp(exact[i0]) - exact[i1]
+    assert scores[0, i1] + exact[i1] > exact[i0]
+    assert scores[0, i1] + fast[i1] < fast[i0]
+    want = int(np.argmax(scores[0] + exact))
+    assert want == i1
+    assert generation._gumbel_argmax(_Scripted(u[0]), scores) == [want]
 
 
 def test_uniforms_follow_gumbel_stream():

@@ -368,6 +368,28 @@ def test_cli_rejects_bad_code(tmp_path):
         assert message in err, err
 
 
+def test_cli_rejects_bad_sizes(tmp_path):
+    """A negative --tokens or a --vocab-size of 0 ends sample-h0, as it
+    ends embed, with status 1 and one `blockmark: ...` line; sample-h0
+    --tokens 0 writes empty sequences."""
+    key = tmp_path / "key.txt"
+    seqio.write_key(key, SecretKey(bytes(32)))
+    embed = ["embed", "--key-file", str(key), "--payload", "1"]
+    cases = [(["--tokens", "-3"], "token_count must be >= "),
+             (["--vocab-size", "0"],
+              "vocab_size must lie in [1, 2^32), got 0")]
+    for command in (["sample-h0"], embed):
+        for args, message in cases:
+            status, out, err = _cli_exit(command + args + ["--output", "-"],
+                                         tmp_path)
+            assert (status, out) == (1, ""), (command, args)
+            assert err.startswith("blockmark: ") and err.count("\n") == 1
+            assert message in err, err
+    out = tmp_path / "h0.jsonl"
+    main(["sample-h0", "--tokens", "0", "--count", "2", "--output", str(out)])
+    assert [len(seq) for seq in seqio.read_sequences(out)] == [0, 0]
+
+
 def test_cli_attack_rejects_malformed_line(tmp_path):
     """A line of an attack's input that holds no sequence ends the
     command with status 1 and one line naming the line number."""
