@@ -67,12 +67,21 @@ def attack(seq: TokenSequence, spec: AttackSpec, key: SecretKey | None = None,
         j = idx // n
         part = partition_bits(derive_block_key(key, int(j), k), V)
         opposite = np.flatnonzero(part != part[toks[idx]])
+        if not opposite.size:
+            raise ContractError(f"bitflip: block {j} puts every token id "
+                                "in one keyed list")
         out[idx] = opposite[rng.integers(0, len(opposite))]
     return TokenSequence(out, V, meta=dict(seq.meta))
 
 
+def _check_shift(r) -> None:
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 0:
+        raise ContractError(f"r must be an integer >= 0, got {r!r}")
+
+
 def insert_prefix(seq: TokenSequence, r: int, rng_seed: int = 0) -> TokenSequence:
     """Prepend r uniform random tokens: a deterministic +r stream shift."""
+    _check_shift(r)
     if r == 0:
         return TokenSequence(seq.tokens.copy(), seq.vocab_size,
                              meta=dict(seq.meta))
@@ -84,5 +93,6 @@ def insert_prefix(seq: TokenSequence, r: int, rng_seed: int = 0) -> TokenSequenc
 
 def delete_prefix(seq: TokenSequence, r: int) -> TokenSequence:
     """Drop the first r tokens: a deterministic -r stream shift."""
+    _check_shift(r)
     return TokenSequence(seq.tokens[r:].copy(), seq.vocab_size,
                          meta=dict(seq.meta))

@@ -155,8 +155,15 @@ def _window(values: np.ndarray) -> float:
     """max(2^-20, ulp(M + 64)), M the largest finite |value|: at least
     the rounding step of any score c + G(u), since |G(u)| < 64, and far
     more than the error of a log."""
-    finite = np.abs(values[np.isfinite(values)])
-    return max(_WINDOW, math.ulp(float(finite.max(initial=0.0)) + 64.0))
+    mags = np.abs(values)
+    top = mags.max(initial=0.0)
+    if not top < math.inf:
+        # inf or NaN: the bits of a double |v| order as |v| does, and those
+        # of inf and NaN lie above those of every finite one; clear them
+        bits = mags.view(np.int64)
+        bits *= bits < 0x7FF << 52
+        top = bits.max().view(np.float64)
+    return max(_WINDOW, math.ulp(float(top) + 64.0))
 
 
 def _rescore(best: list, rows, consts, us, ids) -> None:
@@ -224,17 +231,24 @@ def _gumbel_argmax(rng: np.random.Generator, scores: np.ndarray) -> list:
     differ from libm's in the last bits of G(u).  That error is far below
     w (`_window`), which is at least a rounding step of any score, so a
     score computed either way lies within w of the other, and the exact
-    best lies within 2w of the approximate best.  The ids that close to
-    their row's best are scored again exactly; the highest score wins and
-    ties go to the smallest id.  A row holding NaN scores NaN there, and
-    np.argmax returns its first NaN; no id of such a row is rescored.
+    best lies within 2w of the approximate best.  A row with one id that
+    close takes it; in a row with more, those ids are scored again
+    exactly, the highest score wins and ties go to the smallest id.  A
+    row holding NaN scores NaN there, and np.argmax returns its first
+    NaN; no id of such a row is rescored.
     """
     u = _uniforms(rng, scores.size).reshape(scores.shape)
-    approx = scores - np.log(-np.log(1.0 - u))
+    approx = np.subtract(1.0, u)
+    np.log(approx, out=approx)
+    np.negative(approx, out=approx)
+    np.log(approx, out=approx)
+    np.subtract(scores, approx, out=approx)
     top = approx.argmax(axis=1)
     edge = approx[np.arange(len(top)), top] - 2 * _window(scores)
     rows, ids = np.divmod(np.flatnonzero(approx >= edge[:, None]),
                           scores.shape[1])
+    crowded = np.bincount(rows, minlength=len(top))[rows] > 1
+    rows, ids = rows[crowded], ids[crowded]
     best = [None] * len(top)
     _rescore(best, rows.tolist(), scores[rows, ids].tolist(),
              u[rows, ids].tolist(), ids.tolist())
@@ -243,35 +257,35 @@ def _gumbel_argmax(rng: np.random.Generator, scores: np.ndarray) -> list:
 
 
 def _per_step(rng: np.random.Generator, vocab_size: int, steps: int,
-              scores) -> np.ndarray:
+              fill) -> np.ndarray:
     """`steps` tokens, token i equal to
-    np.argmax(scores(i) + rng.gumbel(size=V)).  `scores` is called once
-    per step, in order, a chunk of _STEP_CHUNK doubles of steps before the
-    chunk's noise is drawn (`_gumbel_argmax`)."""
+    np.argmax(s_i + rng.gumbel(size=V)) for the scores s_i of step i.
+    For each chunk of _STEP_CHUNK doubles of steps, in order,
+    `fill(span, out)` writes the scores of the steps of the slice `span`
+    into the rows of `out`, before the chunk's noise is drawn
+    (`_gumbel_argmax`)."""
     out = np.empty(steps, dtype=np.int64)
     rows = max(1, _STEP_CHUNK // vocab_size)
+    buf = np.empty((min(rows, steps), vocab_size))
     for a in range(0, steps, rows):
-        chunk = np.array([scores(i) for i in range(a, min(a + rows, steps))])
-        out[a:a + len(chunk)] = _gumbel_argmax(rng, chunk)
+        b = min(a + rows, steps)
+        fill(slice(a, b), buf[:b - a])
+        out[a:b] = _gumbel_argmax(rng, buf[:b - a])
     return out
 
 
-def _scores(logits: np.ndarray, on: np.ndarray, cfg: EmbedConfig):
-    """A step's scores before the noise: the logits plus delta on the
-    target list `on` (soft), or the logits on it and -inf off it (hard)."""
+def _levels(src: LogitSource, cfg: EmbedConfig, green_count: int):
+    """A two-level step's scores before the noise, off and on its green
+    list of green_count tokens: the logits 0 and green_logit(green_count),
+    plus delta on the list (soft), or -inf off it (hard), the second
+    class on the list unless it is empty."""
+    logits = np.array([0.0, src.green_logit(green_count)])
+    on = np.array([False, green_count > 0])
     if cfg.scheme == "hard":
         if not on.any():
             raise GenerationError(_EMPTY)
         return np.where(on, logits, -np.inf)
     return logits + cfg.delta * on
-
-
-def _levels(src: LogitSource, cfg: EmbedConfig, green_count: int):
-    """A two-level step's scores before the noise, off and on its green
-    list of green_count tokens: `_scores` of the two classes, the second
-    on the list unless it is empty."""
-    return _scores(np.array([0.0, src.green_logit(green_count)]),
-                   np.array([False, green_count > 0]), cfg)
 
 
 def _two_level_block(src, rng, cfg, seed, part, bits) -> np.ndarray:
@@ -298,10 +312,22 @@ def _two_level_block(src, rng, cfg, seed, part, bits) -> np.ndarray:
 
 
 def _per_step_block(src, rng, cfg, seed, part, bits) -> np.ndarray:
-    def scores(b):
-        green = part == bits[b]
-        return _scores(src.logits(green), green, cfg)
-    return _per_step(rng, src.vocab_size, len(bits), scores)
+    hard = cfg.scheme == "hard"
+
+    def fill(span, out):
+        # the target lists of the span's steps, one row per step: one
+        # logits call per step with its list, then the bias of all rows
+        green = part == bits[span, None]
+        listed = green.any(axis=1)
+        for i, on in enumerate(green):
+            out[i] = src.logits(on)
+            if hard and not listed[i]:
+                raise GenerationError(_EMPTY)
+        if hard:
+            np.copyto(out, -np.inf, where=~green)
+        else:
+            out += cfg.delta * green
+    return _per_step(rng, src.vocab_size, len(bits), fill)
 
 
 def embed(src: LogitSource, key: SecretKey, payload: np.ndarray,
@@ -353,6 +379,8 @@ def sample_unwatermarked(src: LogitSource, token_count: int,
             tokens[a:a + m] = _two_level_argmax(
                 rng, src.vocab_size, None, np.zeros((m, 1)))
     else:
-        tokens = _per_step(rng, src.vocab_size, token_count,
-                           lambda t: src.logits(None))
+        def fill(span, out):
+            for row in out:
+                row[...] = src.logits(None)
+        tokens = _per_step(rng, src.vocab_size, token_count, fill)
     return TokenSequence(tokens, src.vocab_size, meta={"scheme": "none"})

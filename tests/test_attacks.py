@@ -83,6 +83,31 @@ def test_bitflip_flips_extracted_bits_at_rate():
     assert abs(flip_rate - 0.1) <= 3.5 * se
 
 
+def test_bitflip_draws_are_pinned():
+    """The bit-flip channel's tokens, pinned as the channel produced them
+    before it refused one-list blocks."""
+    cfg = EmbedConfig(code=CODE, delta=0.0, scheme="hard", token_count=300,
+                      rng_seed=11)
+    seq = embed(UniformSource(64), KEY, int_to_bits(9, 6), cfg)
+    out = attack(seq, AttackSpec("bitflip", 0.3, 4), key=KEY, n=CODE.n,
+                 k=CODE.k)
+    assert int((out.tokens != seq.tokens).sum()) == 71
+    assert hashlib.sha256(out.tokens.astype("<i8").tobytes()).hexdigest() \
+        == "b7ebb2c4d89f95cee04b25d428bb6fa8d049a16a16e2086b14ee37c72426c805"
+
+
+def test_bitflip_refuses_a_one_list_block():
+    """A block whose keyed partition puts every id in one list has no
+    opposite list to draw from."""
+    seq = TokenSequence([0, 0, 0], 1)
+    with pytest.raises(ContractError, match="block 0 puts every token id"):
+        attack(seq, AttackSpec("bitflip", 1.0, 0), key=KEY, n=CODE.n,
+               k=CODE.k)
+    out = attack(seq, AttackSpec("bitflip", 0.0, 0), key=KEY, n=CODE.n,
+                 k=CODE.k)
+    assert out.tokens.tolist() == [0, 0, 0]
+
+
 def test_substitute_halves_to_bit_error_rate():
     """A uniform replacement keeps its keyed bit with probability ~1/2, so
     token substitution at rate p induces a bit error rate of ~p/2."""
@@ -106,6 +131,20 @@ def test_prefix_helpers_shift_stream():
     assert len(dele) == 96
     assert np.array_equal(dele.tokens, seq.tokens[4:])
     assert np.array_equal(insert_prefix(seq, 0).tokens, seq.tokens)
+
+
+def test_prefix_helpers_refuse_a_bad_shift():
+    """r must be an integer >= 0: a negative r used to keep the last |r|
+    tokens (delete) or fail inside numpy (insert).  An r beyond the text
+    is allowed."""
+    seq = _seq(10)
+    for bad in (-2, -1, 1.0, 2.5, True, False, "3", None, np.float64(2)):
+        for helper in (insert_prefix, delete_prefix):
+            with pytest.raises(ContractError, match="r must be an integer"):
+                helper(seq, bad)
+    assert len(delete_prefix(seq, 25)) == 0
+    assert len(delete_prefix(seq, np.int64(3))) == 7
+    assert len(insert_prefix(seq, 25)) == 35
 
 
 def test_attacks_are_deterministic():

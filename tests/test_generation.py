@@ -421,6 +421,29 @@ def test_gumbel_argmax_equals_literal_sampler(V, data):
     assert rng_a.random() == rng_b.random()
 
 
+_ANY = st.one_of(
+    st.floats(),                              # NaN and +-inf included
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+    st.floats(2.0 ** 33, 1e300).flatmap(      # the window leaves 2^-20
+        lambda x: st.sampled_from([x, -x])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_window_is_ulp_of_largest_finite_score(rows, V, data):
+    """_window(v) = max(2^-20, ulp(M + 64)), M the largest finite |v| (0
+    when there is none), over rows with +-inf, NaN, no finite value at
+    all, and |v| >= 2^33, where the window grows past 2^-20."""
+    values = np.array(data.draw(st.lists(
+        st.lists(_ANY, min_size=V, max_size=V),
+        min_size=rows, max_size=rows)))
+    finite = [abs(x) for x in values.ravel().tolist() if math.isfinite(x)]
+    want = max(2.0 ** -20, math.ulp(max(finite, default=0.0) + 64.0))
+    assert generation._window(values) == want
+    if finite and max(finite) >= 2.0 ** 33:
+        assert want > 2.0 ** -20
+
+
 class _Scripted:
     """A generator that hands out a fixed list of doubles."""
 
@@ -508,3 +531,31 @@ def test_overriding_source_gets_one_logits_call_per_step():
     src.calls.clear()
     sample_unwatermarked(src, 9, 1)
     assert src.calls == [None] * 9
+
+
+@pytest.mark.parametrize("empty_at", [0, 1, 7, 15, 16, 17, 30, 39])
+def test_hard_failure_mid_chunk_stops_the_logits_calls(empty_at):
+    """In hard mode a step whose target list is empty ends the block right
+    after its own `logits` call: steps 0..i of the chunk that holds it are
+    asked for, with their lists, and no later step is, as in the loop
+    that takes one step at a time.  V = 1024 makes chunks of 16 steps."""
+    V = 1024
+    part = np.zeros(V, dtype=np.int8)         # every id keyed 0: bit 1 empty
+    bits = np.zeros(40, dtype=np.int8)
+    bits[empty_at] = 1
+    bits[empty_at + 1:] = np.arange(39 - empty_at) % 2
+    cfg = EmbedConfig(code=CODE, delta=0.0, scheme="hard", token_count=40,
+                      rng_seed=0)
+    src = _Stateful(V, 3)
+    with pytest.raises(GenerationError, match=generation._EMPTY):
+        generation._per_step_block(src, np.random.default_rng(0), cfg, 0,
+                                   part, bits)
+    literal = _Stateful(V, 3)
+    with pytest.raises(GenerationError, match=generation._EMPTY):
+        for b in bits:
+            green = part == b
+            literal.logits(green)
+            if not green.any():
+                raise GenerationError(generation._EMPTY)
+    assert len(src.calls) == empty_at + 1
+    assert _same_calls(src, literal)

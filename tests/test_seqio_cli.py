@@ -390,6 +390,25 @@ def test_cli_rejects_bad_sizes(tmp_path):
     assert [len(seq) for seq in seqio.read_sequences(out)] == [0, 0]
 
 
+def test_cli_bitflip_on_a_one_list_block(tmp_path):
+    """At V = 1 every id of a block lies in one keyed list, so bit-flip
+    has nothing to flip to: status 1 and one `blockmark: ...` line naming
+    the block, where it used to end in numpy's traceback."""
+    key = tmp_path / "key.txt"
+    seqio.write_key(key, SecretKey(bytes(32)))
+    path = tmp_path / "seqs.jsonl"
+    path.write_text('{"tokens": [0, 0, 0], "vocab_size": 1}\n')
+    out = tmp_path / "att.jsonl"
+    status, stdout, err = _cli_exit(
+        ["attack", "--kind", "bitflip", "--rate", "1", "--code", "31,6,7",
+         "--key-file", str(key), "--input", str(path), "--output",
+         str(out)], tmp_path)
+    assert (status, stdout) == (1, "")
+    assert err == "blockmark: bitflip: block 0 puts every token id in " \
+        "one keyed list\n"
+    assert not out.exists()
+
+
 def test_cli_attack_rejects_malformed_line(tmp_path):
     """A line of an attack's input that holds no sequence ends the
     command with status 1 and one line naming the line number."""
