@@ -61,6 +61,11 @@ def attack(seq: TokenSequence, spec: AttackSpec, key: SecretKey | None = None,
     # bitflip
     if key is None or n is None or k is None:
         raise ContractError("bitflip channel requires key, n and k")
+    for name, value in (("n", n), ("k", k)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or value < 1:
+            raise ContractError(f"bitflip: {name} must be an integer >= 1, "
+                                f"got {value!r}")
     hit = rng.random(len(toks)) < spec.rate
     out = toks.copy()
     for idx in np.flatnonzero(hit):

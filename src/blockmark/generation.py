@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -145,7 +144,7 @@ def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
     """The next `size` doubles that rng.gumbel(size=size) would transform.
     It redraws u = 0, so a zero leaves the stream and the rest move up."""
     u = rng.random(size)
-    while not u.all():
+    while u.min() == 0.0:
         u = u[u != 0.0]
         u = np.concatenate([u, rng.random(size - u.size)])
     return u
@@ -166,23 +165,41 @@ def _window(values: np.ndarray) -> float:
     return max(_WINDOW, math.ulp(float(top) + 64.0))
 
 
-def _rescore(best: list, rows, consts, us, ids) -> None:
-    """Keep in best[r] the highest exact key (c + G(u), -id) of the
-    candidates of row r: np.argmax's choice, the highest score and on a
-    tie the smallest id."""
-    for r, c, x, v in zip(rows, consts, us, ids):
+def _approx(consts, u: np.ndarray) -> np.ndarray:
+    """consts + G(u) with numpy's vectorised log, in one scratch array."""
+    out = np.subtract(1.0, u)
+    np.log(out, out=out)
+    np.negative(out, out=out)
+    np.log(out, out=out)
+    return np.subtract(consts, out, out=out)
+
+
+def _settle(choice: np.ndarray, rows, consts, us, ids) -> None:
+    """Of the candidates of each row r (rows ascending) within 2w of its
+    approximate best, keep choice[r] where the row has one; where it has
+    more, set it to the one with the highest exact key (c + G(u), -id):
+    np.argmax's choice, the highest score and on a tie the smallest id."""
+    crowded = np.bincount(rows, minlength=len(choice))[rows] > 1
+    if not crowded.any():
+        return
+    best = {}
+    for r, c, x, v in zip(rows[crowded].tolist(), consts[crowded].tolist(),
+                          us[crowded].tolist(), ids[crowded].tolist()):
         key = (c + _gumbel(x), -v)
-        if best[r] is None or key > best[r]:
+        if r not in best or key > best[r]:
             best[r] = key
+    for r, key in best.items():
+        choice[r] = -key[1]
 
 
 def _two_level_argmax(rng: np.random.Generator, vocab_size: int, classes,
                       consts: np.ndarray) -> list:
     """One token per row r of `consts`, equal to
     np.argmax(logits + rng.gumbel(size=V)) for logits that are consts[r, c]
-    on the ids of class c, and drawing the same doubles.  `classes(ids)`
-    gives the class of each id of an array (None: every id is class 0);
-    it is asked only about the ids a row reads.
+    on the ids of class c, and drawing the same doubles, a _CHUNK of them
+    at a time.  `classes(rows, ids)` gives the class of each id of an
+    array, read in the row of `rows` (ascending); None: every id is class
+    0.  It is asked only about the ids a row reads.
 
     The variate G(u) falls as u grows, by at least e per unit, and
     |c + G(u)| < |c| + 64.  So an id whose u exceeds its class minimum m by
@@ -191,35 +208,59 @@ def _two_level_argmax(rng: np.random.Generator, vocab_size: int, classes,
     ids with u <= top, from top = _READ / V up by a factor 4 per pass,
     until every class that can win (constant not -inf) has m + w <= top:
     then every id within w of m has been read.  Once top >= 1 all V ids
-    are read, and a class with none is empty.  The ids read within w of
-    their class minimum are scored, exactly; the highest score wins and
-    ties go to the smallest id, as in np.argmax.  A row whose classes
-    that can win are all empty is hard mode with an empty list: it raises.
+    are read, and a class with none is empty.  A row whose classes that
+    can win are all empty is hard mode with an empty list: it raises.
+
+    The ids read within w of their class minimum are the row's
+    candidates.  They are scored with numpy's vectorised log, which may
+    differ from libm's in the last bits of G(u).  That error is far below
+    w, which is at least a rounding step of any score, so a score computed
+    either way lies within w of the other, and the exact best lies within
+    2w of the approximate best.  A row with one candidate that close takes
+    it; in a row with more, those are scored again exactly, the highest
+    score wins and ties go to the smallest id, as in np.argmax.
     """
-    (rows, C), V = consts.shape, vocab_size
-    u = _uniforms(rng, rows * V).reshape(rows, V)
+    (T, C), V = consts.shape, vocab_size
     w = _window(consts)
     # per cell r*C + c (class c of row r): inf, -inf if it cannot win
     unseen = np.where(np.isfinite(consts), math.inf, -math.inf)
-    best = [None] * rows
-    todo, sub, top = np.arange(rows), u, _READ / V
-    while todo.size:
-        flat = np.flatnonzero(sub <= top)
-        rr, ids = np.divmod(flat, V)
-        x = sub.ravel()[flat]
-        cell = rr * C if classes is None else rr * C + classes(ids)
-        end = unseen[todo].ravel()        # a cell's minimum plus w
-        np.minimum.at(end, cell, x)
-        end += w
-        done = (end <= top).reshape(-1, C).all(axis=1) | (top >= 1)
-        near = np.flatnonzero((x <= end[cell]) & done[rr])
-        _rescore(best, todo[rr[near]].tolist(),
-                 consts[todo].ravel()[cell[near]].tolist(),
-                 x[near].tolist(), ids[near].tolist())
-        todo, sub, top = todo[~done], sub[~done], top * 4
-    if None in best:
+    out = np.full(T, -1)
+
+    # one chunk's rows; a function, so that a chunk's arrays are freed
+    # before the next chunk is drawn
+    def walk(todo):
+        sub, top = _uniforms(rng, todo.size * V).reshape(-1, V), _READ / V
+        while todo.size:
+            flat = np.flatnonzero(sub <= top)
+            rr, ids = np.divmod(flat, V)
+            x = sub.ravel()[flat]
+            cell = rr * C
+            if classes is not None and flat.size:
+                cell += classes(todo[rr], ids)
+            end = unseen[todo].ravel()        # a cell's minimum plus w
+            np.minimum.at(end, cell, x)
+            end += w
+            done = (end <= top).reshape(-1, C).all(axis=1) | (top >= 1)
+            near = np.flatnonzero((x <= end[cell]) & done[rr])
+            rows, ids, x = rr[near], ids[near], x[near]
+            c = consts[todo].ravel()[cell[near]]
+            score = _approx(c, x)
+            best = np.full(len(todo), -math.inf)
+            np.maximum.at(best, rows, score)
+            close = score >= best[rows] - 2 * w
+            rows, ids = rows[close], ids[close]
+            choice = np.full(len(todo), -1)
+            choice[rows] = ids
+            _settle(choice, rows, c[close], x[close], ids)
+            out[todo[done]] = choice[done]
+            todo, sub, top = todo[~done], sub[~done], top * 4
+
+    step = max(1, _CHUNK // V)
+    for a in range(0, T, step):
+        walk(np.arange(a, min(a + step, T)))
+    if (out < 0).any():                   # a row with no candidate
         raise GenerationError(_EMPTY)
-    return [-key[1] for key in best]
+    return out.tolist()
 
 
 def _gumbel_argmax(rng: np.random.Generator, scores: np.ndarray) -> list:
@@ -238,22 +279,13 @@ def _gumbel_argmax(rng: np.random.Generator, scores: np.ndarray) -> list:
     NaN; no id of such a row is rescored.
     """
     u = _uniforms(rng, scores.size).reshape(scores.shape)
-    approx = np.subtract(1.0, u)
-    np.log(approx, out=approx)
-    np.negative(approx, out=approx)
-    np.log(approx, out=approx)
-    np.subtract(scores, approx, out=approx)
+    approx = _approx(scores, u)
     top = approx.argmax(axis=1)
     edge = approx[np.arange(len(top)), top] - 2 * _window(scores)
     rows, ids = np.divmod(np.flatnonzero(approx >= edge[:, None]),
                           scores.shape[1])
-    crowded = np.bincount(rows, minlength=len(top))[rows] > 1
-    rows, ids = rows[crowded], ids[crowded]
-    best = [None] * len(top)
-    _rescore(best, rows.tolist(), scores[rows, ids].tolist(),
-             u[rows, ids].tolist(), ids.tolist())
-    return [t if key is None else -key[1]
-            for t, key in zip(top.tolist(), best)]
+    _settle(top, rows, scores[rows, ids], u[rows, ids], ids)
+    return top.tolist()
 
 
 def _per_step(rng: np.random.Generator, vocab_size: int, steps: int,
@@ -276,39 +308,53 @@ def _per_step(rng: np.random.Generator, vocab_size: int, steps: int,
 
 def _levels(src: LogitSource, cfg: EmbedConfig, green_count: int):
     """A two-level step's scores before the noise, off and on its green
-    list of green_count tokens: the logits 0 and green_logit(green_count),
-    plus delta on the list (soft), or -inf off it (hard), the second
-    class on the list unless it is empty."""
-    logits = np.array([0.0, src.green_logit(green_count)])
-    on = np.array([False, green_count > 0])
+    list of green_count > 0 tokens: the logits 0 and
+    green_logit(green_count), plus delta on the list (soft), or -inf off
+    it (hard)."""
+    on = src.green_logit(green_count)
     if cfg.scheme == "hard":
-        if not on.any():
-            raise GenerationError(_EMPTY)
-        return np.where(on, logits, -np.inf)
-    return logits + cfg.delta * on
+        return -math.inf, on
+    return 0.0, on + cfg.delta
 
 
-def _two_level_block(src, rng, cfg, seed, part, bits) -> np.ndarray:
-    # class b: the ids whose keyed bit is b, the green list of rows with
-    # target bit b.  A UniformSource's levels need only that a list is not
-    # empty, which the walk finds out; others need the list's size.
+def _two_level_text(src, rng, cfg, blocks) -> list:
+    """The tokens of a text of two-level steps, from its blocks' (seed,
+    keyed bits, target bits), drawn a _CHUNK of doubles of rows at a time
+    across block boundaries (`_two_level_argmax`).  Every error of
+    `_levels` is raised before the first draw."""
+    V, n = src.vocab_size, cfg.code.n
+
+    def table(sizes):
+        # levels of classes 0 and 1 (the ids whose keyed bit is 0 or 1)
+        # per target bit b, whose green list is class b, of sizes[b] ids
+        off, on = _levels(src, cfg, sizes[0])
+        return np.array([(on, off), _levels(src, cfg, sizes[1])])
     if type(src) is UniformSource:
-        sizes = (1, 1)
+        # its levels need only that a list is not empty, which the walk
+        # finds out: one table for every block
+        consts = table((1, 1))[np.concatenate([b for *_, b in blocks])]
     else:
-        ones = int(part.sum())
-        sizes = (len(part) - ones, ones)
-    # levels per target bit, in the order the per-step path meets (and
-    # may fail on) them
-    by_bit = {}
-    for bit in dict.fromkeys(bits.tolist()):
-        off, on = _levels(src, cfg, sizes[bit])
-        by_bit[bit] = (on, off) if bit == 0 else (off, on)
-    consts = np.array([by_bit[bit] for bit in bits.tolist()])
-    rows = max(1, _CHUNK // src.vocab_size)
-    return np.concatenate([
-        _two_level_argmax(rng, src.vocab_size, partial(bits_of, seed, part),
-                          consts[a:a + rows])
-        for a in range(0, len(bits), rows)])
+        consts = []
+        for _, part, bits in blocks:
+            ones = int(np.count_nonzero(part))
+            consts.append(table((len(part) - ones, ones))[bits])
+        consts = np.concatenate(consts)
+
+    def classes(rows, ids):
+        # the keyed bit of each id in its row's own block, filled through
+        # bits_of; rows arrive ascending, so each block's are one run
+        first, last = rows[0] // n, rows[-1] // n
+        if first == last:
+            seed, part, _ = blocks[first]
+            return bits_of(seed, part, ids)
+        cuts = np.searchsorted(rows, np.arange(first + 1, last + 1) * n)
+        cuts = cuts.tolist()
+        out = np.empty(len(ids), dtype=np.int8)
+        for (seed, part, _), a, b in zip(blocks[first:last + 1], [0] + cuts,
+                                         cuts + [len(ids)]):
+            out[a:b] = bits_of(seed, part, ids[a:b])
+        return out
+    return _two_level_argmax(rng, V, classes, consts)
 
 
 def _per_step_block(src, rng, cfg, seed, part, bits) -> np.ndarray:
@@ -330,6 +376,18 @@ def _per_step_block(src, rng, cfg, seed, part, bits) -> np.ndarray:
     return _per_step(rng, src.vocab_size, len(bits), fill)
 
 
+def _blocks(src, key, payload, cfg):
+    """(seed, keyed bits, target bits) of each block of the text, in
+    order.  A UniformSource hashes only the keyed bits its walk reads."""
+    code, V = cfg.code, src.vocab_size
+    lazy = type(src) is UniformSource
+    for j, start in enumerate(range(0, cfg.token_count, code.n)):
+        bk = derive_block_key(key, j, code.k)
+        part = keyed_bits(bk.seed, V) if lazy else partition_bits(bk, V)
+        target = plan_block(key, j, payload, code, cfg.diverse).target_bits
+        yield bk.seed, part, target[:cfg.token_count - start]
+
+
 def embed(src: LogitSource, key: SecretKey, payload: np.ndarray,
           cfg: EmbedConfig) -> TokenSequence:
     """Generate cfg.token_count tokens carrying the payload.
@@ -337,30 +395,22 @@ def embed(src: LogitSource, key: SecretKey, payload: np.ndarray,
     Token t lives in block j = t // n at in-block position b = t % n and
     is biased (soft) or restricted (hard) toward the token list whose
     keyed bit equals the block's target bit at position b.  Tokens are
-    Gumbel-max samples; the two-level sources draw them block by block
-    from uniforms, other sources a chunk of steps at a time, with the same
-    tokens and the same random stream as one rng.gumbel(size=V) per step.
+    Gumbel-max samples; the two-level sources draw them from uniforms a
+    chunk of rows at a time across blocks, other sources a chunk of steps
+    of a block at a time, with the same tokens and the same random stream
+    as one rng.gumbel(size=V) per step.
     """
     code = cfg.code
-    n = code.n
     rng = np.random.default_rng(cfg.rng_seed)
-    tokens = np.empty(cfg.token_count, dtype=np.int64)
-    sample = _two_level_block if type(src) in _TWO_LEVEL \
-        else _per_step_block
-    # a UniformSource hashes only the keyed bits that its walk reads
-    lazy = type(src) is UniformSource
-    for start in range(0, cfg.token_count, n):
-        j = start // n
-        bk = derive_block_key(key, j, code.k)
-        part = keyed_bits(bk.seed, src.vocab_size) if lazy \
-            else partition_bits(bk, src.vocab_size)
-        target = plan_block(key, j, payload, code, cfg.diverse).target_bits
-        stop = min(start + n, cfg.token_count)
-        tokens[start:stop] = sample(src, rng, cfg, bk.seed, part,
-                                    target[:stop - start])
+    blocks = _blocks(src, key, payload, cfg)
+    if type(src) in _TWO_LEVEL:
+        tokens = _two_level_text(src, rng, cfg, list(blocks))
+    else:
+        tokens = np.concatenate([_per_step_block(src, rng, cfg, *block)
+                                 for block in blocks])
     return TokenSequence(tokens, src.vocab_size,
                          meta={"scheme": cfg.scheme, "delta": cfg.delta,
-                               "n": n, "k": code.k, "t": code.t})
+                               "n": code.n, "k": code.k, "t": code.t})
 
 
 def sample_unwatermarked(src: LogitSource, token_count: int,
@@ -372,12 +422,8 @@ def sample_unwatermarked(src: LogitSource, token_count: int,
     rng = np.random.default_rng(rng_seed)
     if type(src) in _TWO_LEVEL:
         # one class, every logit 0
-        tokens = np.empty(token_count, dtype=np.int64)
-        rows = max(1, _CHUNK // src.vocab_size)
-        for a in range(0, token_count, rows):
-            m = min(rows, token_count - a)
-            tokens[a:a + m] = _two_level_argmax(
-                rng, src.vocab_size, None, np.zeros((m, 1)))
+        tokens = _two_level_argmax(rng, src.vocab_size, None,
+                                   np.zeros((token_count, 1)))
     else:
         def fill(span, out):
             for row in out:

@@ -108,6 +108,26 @@ def test_bitflip_refuses_a_one_list_block():
     assert out.tokens.tolist() == [0, 0, 0]
 
 
+@pytest.mark.parametrize("n, k", [(0, 6), (-31, 6), (31, 0), (31, -3),
+                                  (True, 6), (31, False), (31.0, 6),
+                                  (31, 6.5), ("31", 6), (31, np.float64(6))])
+def test_bitflip_refuses_a_bad_block_length_or_dimension(n, k):
+    """n and k must be integers >= 1: n = 0 used to divide by zero and
+    flip every hit token against block 0's partition, and k = 0 or -3
+    was accepted.  The check comes before any draw."""
+    with pytest.raises(ContractError, match="bitflip: [nk] must be an "
+                                            "integer >= 1"):
+        attack(_seq(64), AttackSpec("bitflip", 0.5, 1), key=KEY, n=n, k=k)
+
+
+def test_bitflip_takes_numpy_integers():
+    seq = _seq(64)
+    spec = AttackSpec("bitflip", 0.5, 1)
+    assert np.array_equal(
+        attack(seq, spec, key=KEY, n=np.int64(31), k=np.int32(6)).tokens,
+        attack(seq, spec, key=KEY, n=31, k=6).tokens)
+
+
 def test_substitute_halves_to_bit_error_rate():
     """A uniform replacement keeps its keyed bit with probability ~1/2, so
     token substitution at rate p induces a bit error rate of ~p/2."""

@@ -252,6 +252,54 @@ def test_two_level_embed_equals_per_step(nkt):
     assert errors == {(GenerationError, "empty target list in hard mode")}
 
 
+@pytest.mark.parametrize("nkt, V, T", [((15, 5, 3), 64, 3 * 1024 + 40),
+                                      ((31, 6, 7), 1024, 3 * 64 + 7),
+                                      ((63, 7, 15), 4096, 3 * 16 + 5)],
+                         ids=["V64", "V1024", "V4096"])
+def test_two_level_embed_equals_literal_across_chunks(nkt, V, T):
+    """The two-level sampler draws a chunk of 1024, 64 or 16 rows at a time
+    across blocks: some chunks hold several blocks, and some blocks
+    straddle a chunk edge.  Over texts of at least three chunks, both
+    sources, soft and hard, and both plans, its tokens equal the literal
+    sampler's."""
+    code = BchCode.make(*nkt)
+    arms = itertools.product((("soft", 2.5), ("hard", 0.0)), (None, 0.3),
+                             (False, True))
+    for i, ((scheme, delta), mass, diverse) in enumerate(arms):
+        src = ControlledMassSource(V, mass) if mass else UniformSource(V)
+        cfg = EmbedConfig(code=code, delta=delta, scheme=scheme,
+                          token_count=T, rng_seed=i, diverse=diverse)
+        payload = int_to_bits(3 * i + 1, code.k)
+        assert embed(src, KEY, payload, cfg).tokens.tolist() == \
+            _literal_embed(src, KEY, payload, cfg), (scheme, mass, diverse)
+
+
+def test_hard_failure_in_a_later_block_of_a_chunk():
+    """At V = 3 one chunk holds every row of the text.  Under this key
+    block 4 alone of blocks 0..5 puts every id in one list: a text of
+    blocks 0..3 embeds, and one that reaches block 4 raises as the
+    literal sampler does, in hard mode (an empty list) and through the
+    controlled-mass source (a degenerate partition)."""
+    key = SecretKey(bytes([3]) * 32)
+    code = BchCode.make(15, 5, 3)
+    parts = [partition_bits(derive_block_key(key, j, code.k), 3)
+             for j in range(6)]
+    assert [len(set(p.tolist())) for p in parts] == [2, 2, 2, 2, 1, 2]
+    payload = int_to_bits(9, code.k)
+    for scheme, delta, mass in (("hard", 0.0, None), ("soft", 2.5, 0.3),
+                                ("hard", 0.0, 0.3)):
+        src = ControlledMassSource(3, mass) if mass else UniformSource(3)
+        for T, fails in ((4 * code.n, False), (6 * code.n, True)):
+            cfg = EmbedConfig(code=code, delta=delta, scheme=scheme,
+                              token_count=T, rng_seed=5)
+            got = _outcome(lambda: embed(src, key, payload, cfg))
+            assert got == _outcome(lambda: _literal_embed(src, key, payload,
+                                                          cfg))
+            assert isinstance(got, tuple) == fails
+            if fails:
+                assert got[0] is GenerationError
+
+
 def test_two_level_unwatermarked_equals_per_step():
     """Both paths of H0 sampling equal the literal sampler, over lengths
     that cross the chunks of either path."""
@@ -383,7 +431,8 @@ def test_zero_uniform_is_redrawn_like_gumbel(index):
     want = [int(np.argmax(row + rng_b.gumbel(size=V))) for row in scores]
     rng_a = _zero_at(index)
     assert generation._two_level_argmax(
-        rng_a, V, part.astype(np.int8).__getitem__, consts) == want
+        rng_a, V, lambda rows, ids: part.astype(np.int8)[ids],
+        consts) == want
     assert rng_a.random() == rng_b.random()     # the streams stay aligned
     rng_a, rng_b = _zero_at(index), _zero_at(index)
     rng_b.gumbel(size=rows * V)
@@ -494,6 +543,40 @@ def test_rescoring_follows_libm_where_vectorised_log_differs():
     want = int(np.argmax(scores[0] + exact))
     assert want == i1
     assert generation._gumbel_argmax(_Scripted(u[0]), scores) == [want]
+
+
+def test_walk_follows_libm_where_vectorised_log_differs():
+    """The two-level walk's twin of the test above: the minima of two
+    classes rank one way in the vectorised scores of the walk's
+    candidates and the other way in rng.gumbel's, and the walk follows
+    rng.gumbel.  Id 1 (class 1) wins exactly, id 2 (class 0) in the
+    vectorised scores; the other ids draw 0.9 and are never read."""
+    u = np.random.default_rng(0).random(1 << 14)
+    fast = -np.log(-np.log(1.0 - u))
+    exact = np.array([generation._gumbel(x) for x in u])
+    band = (1.0 <= exact) & (exact < 2.0)        # one binade: one ulp
+    up = np.flatnonzero(band & (fast > exact))
+    down = np.flatnonzero(band & (fast < exact))
+    found = None
+    for i0, i1 in itertools.product(up[:8], down[:8]):
+        pair = np.array([u[i1], u[i0]])       # ids 1 and 2, in read order
+        walk = -np.log(-np.log(1.0 - pair))   # as the walk scores them
+        c1 = exact[i0] + math.ulp(exact[i0]) - exact[i1]
+        if c1 + exact[i1] > exact[i0] and c1 + walk[0] < walk[1]:
+            found = u[i0], u[i1], c1
+            break
+    if found is None:
+        pytest.skip("numpy's vectorised log equals libm's on this host")
+    u0, u1, c1 = found
+    V = 16
+    draws = np.full(V, 0.9)
+    draws[1], draws[2] = u1, u0
+    consts = np.array([[0.0, c1]])
+    want = int(np.argmax(consts[0][np.arange(V) % 2]
+                         + [generation._gumbel(x) for x in draws]))
+    assert want == 1
+    assert generation._two_level_argmax(
+        _Scripted(draws), V, lambda rows, ids: ids % 2, consts) == [want]
 
 
 def test_uniforms_follow_gumbel_stream():
