@@ -68,10 +68,17 @@ def attack(seq: TokenSequence, spec: AttackSpec, key: SecretKey | None = None,
                                 f"got {value!r}")
     hit = rng.random(len(toks)) < spec.rate
     out = toks.copy()
+    block = None
+    # the hits come in index order, so block by block: one partition and
+    # its two lists, indexed by the bit they are opposite to, per block
     for idx in np.flatnonzero(hit):
-        j = idx // n
-        part = partition_bits(derive_block_key(key, int(j), k), V)
-        opposite = np.flatnonzero(part != part[toks[idx]])
+        j = int(idx // n)
+        if j != block:
+            block = j
+            part = partition_bits(derive_block_key(key, j, k), V)
+            opposite_of = (np.flatnonzero(part == 1),
+                           np.flatnonzero(part == 0))
+        opposite = opposite_of[part[toks[idx]]]
         if not opposite.size:
             raise ContractError(f"bitflip: block {j} puts every token id "
                                 "in one keyed list")

@@ -111,6 +111,26 @@ def _decode_blocks(code: BchCode, blocks: np.ndarray):
     return decode_rows(code, blocks)
 
 
+def _decoded_offsets(code: BchCode, rows: np.ndarray, T: int, offsets: list):
+    """(offset, decoded blocks) of each offset in turn, its blocks sliced
+    from the block_windows `rows` of a T-token text over the offsets'
+    range.  A stage of offsets is decoded when the caller first asks for
+    one of them, so a caller that stops early decodes no later stage."""
+    lo = min(offsets)
+    # k <= 7 decodes block by block, so a stage of one offset costs
+    # nothing; each decode_rows call has a fixed cost, so one stage
+    stages = [[s] for s in offsets] if code.k <= 7 else [offsets]
+    for stage in stages:
+        counts = [(T - s) // code.n for s in stage]
+        decoded = _decode_blocks(code, np.concatenate(
+            [rows[:M, s - lo:s - lo + code.n]
+             for s, M in zip(stage, counts)]))
+        at = 0
+        for s, M in zip(stage, counts):
+            yield s, decoded[at:at + M]
+            at += M
+
+
 def _vote(code: BchCode, decoded, randomizers, coins=None):
     """The stage-1 vote over decoded blocks, with messages and
     randomizers as ints.
@@ -186,11 +206,13 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
     record per text: its decoded blocks, voted payload, and which blocks
     decode and which carry the designated codeword, i.e. have the voted
     payload as their vote key msg(cw_j) XOR r_j, so none is rebuilt.  The
-    blocks of every offset are slices of one block_windows, stacked into
-    one _decode_blocks call.  A config searches its offsets (0 alone, or
+    blocks of every offset are slices of one block_windows, decoded in
+    _decoded_offsets' stages.  A config searches its offsets (0 alone, or
     0, -1, +1, ... +-s_max with the shift search) and keeps the first, in
     that order, with the best ratio of blocks under its mask: decodable
-    (naive, shift_only) or designated."""
+    (naive, shift_only) or designated.  The search stops at the first
+    offset by which every config that searches beyond 0 has an offset of
+    ratio 1 or has run out of offsets: no later offset could win."""
     shared = {(c.code, c.key, c.diverse, c.prompt_len) for c in cfgs}
     if len(shared) != 1:
         raise ContractError("detect_all needs configs that share code, key, "
@@ -199,31 +221,34 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
     T = len(seq.tokens[prompt_len:])
     reaches = [c.s_max if c.mode in ("shift_only", "both") else 0
                for c in cfgs]
+    # the index of each config's mask in a record: decodable or designated
+    rules = [2 if c.mode in ("naive", "shift_only") else 3 for c in cfgs]
     order = [0, *(s for d in range(1, max(reaches) + 1) for s in (-d, d))]
     offsets = [s for s in order if T - s >= code.n]
     records = {}   # offset: (decoded, payload, decodable, designated)
+    # (mask, number of offsets searched) of each config that searches
+    # beyond offset 0 and has neither found an offset of ratio 1 nor run
+    # out of offsets: once none is left, no later offset can change a
+    # report, for a ratio is at most 1 and the first of equal ratios wins
+    pending = {(rule, 2 * reach + 1)
+               for rule, reach in zip(rules, reaches) if reach}
     if offsets:
-        lo = min(offsets)
-        rows, bks = block_windows(seq, key, code.n, code.k, lo,
+        rows, bks = block_windows(seq, key, code.n, code.k, min(offsets),
                                   max(offsets), prompt_len)
         rands, coins = _randomizers_and_coins(bks, diverse)
-        counts = [(T - s) // code.n for s in offsets]
-        decoded = _decode_blocks(code, np.concatenate(
-            [rows[:M, s - lo:s - lo + code.n]
-             for s, M in zip(offsets, counts)]))
-        at = 0
-        for s, M in zip(offsets, counts):
-            blocks = decoded[at:at + M]
-            at += M
+        for s, blocks in _decoded_offsets(code, rows, T, offsets):
             payload, _, designating = _vote(code, blocks, rands, coins)
             records[s] = (blocks, payload,
                           [dec is not None for dec in blocks],
                           [payload in keys for keys in designating])
+            i = order.index(s)
+            pending = {(rule, width) for rule, width in pending
+                       if i + 1 < width and not all(records[s][rule])}
+            if not pending:
+                break
 
     reports = []
-    for cfg, reach in zip(cfgs, reaches):
-        # the record's decodable mask, or its designated one
-        rule = 2 if cfg.mode in ("naive", "shift_only") else 3
+    for cfg, reach, rule in zip(cfgs, reaches, rules):
         searched = [s for s in order[:2 * reach + 1] if s in records]
         if not searched:
             reports.append(DetectionReport(

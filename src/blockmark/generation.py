@@ -8,7 +8,7 @@ import numpy as np
 
 from .bch import BchCode, ContractError
 from .keying import SecretKey, bits_of, check_vocab_size, \
-    derive_block_key, keyed_bits, partition_bits, plan_block
+    _plan_block, derive_block_key, keyed_bits, partition_bits
 
 
 class GenerationError(RuntimeError):
@@ -384,7 +384,7 @@ def _blocks(src, key, payload, cfg):
     for j, start in enumerate(range(0, cfg.token_count, code.n)):
         bk = derive_block_key(key, j, code.k)
         part = keyed_bits(bk.seed, V) if lazy else partition_bits(bk, V)
-        target = plan_block(key, j, payload, code, cfg.diverse).target_bits
+        target = _plan_block(bk, payload, code, cfg.diverse).target_bits
         yield bk.seed, part, target[:cfg.token_count - start]
 
 

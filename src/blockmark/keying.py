@@ -170,10 +170,16 @@ def plan_block(key: SecretKey, j: int, payload: np.ndarray, code: BchCode,
     picks one of the two by a keyed coin; the all-zero vector is never a
     target.
     """
+    return _plan_block(derive_block_key(key, j, code.k), payload, code,
+                       diverse)
+
+
+def _plan_block(bk: BlockKey, payload: np.ndarray, code: BchCode,
+                diverse: bool) -> BlockPlan:
+    """plan_block of the block that `bk` keys."""
     payload = np.asarray(payload, dtype=np.uint8)
     if payload.shape != (code.k,):
         raise ContractError(f"payload must have length {code.k}")
-    bk = derive_block_key(key, j, code.k)
     c1 = encode(code, payload ^ bk.randomizer)
     if not diverse:
         return BlockPlan((c1,), c1)

@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from blockmark import attacks
 from blockmark.attacks import AttackSpec, attack, delete_prefix, \
     insert_prefix
 from blockmark.bch import BchCode, ContractError, int_to_bits
@@ -94,6 +95,25 @@ def test_bitflip_draws_are_pinned():
     assert int((out.tokens != seq.tokens).sum()) == 71
     assert hashlib.sha256(out.tokens.astype("<i8").tobytes()).hexdigest() \
         == "b7ebb2c4d89f95cee04b25d428bb6fa8d049a16a16e2086b14ee37c72426c805"
+
+
+def test_bitflip_looks_up_each_hit_block_once(monkeypatch):
+    """Bit-flip looks up at most one partition per block it hits, not
+    one per hit token."""
+    blocks = []
+    original = attacks.partition_bits
+
+    def counting(bk, vocab_size):
+        blocks.append(bk.index)
+        return original(bk, vocab_size)
+    monkeypatch.setattr(attacks, "partition_bits", counting)
+    seq = _seq(10 * CODE.n + 7)
+    spec = AttackSpec("bitflip", 0.3, 4)
+    attack(seq, spec, key=KEY, n=CODE.n, k=CODE.k)
+    hits = np.flatnonzero(
+        np.random.default_rng(spec.rng_seed).random(len(seq)) < spec.rate)
+    assert len(hits) > len(blocks)
+    assert blocks == sorted(set(hits // CODE.n))
 
 
 def test_bitflip_refuses_a_one_list_block():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -279,9 +280,11 @@ def _ref_stream(tokens, key, code, s, bits=None):
     return out
 
 
-def _ref_detect(seq, cfg):
+def _ref_offsets(seq, cfg):
     """The two-stage detector spelled out: per offset, decode every block,
-    vote, rebuild each block's designated codewords with plan_block."""
+    vote, rebuild each block's designated codewords with plan_block.
+    Yields (ratio, matched, offset, payload, per_block, M) of each offset
+    that holds a block, in search order."""
     code, key = cfg.code, cfg.key
     n, k = code.n, code.k
     offsets = [0]
@@ -289,7 +292,6 @@ def _ref_detect(seq, cfg):
         for s in range(1, cfg.s_max + 1):
             offsets += [-s, s]
     c_max = max_weight_codeword(code)
-    best = None
     keyed = {}
     for s in offsets:
         bits = _ref_stream(seq.tokens[cfg.prompt_len:], key, code, s, keyed)
@@ -326,10 +328,16 @@ def _ref_detect(seq, cfg):
                       .matches(dec[0]))
             per_block.append(BlockResult(ok, dec[1] if dec else None, s))
         matched = sum(b.matched for b in per_block)
-        if best is None or matched / M > best[0]:
-            best = (matched / M, matched, s, payload, per_block, M)
-    if best is None:
-        return None
+        yield matched / M, matched, s, payload, per_block, M
+
+
+def _ref_detect(seq, cfg):
+    """The reference report as _ref_offsets' first offset of the best
+    ratio, None when no offset holds a block."""
+    best = None
+    for record in _ref_offsets(seq, cfg):
+        if best is None or record[0] > best[0]:
+            best = record
     return best
 
 
@@ -451,6 +459,133 @@ def test_detect_matches_reference(text, data):
         _assert_report_equals_reference(rep, ref, cfg)
     _assert_report_equals_reference(detect(seq, cfgs[0]),
                                     _ref_detect(seq, cfgs[0]), cfgs[0])
+
+
+@st.composite
+def _search_texts(draw):
+    """A detection task for the shift search: an embedding under either
+    plan, clean, behind r <= max s_max inserted or deleted prefix tokens,
+    substituted, or an unwatermarked text or a _texts text (blocks that
+    decode to codewords other than the designated one) instead, of 2-4
+    blocks or one (where every decodable offset is perfect, so ties
+    decide), behind a 0-2 token prompt, and 1-4 configs of mixed mode and
+    s_max."""
+    kind = draw(st.sampled_from(("clean", "insert", "delete", "substitute",
+                                 "h0", "one block", "blocks")))
+    diverse = draw(st.booleans())
+    cfgs = [dict(mode=draw(st.sampled_from(MODE_NAMES)),
+                 s_max=draw(st.integers(0, 4)), tau=draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(1, 4)))]
+    if kind == "blocks":
+        code, key, _, toks, rng = draw(_texts(min_blocks=1, max_blocks=4))
+        seq = TokenSequence(toks, SMALL_V)
+    else:
+        code = draw(st.sampled_from(CODES))
+        key = SecretKey(bytes([draw(st.integers(0, 255))]) * 32)
+        seed = draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        blocks = 1 if kind == "one block" else draw(st.integers(2, 4))
+        T = blocks * code.n + draw(st.integers(0, code.n - 1))
+        src = UniformSource(SMALL_V)
+        seq = sample_unwatermarked(src, T, seed) if kind == "h0" else embed(
+            src, key, rng.integers(0, 2, code.k).astype(np.uint8),
+            EmbedConfig(code=code, delta=6.0, scheme="soft", token_count=T,
+                        rng_seed=seed, diverse=diverse))
+    r = draw(st.integers(0, max(c["s_max"] for c in cfgs)))
+    if kind == "insert":
+        seq = insert_prefix(seq, r, rng_seed=seed)
+    elif kind == "delete":
+        seq = delete_prefix(seq, r)
+    elif kind == "substitute":
+        seq = attack(seq, AttackSpec("substitute",
+                                     draw(st.sampled_from((0.02, 0.1))),
+                                     seed))
+    prompt = draw(st.integers(0, 2))
+    seq = TokenSequence(np.concatenate(
+        [rng.integers(0, SMALL_V, prompt), seq.tokens]), SMALL_V)
+    return seq, [DetectConfig(code=code, key=key, diverse=diverse,
+                              prompt_len=prompt, **c) for c in cfgs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_search_texts())
+def test_shift_search_stops_at_first_perfect_offset(task):
+    """detect_all stops its shift search once every config that searches
+    beyond offset 0 has an offset of ratio 1 or has searched all its
+    offsets, and its reports still equal the reference.  For k <= 7 the
+    offsets that reach _decode_blocks, one per call, are the search-order
+    prefix that ends there; for k > 7 a text still makes one call, over
+    every offset."""
+    seq, cfgs = task
+    code, key, prompt = cfgs[0].code, cfgs[0].key, cfgs[0].prompt_len
+    calls = []
+    decode = detector._decode_blocks
+
+    def recording(code, blocks):
+        calls.append(blocks.copy())
+        return decode(code, blocks)
+    with mock.patch.object(detector, "_decode_blocks", recording):
+        reps = detect_all(seq, cfgs)
+    for cfg, rep in zip(cfgs, reps):
+        _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
+
+    reaches = [c.s_max for c in cfgs if c.mode in ("shift_only", "both")]
+    order = [0, *(s for d in range(1, max(reaches, default=0) + 1)
+                  for s in (-d, d))]
+    stop = 0
+    for cfg in cfgs:
+        if cfg.mode not in ("shift_only", "both") or not cfg.s_max:
+            continue
+        perfect = [s for ratio, _, s, *_ in _ref_offsets(seq, cfg)
+                   if ratio == 1]
+        stop = max(stop, order.index(perfect[0]) if perfect
+                   else 2 * cfg.s_max)
+    T = len(seq.tokens) - prompt
+
+    def blocks(s):
+        M = (T - s) // code.n
+        return extract_bits(seq, key, code.n, code.k, s,
+                            prompt)[:M * code.n].reshape(M, code.n)
+    if code.k <= 7:
+        want = [blocks(s) for s in order[:stop + 1] if T - s >= code.n]
+    else:
+        want = [np.concatenate([blocks(s) for s in order
+                                if T - s >= code.n])]
+        want = want if len(want[0]) else []
+    assert len(calls) == len(want)
+    assert all(np.array_equal(got, w) for got, w in zip(calls, want))
+
+
+def test_shift_search_waits_only_for_configs_with_offsets_left():
+    """A config with no perfect offset holds the search only until its
+    own offsets run out.  Two blocks carry codewords of different vote
+    keys, and three more tokens follow: shift_only at s_max 3 finds
+    offset 0 perfect, both at s_max 1 finds no perfect offset, so
+    (15,5,3) decodes offsets 0, -1 and +1, one _decode_blocks call each,
+    and none beyond."""
+    code = BchCode.make(15, 5, 3)
+    rng = np.random.default_rng(0)
+    bits = np.concatenate([encode(code, int_to_bits(m, code.k))
+                           for m in (3, 17)])
+    toks = [rng.choice(np.flatnonzero(partition_bits(
+        derive_block_key(KEY, p // code.n, code.k), SMALL_V) == b))
+        for p, b in enumerate(bits)]
+    seq = TokenSequence(toks + [1, 2, 3], SMALL_V)
+    cfgs = [DetectConfig(code=code, key=KEY, s_max=3, mode="shift_only"),
+            DetectConfig(code=code, key=KEY, s_max=1, mode="both")]
+    calls = []
+    decode = detector._decode_blocks
+
+    def counting(code, blocks):
+        calls.append(len(blocks))
+        return decode(code, blocks)
+    with mock.patch.object(detector, "_decode_blocks", counting):
+        reps = detect_all(seq, cfgs)
+    assert [(r.best_offset, r.matched, r.block_count) for r in reps] == \
+        [(0, 2, 2), (0, 1, 2)]
+    assert calls == [2, 2, 2]
+    for cfg, rep in zip(cfgs, reps):
+        _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
 
 
 def test_detect_at_largest_vocabulary_hashes_only_windows(monkeypatch):

@@ -403,6 +403,32 @@ def test_cold_uniform_embedding_hashes_few_ids(monkeypatch):
     assert 0 < sum(hashed) / tokens <= 16
 
 
+class _PerStepMass(ControlledMassSource):
+    """A subclass, so embedding samples it step by step."""
+
+
+@pytest.mark.parametrize("diverse", [False, True])
+@pytest.mark.parametrize("src", [UniformSource(64), _PerStepMass(64, 0.5)],
+                         ids=["two-level", "per-step"])
+def test_embedding_derives_each_block_key_once(monkeypatch, src, diverse):
+    """An embedding of B blocks, the last one partial, makes exactly B
+    derive_block_key calls: the block's plan is built from the key that
+    its keyed bits were read with."""
+    calls = []
+    derive = keying.derive_block_key
+
+    def counting(key, j, k):
+        calls.append(j)
+        return derive(key, j, k)
+    monkeypatch.setattr(keying, "derive_block_key", counting)
+    monkeypatch.setattr(generation, "derive_block_key", counting)
+    cfg = EmbedConfig(code=CODE, delta=4.0, scheme="soft",
+                      token_count=3 * CODE.n + 5, rng_seed=1,
+                      diverse=diverse)
+    embed(src, KEY, PAYLOAD, cfg)
+    assert calls == [0, 1, 2, 3]
+
+
 def _zero_at(index: int, seed: int = 5) -> np.random.Generator:
     """A generator whose draw number `index` is the double 0.0: PCG64 emits
     the state it steps to, and 0.0 when that state is 0."""

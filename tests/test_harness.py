@@ -121,9 +121,11 @@ def test_from_dict_rejects_unknown_keys():
 
 def test_campaign_decodes_each_text_once_per_offset(monkeypatch):
     """The ablation grid scores its three modes from one pass per text:
-    one block_windows call, and one _decode_blocks call over the blocks
-    of every distinct offset (0, +-1 .. +-5) stacked, not one decode per
-    (mode, offset)."""
+    one block_windows call, and each distinct offset (0, +-1 .. +-5)
+    decoded at most once, not once per (mode, offset).  (31,6,7) decodes
+    one offset per _decode_blocks call, so the shift search stops after
+    offset 0 of the clean watermarked text and decodes all 11 offsets of
+    the H0 text."""
     calls = {"block_windows": 0, "_decode_blocks": 0}
 
     def counting(name):
@@ -143,7 +145,7 @@ def test_campaign_decodes_each_text_once_per_offset(monkeypatch):
                                      "designated_only"), master_seed=3)
     rows = run_campaign(spec)
     texts = 2       # the watermarked text and the H0 text of one trial
-    assert calls == {"block_windows": texts, "_decode_blocks": texts}
+    assert calls == {"block_windows": texts, "_decode_blocks": 1 + 11}
     assert [r.mode for r in rows] == ["both", "shift_only", "designated_only"]
     assert all(r.tpr == 1.0 and r.match_rate == 1.0 for r in rows)
 

@@ -13,13 +13,19 @@ embedding of 4n + 5 tokens, the same after insert@0.1 and after
 delete@0.1, an unwatermarked text of the same length, and embeddings of
 n - 1 and of n tokens.  Each report goes into the hash as the repr of its
 fields, the per-block results and the types of the numbers included.
+
+A second line does the same for the texts where the shift search stops
+partway: each clean embedding behind r = 1, 2, 3 inserted prefix tokens
+and with its first r tokens deleted, under the four modes at s_max 3
+and n.
 """
 import hashlib
 from dataclasses import asdict
 
 import numpy as np
 
-from blockmark.attacks import AttackSpec, attack
+from blockmark.attacks import AttackSpec, attack, delete_prefix, \
+    insert_prefix
 from blockmark.bch import NAMED_CODES, BchCode
 from blockmark.detector import MODES, DetectConfig, detect_all
 from blockmark.generation import EmbedConfig, UniformSource, embed, \
@@ -50,20 +56,39 @@ def texts(code: BchCode, diverse: bool, seed: int):
             wm(code.n)]
 
 
+def prefix_shifted(clean, seed: int):
+    return [shifted for r in (1, 2, 3)
+            for shifted in (insert_prefix(clean, r, seed),
+                            delete_prefix(clean, r))]
+
+
+class Digest:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.count = 0
+
+    def add(self, seqs, cfgs):
+        for seq in seqs:
+            for report in detect_all(seq, cfgs):
+                self.sha.update(repr(asdict(report)).encode())
+                self.count += 1
+
+
 def main():
-    digest = hashlib.sha256()
-    count = 0
+    grid, shifted = Digest(), Digest()
     for seed, (n, k, t) in enumerate(sorted(NAMED_CODES)):
         code = BchCode.make(n, k, t)
         for diverse in (False, True):
             cfgs = [DetectConfig(code=code, key=KEY, s_max=s_max, mode=mode,
                                  diverse=diverse)
                     for mode in MODES for s_max in (0, 3, n)]
-            for seq in texts(code, diverse, seed):
-                for report in detect_all(seq, cfgs):
-                    digest.update(repr(asdict(report)).encode())
-                    count += 1
-    print(f"{count} reports sha256 {digest.hexdigest()}")
+            seqs = texts(code, diverse, seed)
+            grid.add(seqs, cfgs)
+            shifted.add(prefix_shifted(seqs[0], seed),
+                        [cfg for cfg in cfgs if cfg.s_max])
+    print(f"{grid.count} reports sha256 {grid.sha.hexdigest()}")
+    print(f"{shifted.count} prefix-shifted reports sha256 "
+          f"{shifted.sha.hexdigest()}")
 
 
 if __name__ == "__main__":
