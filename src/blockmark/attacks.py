@@ -31,12 +31,12 @@ class AttackSpec:
 
 
 def attack(seq: TokenSequence, spec: AttackSpec, key: SecretKey | None = None,
-           n: int | None = None, k: int | None = None) -> TokenSequence:
+           n: int | None = None) -> TokenSequence:
     """Apply an attack channel; per-position decisions are independent
     Bernoulli(rate) draws.
 
     bitflip replaces each hit token with a uniform token from the opposite
-    keyed list of its block, which needs (key, n, k).
+    keyed list of its block, which needs the key and the block length n.
     """
     rng = np.random.default_rng(spec.rng_seed)
     toks = seq.tokens
@@ -59,13 +59,10 @@ def attack(seq: TokenSequence, spec: AttackSpec, key: SecretKey | None = None,
                              V, meta=dict(seq.meta))
 
     # bitflip
-    if key is None or n is None or k is None:
-        raise ContractError("bitflip channel requires key, n and k")
-    for name, value in (("n", n), ("k", k)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                or value < 1:
-            raise ContractError(f"bitflip: {name} must be an integer >= 1, "
-                                f"got {value!r}")
+    if key is None or n is None:
+        raise ContractError("bitflip channel requires key and n")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ContractError(f"bitflip: n must be an integer >= 1, got {n!r}")
     hit = rng.random(len(toks)) < spec.rate
     out = toks.copy()
     block = None
@@ -75,7 +72,8 @@ def attack(seq: TokenSequence, spec: AttackSpec, key: SecretKey | None = None,
         j = int(idx // n)
         if j != block:
             block = j
-            part = partition_bits(derive_block_key(key, j, k), V)
+            # the partition reads only the block seed: no randomizer bits
+            part = partition_bits(derive_block_key(key, j, 0), V)
             opposite_of = (np.flatnonzero(part == 1),
                            np.flatnonzero(part == 0))
         opposite = opposite_of[part[toks[idx]]]

@@ -188,81 +188,6 @@ def message_of(code: BchCode, cw: np.ndarray) -> np.ndarray:
     return cw[:code.k].copy()
 
 
-def _berlekamp_massey(fld: FieldGF2m, synd: list[int]) -> tuple[list[int], int]:
-    """Error-locator polynomial (ascending coefficients) and LFSR length."""
-    C = [1]
-    B = [1]
-    L = 0
-    shift = 1
-    b = 1
-    for N in range(len(synd)):
-        d = synd[N]
-        for i in range(1, L + 1):
-            if i < len(C) and C[i] and synd[N - i]:
-                d ^= fld.mul(C[i], synd[N - i])
-        if d == 0:
-            shift += 1
-            continue
-        coef = fld.mul(d, fld.inv(b))
-        update_from = C[:]
-        need = shift + len(B)
-        if len(C) < need:
-            C = C + [0] * (need - len(C))
-        for i, bi in enumerate(B):
-            if bi:
-                C[i + shift] ^= fld.mul(coef, bi)
-        if 2 * L <= N:
-            L = N + 1 - L
-            B = update_from
-            b = d
-            shift = 1
-        else:
-            shift += 1
-    return C, L
-
-
-def safe_decode(code: BchCode, received: np.ndarray):
-    """Bounded-radius decoding.
-
-    Returns (codeword, distance) when a codeword lies within Hamming
-    distance t of the input, otherwise None.  Never corrects beyond t.
-    """
-    received = np.asarray(received, dtype=np.uint8)
-    if received.shape != (code.n,):
-        raise ContractError(f"received word must have length {code.n}")
-    synd = syndromes(code, received)
-    if not synd.any():
-        return received.copy(), 0
-
-    fld = code.fld
-    C, L = _berlekamp_massey(fld, synd.tolist())
-    if L > code.t:
-        return None
-    while len(C) > 1 and C[-1] == 0:
-        C.pop()
-    if len(C) - 1 != L:
-        # locator degree disagrees with LFSR length: > t errors
-        return None
-
-    # Chien search over all n positions, vectorized through the log table
-    exp = code.fld.exp
-    period = fld.period
-    vals = np.full(code.n, C[0], dtype=np.int64)
-    log_l = fld._log_l
-    for l in range(1, L + 1):
-        if C[l]:
-            idx = (log_l[C[l]] + code._chien_exp * l) % period
-            vals ^= exp[idx]
-    root_j = np.flatnonzero(vals == 0)
-    if root_j.size != L:
-        return None
-    corrected = received.copy()
-    corrected[code.n - 1 - root_j] ^= 1
-    if syndromes(code, corrected).any():
-        return None
-    return corrected, L
-
-
 def _odd_syndromes(code: BchCode, words: np.ndarray) -> np.ndarray:
     """(R, t) odd syndromes S_1, S_3, ..., S_2t-1 of the rows of an (R, n)
     uint8 matrix: one product with the bit planes, taken mod 2."""
@@ -272,9 +197,12 @@ def _odd_syndromes(code: BchCode, words: np.ndarray) -> np.ndarray:
 
 
 def _binary_berlekamp_massey(fld: FieldGF2m, t: int, odd: list[int]):
-    """_berlekamp_massey over S_1 ... S_2t of a binary word, from its odd
-    syndromes: S_2i = S_i^2, and then the discrepancy of every step N odd
-    (0-based) is zero, so only the t steps N even are run."""
+    """The error locator of a binary word (ascending coefficients, no
+    trailing zeros) from its odd syndromes S_1, S_3, ..., S_2t-1, or None
+    when its LFSR length exceeds t or differs from its degree: more than
+    t errors.  Berlekamp-Massey over S_1 ... S_2t, where S_2i = S_i^2, and
+    then the discrepancy of every step N odd (0-based) is zero, so only
+    the t steps N even are run."""
     exp, log, period = fld._exp_l, fld._log_l, fld.period
     S = [0] * (2 * t)
     S[0::2] = odd
@@ -308,7 +236,47 @@ def _binary_berlekamp_massey(fld: FieldGF2m, t: int, odd: list[int]):
                 b = d
                 shift = 0
         shift += 2                              # this step and step N + 1
-    return C, L
+    while len(C) > 1 and C[-1] == 0:
+        C.pop()
+    return C if L <= t and len(C) - 1 == L else None
+
+
+def safe_decode(code: BchCode, received: np.ndarray):
+    """Bounded-radius decoding.
+
+    Returns (codeword, distance) when a codeword lies within Hamming
+    distance t of the input, otherwise None.  Never corrects beyond t.
+    The steps of decode_rows on one word, with a scalar Chien search.
+    """
+    received = np.asarray(received, dtype=np.uint8)
+    if received.shape != (code.n,):
+        raise ContractError(f"received word must have length {code.n}")
+    odd = _odd_syndromes(code, received[None])[0]
+    if not odd.any():
+        return received.copy(), 0
+    fld = code.fld
+    C = _binary_berlekamp_massey(fld, code.t, odd.tolist())
+    if C is None:
+        return None
+    L = len(C) - 1
+
+    # Chien search over all n positions, vectorized through the log table
+    exp = fld.exp
+    period = fld.period
+    vals = np.full(code.n, C[0], dtype=np.int64)
+    log_l = fld._log_l
+    for l in range(1, L + 1):
+        if C[l]:
+            idx = (log_l[C[l]] + code._chien_exp * l) % period
+            vals ^= exp[idx]
+    root_j = np.flatnonzero(vals == 0)
+    if root_j.size != L:
+        return None
+    corrected = received.copy()
+    corrected[code.n - 1 - root_j] ^= 1
+    if _odd_syndromes(code, corrected[None]).any():
+        return None
+    return corrected, L
 
 
 def decode_rows(code: BchCode, words: np.ndarray) -> list:
@@ -338,14 +306,12 @@ def _decode_chunk(code: BchCode, words: np.ndarray) -> list:
     rows, degrees, locators = [], [], []     # locators as logs, zero -> 2p
     for i, odd in zip(np.flatnonzero(nonzero).tolist(),
                       synd[nonzero].tolist()):
-        C, L = _binary_berlekamp_massey(fld, t, odd)
-        while len(C) > 1 and C[-1] == 0:
-            C.pop()
-        if L <= t and len(C) - 1 == L:
+        C = _binary_berlekamp_massey(fld, t, odd)
+        if C is not None:
             rows.append(i)
-            degrees.append(L)
+            degrees.append(len(C) - 1)
             locators.append([log[c] if c else zero for c in C]
-                            + [zero] * (t - L))
+                            + [zero] * (t + 1 - len(C)))
     if not rows:
         return result
     # Chien search: C(alpha^-j) of every locator at every j at once

@@ -83,8 +83,7 @@ def cmd_attack(args):
     for i, seq in enumerate(seqs):
         spec = AttackSpec(args.kind, args.rate, args.seed + i)
         attacked.append(attack(seq, spec, key=key,
-                               n=code.n if code else None,
-                               k=code.k if code else None))
+                               n=code.n if code else None))
     with _output(args.output) as out:
         seqio.dump_sequences(out, attacked)
 

@@ -52,10 +52,5 @@ class FieldGF2m:
             return 0
         return self._exp_l[self._log_l[a] + self._log_l[b]]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(2^m)")
-        return self._exp_l[self.period - self._log_l[a]]
-
     def alpha_pow(self, i: int) -> int:
         return self._exp_l[i % self.period]

@@ -183,7 +183,7 @@ def _run_trials(spec: ExperimentSpec):
                     seq = attack(seq, AttackSpec(
                         atk.kind, atk.rate,
                         _seed_for(spec.master_seed, 4, ai, trial, arm_i)),
-                        key=key, n=code.n, k=code.k)
+                        key=key, n=code.n)
                 for cfg, rep in zip(cfgs, detect_all(seq, cfgs)):
                     ok = (true_payload is not None
                           and rep.payload is not None

@@ -76,8 +76,7 @@ def test_bitflip_flips_extracted_bits_at_rate():
                       rng_seed=11)
     seq = embed(UniformSource(512), KEY, int_to_bits(9, 6), cfg)
     clean = extract_bits(seq, KEY, CODE.n, CODE.k, 0)
-    out = attack(seq, AttackSpec("bitflip", 0.1, 4), key=KEY, n=CODE.n,
-                 k=CODE.k)
+    out = attack(seq, AttackSpec("bitflip", 0.1, 4), key=KEY, n=CODE.n)
     dirty = extract_bits(out, KEY, CODE.n, CODE.k, 0)
     flip_rate = float(np.mean(clean != dirty))
     se = (0.1 * 0.9 / 3100) ** 0.5
@@ -90,11 +89,27 @@ def test_bitflip_draws_are_pinned():
     cfg = EmbedConfig(code=CODE, delta=0.0, scheme="hard", token_count=300,
                       rng_seed=11)
     seq = embed(UniformSource(64), KEY, int_to_bits(9, 6), cfg)
-    out = attack(seq, AttackSpec("bitflip", 0.3, 4), key=KEY, n=CODE.n,
-                 k=CODE.k)
+    out = attack(seq, AttackSpec("bitflip", 0.3, 4), key=KEY, n=CODE.n)
     assert int((out.tokens != seq.tokens).sum()) == 71
     assert hashlib.sha256(out.tokens.astype("<i8").tobytes()).hexdigest() \
         == "b7ebb2c4d89f95cee04b25d428bb6fa8d049a16a16e2086b14ee37c72426c805"
+
+
+def test_bitflip_draws_are_pinned_across_codes():
+    """Bit-flip tokens over n = 31 and 127, rates 0.1 and 0.4, V = 512
+    and 32768, pinned as the channel produced them when it also took the
+    code's k: a block's two lists depend on its seed alone."""
+    sha = hashlib.sha256()
+    for n in (31, 127):
+        for V in (512, 32768):
+            rng = np.random.default_rng(V + n)
+            seq = TokenSequence(rng.integers(0, V, 12 * n + 3), V)
+            for rate in (0.1, 0.4):
+                out = attack(seq, AttackSpec("bitflip", rate, 7), key=KEY,
+                             n=n)
+                sha.update(out.tokens.astype("<i8").tobytes())
+    assert sha.hexdigest() == \
+        "0df48cb6ce97b43369afbacdc1e745c116fd28da914651041fd3bf0d6d38c58b"
 
 
 def test_bitflip_looks_up_each_hit_block_once(monkeypatch):
@@ -109,7 +124,7 @@ def test_bitflip_looks_up_each_hit_block_once(monkeypatch):
     monkeypatch.setattr(attacks, "partition_bits", counting)
     seq = _seq(10 * CODE.n + 7)
     spec = AttackSpec("bitflip", 0.3, 4)
-    attack(seq, spec, key=KEY, n=CODE.n, k=CODE.k)
+    attack(seq, spec, key=KEY, n=CODE.n)
     hits = np.flatnonzero(
         np.random.default_rng(spec.rng_seed).random(len(seq)) < spec.rate)
     assert len(hits) > len(blocks)
@@ -121,31 +136,29 @@ def test_bitflip_refuses_a_one_list_block():
     opposite list to draw from."""
     seq = TokenSequence([0, 0, 0], 1)
     with pytest.raises(ContractError, match="block 0 puts every token id"):
-        attack(seq, AttackSpec("bitflip", 1.0, 0), key=KEY, n=CODE.n,
-               k=CODE.k)
-    out = attack(seq, AttackSpec("bitflip", 0.0, 0), key=KEY, n=CODE.n,
-                 k=CODE.k)
+        attack(seq, AttackSpec("bitflip", 1.0, 0), key=KEY, n=CODE.n)
+    out = attack(seq, AttackSpec("bitflip", 0.0, 0), key=KEY, n=CODE.n)
     assert out.tokens.tolist() == [0, 0, 0]
 
 
-@pytest.mark.parametrize("n, k", [(0, 6), (-31, 6), (31, 0), (31, -3),
-                                  (True, 6), (31, False), (31.0, 6),
-                                  (31, 6.5), ("31", 6), (31, np.float64(6))])
-def test_bitflip_refuses_a_bad_block_length_or_dimension(n, k):
-    """n and k must be integers >= 1: n = 0 used to divide by zero and
-    flip every hit token against block 0's partition, and k = 0 or -3
-    was accepted.  The check comes before any draw."""
-    with pytest.raises(ContractError, match="bitflip: [nk] must be an "
+# each id still names the (n, k) the case once passed, k = 6 of (31,6,7)
+@pytest.mark.parametrize("n", [0, -31, True, 31.0, "31"],
+                         ids=["0-6", "-31-6", "True-6", "31.0-6", "31-6"])
+def test_bitflip_refuses_a_bad_block_length_or_dimension(n):
+    """n must be an integer >= 1: n = 0 used to divide by zero and flip
+    every hit token against block 0's partition.  The check comes before
+    any draw."""
+    with pytest.raises(ContractError, match="bitflip: n must be an "
                                             "integer >= 1"):
-        attack(_seq(64), AttackSpec("bitflip", 0.5, 1), key=KEY, n=n, k=k)
+        attack(_seq(64), AttackSpec("bitflip", 0.5, 1), key=KEY, n=n)
 
 
 def test_bitflip_takes_numpy_integers():
     seq = _seq(64)
     spec = AttackSpec("bitflip", 0.5, 1)
     assert np.array_equal(
-        attack(seq, spec, key=KEY, n=np.int64(31), k=np.int32(6)).tokens,
-        attack(seq, spec, key=KEY, n=31, k=6).tokens)
+        attack(seq, spec, key=KEY, n=np.int64(31)).tokens,
+        attack(seq, spec, key=KEY, n=31).tokens)
 
 
 def test_substitute_halves_to_bit_error_rate():

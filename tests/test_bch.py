@@ -1,5 +1,6 @@
 """Codec correctness, checked against brute-force oracles on the small
-instance and sampled on the larger ones."""
+instance and sampled on the larger ones, and against a general decoder
+written here from first principles on all six."""
 import itertools
 from unittest import mock
 
@@ -84,14 +85,14 @@ def test_exhaustive_oracle_small(small, small_codewords):
         word = rng.integers(0, 2, small.n).astype(np.uint8)
         dists = (small_codewords ^ word).sum(axis=1)
         best = int(dists.min())
-        out = safe_decode(small, word)
-        if best <= small.t:
-            assert out is not None
-            cw, dist = out
-            assert dist == best
-            assert np.array_equal(cw, small_codewords[dists.argmin()])
-        else:
-            assert out is None
+        for out in (safe_decode(small, word), _reference_decode(small, word)):
+            if best <= small.t:
+                assert out is not None
+                cw, dist = out
+                assert dist == best
+                assert np.array_equal(cw, small_codewords[dists.argmin()])
+            else:
+                assert out is None
 
 
 @pytest.mark.parametrize("n,k,t", [(31, 6, 7), (31, 16, 3), (63, 7, 15),
@@ -213,7 +214,81 @@ def test_bit_packing_equals_bitwise_loops():
     assert bits_to_int([]) == 0 and int_to_bits(9, 0).shape == (0,)
 
 
-# ------------------------------------- the batched decoder against the oracle
+# ---------------------------- the reference: a general bounded-radius decoder
+
+def _reference_syndromes(fld, word, count):
+    """S_1 ... S_count of a word: S_i sums alpha^(i(n-1-pos)) over the
+    positions of its ones."""
+    n = len(word)
+    ones = np.flatnonzero(word).tolist()
+    out = []
+    for i in range(1, count + 1):
+        s = 0
+        for pos in ones:
+            s ^= fld.alpha_pow(i * (n - 1 - pos))
+        out.append(s)
+    return out
+
+
+def _reference_inverse(fld, a):
+    """a^-1 = a^(2^m - 2), by repeated multiplication."""
+    out = 1
+    for _ in range(fld.period - 1):
+        out = fld.mul(out, a)
+    return out
+
+
+def _reference_berlekamp_massey(fld, synd):
+    """The general Berlekamp-Massey over every syndrome: the locator
+    (ascending coefficients) and its LFSR length."""
+    C, B, L, shift, b = [1], [1], 0, 1, 1
+    for N in range(len(synd)):
+        d = synd[N]
+        for i in range(1, min(L + 1, len(C))):
+            d ^= fld.mul(C[i], synd[N - i])
+        if d == 0:
+            shift += 1
+            continue
+        coef = fld.mul(d, _reference_inverse(fld, b))
+        update_from = C[:]
+        C += [0] * (shift + len(B) - len(C))
+        for i, bi in enumerate(B, shift):
+            C[i] ^= fld.mul(coef, bi)
+        if 2 * L <= N:
+            L, B, b, shift = N + 1 - L, update_from, d, 1
+        else:
+            shift += 1
+    return C, L
+
+
+def _reference_decode(code, word):
+    """safe_decode's contract from first principles: all 2t syndromes, the
+    general Berlekamp-Massey, a Chien search evaluating the locator at
+    alpha^-j one position at a time, and the syndromes again."""
+    fld, n, t = code.fld, code.n, code.t
+    word = np.asarray(word, dtype=np.uint8)
+    synd = _reference_syndromes(fld, word, 2 * t)
+    if not any(synd):
+        return word.copy(), 0
+    C, L = _reference_berlekamp_massey(fld, synd)
+    while len(C) > 1 and C[-1] == 0:
+        C.pop()
+    if L > t or len(C) - 1 != L:
+        return None
+    fixed = word.copy()
+    for j in range(n):              # a root alpha^-j flips position n-1-j
+        x, value = fld.alpha_pow(-j), 0
+        for c in reversed(C):
+            value = fld.mul(value, x) ^ c
+        if value == 0:
+            fixed[n - 1 - j] ^= 1
+    if int((fixed != word).sum()) != L \
+            or any(_reference_syndromes(fld, fixed, 2 * t)):
+        return None
+    return fixed, L
+
+
+# ------------------------------- both package decoders against the reference
 
 def _assert_same_decode(got, want, words):
     if want is None:
@@ -228,10 +303,11 @@ def _assert_same_decode(got, want, words):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(NAMED_CODES)), st.data())
 def test_decode_rows_equals_safe_decode(params, data):
-    """decode_rows, and the detector's _decode_blocks, equal safe_decode
-    row by row on every field, for all six codes: words at distance
-    0 ... t+3 from random codewords, random words, the zero and the
-    all-ones word, in batches of 0, 1 or more rows than one chunk."""
+    """safe_decode, decode_rows and the detector's _decode_blocks equal
+    the reference decoder row by row on every field, for all six codes:
+    words at distance 0 ... t+3 from random codewords, random words, the
+    zero and the all-ones word, in batches of 0, 1 or more rows than one
+    chunk."""
     code = BchCode.make(*params)
     n, k, t = params
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -253,7 +329,8 @@ def test_decode_rows_equals_safe_decode(params, data):
         blocks = detector._decode_blocks(code, words)
     assert len(got) == len(blocks) == len(words)
     for word, g, b in zip(words, got, blocks):
-        want = safe_decode(code, word)
+        want = _reference_decode(code, word)
+        _assert_same_decode(safe_decode(code, word), want, words)
         _assert_same_decode(g, want, words)
         _assert_same_decode(b, want, words)
 
@@ -272,4 +349,4 @@ def test_decode_rows_across_chunks():
     assert len(got) == len(words)
     assert sum(g is not None for g in got) >= len(words) // 3
     for word, g in zip(words, got):
-        _assert_same_decode(g, safe_decode(code, word), words)
+        _assert_same_decode(g, _reference_decode(code, word), words)
