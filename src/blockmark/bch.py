@@ -95,8 +95,9 @@ def _poly_mod(value: int, divisor: int, divisor_deg: int) -> int:
 @dataclass(frozen=True)
 class BchCode:
     """A named code, equal to and hashed as its (n, k, t).  Building one
-    derives its field `fld`, its `generator` (a bitmask, degree n-k) and
-    the decoder tables; an unknown (n, k, t) raises ContractError."""
+    derives its field `fld`, its `generator` (a bitmask, degree n-k), the
+    generator matrix and the decoder tables; an unknown (n, k, t) raises
+    ContractError."""
     n: int
     k: int
     t: int
@@ -114,6 +115,10 @@ class BchCode:
         if gen.bit_length() - 1 != n - k:
             raise AssertionError(
                 f"generator degree {gen.bit_length() - 1} != n-k for {key}")
+        # row i: the systematic codeword of the message with bit i alone set
+        units = [1 << (n - 1 - i) for i in range(k)]
+        gen_rows = np.array([int_to_bits(x ^ _poly_mod(x, gen, n - k), n)
+                             for x in units])
         period = fld.period
         synd = np.zeros((2 * t, n), dtype=np.int64)
         for i in range(1, 2 * t + 1):
@@ -124,6 +129,7 @@ class BchCode:
         planes = (synd[0::2, :, None] >> np.arange(m)) & 1
         self.__dict__.update(
             generator=gen, fld=fld,
+            _gen_rows=gen_rows,   # (k, n) uint8 generator matrix
             _synd_mat=synd,       # (2t, n) alpha^{i*(n-1-pos)}
             _chien_exp=chien,     # (n,) exponents -j mod period
             # decode_rows' tables: per position the bits of S_1, S_3, ...,
@@ -159,14 +165,22 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[8 * size - width:]
 
 
+def encode_rows(code: BchCode, msgs: np.ndarray) -> np.ndarray:
+    """(R, n) systematic codewords of the rows of an (R, k) bit matrix:
+    one product with the generator matrix, taken mod 2."""
+    msgs = np.asarray(msgs, dtype=np.uint8)
+    if msgs.ndim != 2 or msgs.shape[1] != code.k:
+        raise ContractError(f"messages must be rows of length {code.k}")
+    # a sum of at most k <= 92 ones fits in uint8
+    return np.matmul(msgs, code._gen_rows) & 1
+
+
 def encode(code: BchCode, msg: np.ndarray) -> np.ndarray:
     """Systematic encoding; message bits end up in codeword[:k]."""
     msg = np.asarray(msg, dtype=np.uint8)
     if msg.shape != (code.k,):
         raise ContractError(f"message must have length {code.k}")
-    shifted = bits_to_int(msg) << (code.n - code.k)
-    rem = _poly_mod(shifted, code.generator, code.n - code.k)
-    return int_to_bits(shifted ^ rem, code.n)
+    return encode_rows(code, msg[None])[0]
 
 
 def syndromes(code: BchCode, received: np.ndarray) -> np.ndarray:
@@ -341,5 +355,5 @@ def all_codewords(code: BchCode) -> np.ndarray:
     """(2^k, n) matrix of every codeword; only sensible for small k."""
     if code.k > 16:
         raise ValueError("too many codewords to enumerate")
-    return np.stack([encode(code, int_to_bits(v, code.k))
-                     for v in range(1 << code.k)])
+    values = np.arange(1 << code.k)[:, None]
+    return encode_rows(code, values >> np.arange(code.k - 1, -1, -1) & 1)

@@ -53,13 +53,24 @@ def _output(path):
         yield fh
 
 
+def _count(args) -> range:
+    """The indices of the --count sequences to write; a negative count
+    raises ContractError."""
+    if args.count < 0:
+        raise ContractError(f"count must be >= 0, got {args.count}")
+    return range(args.count)
+
+
 def cmd_embed(args):
     code = _parse_code(args.code)
+    if not 0 <= args.payload < 1 << code.k:
+        raise ContractError(f"payload must lie in [0, 2^{code.k}) for "
+                            f"k = {code.k}, got {args.payload}")
     key = seqio.read_key(args.key_file)
     payload = int_to_bits(args.payload, code.k)
     src = logit_source(args.vocab_size, args.mass)
     seqs = []
-    for i in range(args.count):
+    for i in _count(args):
         cfg = EmbedConfig(code=code, delta=args.delta, scheme=args.scheme,
                           token_count=args.tokens, rng_seed=args.seed + i)
         seqs.append(embed(src, key, payload, cfg))
@@ -70,7 +81,7 @@ def cmd_embed(args):
 def cmd_sample_h0(args):
     src = UniformSource(args.vocab_size)
     seqs = [sample_unwatermarked(src, args.tokens, args.seed + i)
-            for i in range(args.count)]
+            for i in _count(args)]
     with _output(args.output) as out:
         seqio.dump_sequences(out, seqs)
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .bch import BchCode, ContractError
 from .keying import SecretKey, bits_of, check_vocab_size, \
-    _plan_block, derive_block_key, keyed_bits, partition_bits
+    derive_block_key, keyed_bits, partition_bits, plan_rows
 
 
 class GenerationError(RuntimeError):
@@ -125,9 +125,10 @@ class TokenSequence:
         return len(self.tokens)
 
 
-# Uniform doubles drawn at a time by the two-level sampler, and by the
-# per-step sampler, which ran slower and took more memory at 2^16.
-_CHUNK = 1 << 16
+# Uniform doubles drawn at a time by the two-level sampler (2^18 ran
+# slower), and by the per-step sampler, which ran slower and took more
+# memory at 2^16.
+_CHUNK = 1 << 17
 _STEP_CHUNK = 1 << 14
 _WINDOW = 2.0 ** -20      # see _two_level_argmax
 _READ = 8.0               # mean ids a row of _two_level_argmax reads first
@@ -140,14 +141,16 @@ def _gumbel(u: float) -> float:
     return 0.0 - math.log(-math.log(1.0 - u))
 
 
-def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
-    """The next `size` doubles that rng.gumbel(size=size) would transform.
-    It redraws u = 0, so a zero leaves the stream and the rest move up."""
-    u = rng.random(size)
-    while u.min() == 0.0:
-        u = u[u != 0.0]
-        u = np.concatenate([u, rng.random(size - u.size)])
-    return u
+def _uniforms(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """`out` (flat, contiguous) filled with the next out.size doubles that
+    rng.gumbel(size=out.size) would transform.  It redraws u = 0, so a
+    zero leaves the stream and the rest move up."""
+    rng.random(out=out)
+    while out.min() == 0.0:
+        keep = out[out != 0.0]
+        out[:keep.size] = keep
+        rng.random(out=out[keep.size:])
+    return out
 
 
 def _window(values: np.ndarray) -> float:
@@ -229,7 +232,8 @@ def _two_level_argmax(rng: np.random.Generator, vocab_size: int, classes,
     # one chunk's rows; a function, so that a chunk's arrays are freed
     # before the next chunk is drawn
     def walk(todo):
-        sub, top = _uniforms(rng, todo.size * V).reshape(-1, V), _READ / V
+        sub = _uniforms(rng, buf[:todo.size * V]).reshape(-1, V)
+        top = _READ / V
         while todo.size:
             flat = np.flatnonzero(sub <= top)
             rr, ids = np.divmod(flat, V)
@@ -256,6 +260,7 @@ def _two_level_argmax(rng: np.random.Generator, vocab_size: int, classes,
             todo, sub, top = todo[~done], sub[~done], top * 4
 
     step = max(1, _CHUNK // V)
+    buf = np.empty(min(step, T) * V)      # every chunk's draw
     for a in range(0, T, step):
         walk(np.arange(a, min(a + step, T)))
     if (out < 0).any():                   # a row with no candidate
@@ -263,10 +268,11 @@ def _two_level_argmax(rng: np.random.Generator, vocab_size: int, classes,
     return out.tolist()
 
 
-def _gumbel_argmax(rng: np.random.Generator, scores: np.ndarray) -> list:
+def _gumbel_argmax(rng: np.random.Generator, scores: np.ndarray,
+                   out: np.ndarray) -> list:
     """One token per row r of `scores`, equal to
     np.argmax(scores[r] + rng.gumbel(size=V)) row after row, and drawing
-    the same doubles.
+    the same doubles, into `out` (scores.size doubles).
 
     Every id is scored at once with numpy's vectorised log, which may
     differ from libm's in the last bits of G(u).  That error is far below
@@ -278,7 +284,7 @@ def _gumbel_argmax(rng: np.random.Generator, scores: np.ndarray) -> list:
     row holding NaN scores NaN there, and np.argmax returns its first
     NaN; no id of such a row is rescored.
     """
-    u = _uniforms(rng, scores.size).reshape(scores.shape)
+    u = _uniforms(rng, out).reshape(scores.shape)
     approx = _approx(scores, u)
     top = approx.argmax(axis=1)
     edge = approx[np.arange(len(top)), top] - 2 * _window(scores)
@@ -299,10 +305,12 @@ def _per_step(rng: np.random.Generator, vocab_size: int, steps: int,
     out = np.empty(steps, dtype=np.int64)
     rows = max(1, _STEP_CHUNK // vocab_size)
     buf = np.empty((min(rows, steps), vocab_size))
+    draw = np.empty(buf.size)
     for a in range(0, steps, rows):
         b = min(a + rows, steps)
         fill(slice(a, b), buf[:b - a])
-        out[a:b] = _gumbel_argmax(rng, buf[:b - a])
+        out[a:b] = _gumbel_argmax(rng, buf[:b - a],
+                                  draw[:(b - a) * vocab_size])
     return out
 
 
@@ -378,14 +386,16 @@ def _per_step_block(src, rng, cfg, seed, part, bits) -> np.ndarray:
 
 def _blocks(src, key, payload, cfg):
     """(seed, keyed bits, target bits) of each block of the text, in
-    order.  A UniformSource hashes only the keyed bits its walk reads."""
-    code, V = cfg.code, src.vocab_size
+    order.  Every block's key is derived first, then all target bits in
+    one plan_rows call.  A UniformSource hashes only the keyed bits its
+    walk reads."""
+    code, V, T = cfg.code, src.vocab_size, cfg.token_count
+    bks = [derive_block_key(key, j, code.k) for j in range(-(-T // code.n))]
+    targets = plan_rows(bks, payload, code, cfg.diverse)[1].ravel()[:T]
     lazy = type(src) is UniformSource
-    for j, start in enumerate(range(0, cfg.token_count, code.n)):
-        bk = derive_block_key(key, j, code.k)
+    for bk, start in zip(bks, range(0, T, code.n)):
         part = keyed_bits(bk.seed, V) if lazy else partition_bits(bk, V)
-        target = _plan_block(bk, payload, code, cfg.diverse).target_bits
-        yield bk.seed, part, target[:cfg.token_count - start]
+        yield bk.seed, part, targets[start:start + code.n]
 
 
 def embed(src: LogitSource, key: SecretKey, payload: np.ndarray,

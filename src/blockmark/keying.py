@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import BchCode, ContractError, encode, max_weight_codeword
+from .bch import BchCode, ContractError, encode_rows, max_weight_codeword
 
 KEY_LEN = 32
 MAX_VOCAB = 1 << 32      # token ids hash as LE32
@@ -170,25 +170,29 @@ def plan_block(key: SecretKey, j: int, payload: np.ndarray, code: BchCode,
     picks one of the two by a keyed coin; the all-zero vector is never a
     target.
     """
-    return _plan_block(derive_block_key(key, j, code.k), payload, code,
-                       diverse)
+    pairs, targets = plan_rows([derive_block_key(key, j, code.k)], payload,
+                               code, diverse)
+    return BlockPlan(tuple(pairs[0]), targets[0])
 
 
-def _plan_block(bk: BlockKey, payload: np.ndarray, code: BchCode,
-                diverse: bool) -> BlockPlan:
-    """plan_block of the block that `bk` keys."""
+def plan_rows(bks: list, payload: np.ndarray, code: BchCode,
+              diverse: bool) -> tuple:
+    """plan_block of each block that a BlockKey of `bks` keys, as arrays:
+    the designated codewords, (B, 1, n) or (B, 2, n) with the diverse
+    pair, and the target bits, (B, n), every c1 from one encode_rows
+    product."""
     payload = np.asarray(payload, dtype=np.uint8)
     if payload.shape != (code.k,):
         raise ContractError(f"payload must have length {code.k}")
-    c1 = encode(code, payload ^ bk.randomizer)
+    rand = np.array([bk.randomizer for bk in bks], dtype=np.uint8)
+    c1 = encode_rows(code, payload ^ rand.reshape(len(bks), code.k))
     if not diverse:
-        return BlockPlan((c1,), c1)
-    c_max = max_weight_codeword(code)
-    c2 = c1 ^ c_max
-    if not c2.any():
-        c2 = c1
-    target = (c1, c2)[diverse_coin(bk)]
-    if not target.any():
-        # c1 degenerate (zero): the pair partner is c_max, use it
-        target = c2
-    return BlockPlan((c1, c2), target)
+        return c1[:, None], c1
+    c2 = c1 ^ max_weight_codeword(code)
+    # a zero partner (c1 = c_max) becomes c1
+    np.copyto(c2, c1, where=~c2.any(axis=1, keepdims=True))
+    pairs = np.stack([c1, c2], axis=1)
+    targets = pairs[np.arange(len(bks)), [diverse_coin(bk) for bk in bks]]
+    # a zero target (c1 degenerate, coin 0) becomes its partner, c_max
+    np.copyto(targets, c2, where=~targets.any(axis=1, keepdims=True))
+    return pairs, targets

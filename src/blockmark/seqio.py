@@ -37,7 +37,8 @@ class BadRecord:
 def read_sequences(path, keep_bad: bool = False) -> list:
     """Sequences of a JSON-lines file, skipping blank lines.
 
-    A malformed line raises ContractError naming its 1-based number, or
+    A malformed line (a "meta" that is not an object included) raises
+    ContractError naming its 1-based number, or
     with `keep_bad` becomes a BadRecord in its place so that the other
     lines can still be used.
     """
@@ -49,8 +50,12 @@ def read_sequences(path, keep_bad: bool = False) -> list:
                 continue
             try:
                 rec = json.loads(line)
-                out.append(TokenSequence(rec["tokens"], rec["vocab_size"],
-                                         meta=rec.get("meta", {})))
+                seq = TokenSequence(rec["tokens"], rec["vocab_size"],
+                                    meta=rec.get("meta", {}))
+                if not isinstance(seq.meta, dict):
+                    raise ContractError(f"meta must be a JSON object, "
+                                        f"got {json.dumps(seq.meta)}")
+                out.append(seq)
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 if not keep_bad:

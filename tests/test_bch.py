@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from blockmark import bch, detector
 from blockmark.bch import (NAMED_CODES, BchCode, ContractError, all_codewords,
                            bits_to_int, code_params, decode_rows, encode,
-                           int_to_bits, is_codeword, max_weight_codeword,
+                           encode_rows, int_to_bits, is_codeword, max_weight_codeword,
                            message_of, safe_decode, syndromes)
 
 
@@ -146,6 +146,9 @@ def test_shape_contracts(small):
     for shape in ((2, small.n - 1), (small.n,)):
         with pytest.raises(ContractError):
             decode_rows(small, np.zeros(shape, dtype=np.uint8))
+    for shape in ((2, small.k + 1), (small.k,)):
+        with pytest.raises(ContractError):
+            encode_rows(small, np.zeros(shape, dtype=np.uint8))
 
 
 def test_code_params():
@@ -191,6 +194,38 @@ def _int_to_bits_loop(value, width):
         out[i] = value & 1
         value >>= 1
     return out
+
+
+def _reference_encode(code, msg):
+    """Systematic encoding by long division: the message polynomial
+    (msg[0] the coefficient of x^(k-1)) times x^(n-k), plus its remainder
+    mod the generator polynomial, one bit at a time."""
+    r = code.n - code.k
+    word = _bits_to_int_loop(msg) << r
+    rem = word
+    for d in range(code.n - 1, r - 1, -1):
+        if rem >> d & 1:
+            rem ^= code.generator << (d - r)
+    return _int_to_bits_loop(word ^ rem, code.n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(NAMED_CODES)), st.integers(0, 9),
+       st.integers(0, 2 ** 32 - 1))
+def test_encode_rows_equals_encode(params, rows, seed):
+    """encode_rows equals encode row by row, and both equal encoding by
+    long division, on all six codes: batches of random messages with the
+    zero and the all-ones message, and an empty batch."""
+    code = BchCode.make(*params)
+    msgs = np.concatenate([
+        np.random.default_rng(seed).integers(0, 2, (rows, code.k)),
+        np.zeros((1, code.k)), np.ones((1, code.k))]).astype(np.uint8)
+    got = encode_rows(code, msgs)
+    assert got.shape == (rows + 2, code.n) and got.dtype == np.uint8
+    for msg, cw in zip(msgs, got):
+        assert np.array_equal(cw, encode(code, msg))
+        assert np.array_equal(cw, _reference_encode(code, msg))
+    assert encode_rows(code, msgs[:0]).shape == (0, code.n)
 
 
 def test_bit_packing_equals_bitwise_loops():

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockmark import generation, keying
-from blockmark.bch import NAMED_CODES, BchCode, ContractError, int_to_bits
+from blockmark import bch, generation, keying
+from blockmark.bch import NAMED_CODES, BchCode, ContractError, int_to_bits, \
+    max_weight_codeword
 from blockmark.detector import extract_bits
 from blockmark.generation import (ControlledMassSource, EmbedConfig,
                                   GenerationError, LogitSource,
@@ -274,6 +275,24 @@ def test_two_level_embed_equals_literal_across_chunks(nkt, V, T):
             _literal_embed(src, KEY, payload, cfg), (scheme, mass, diverse)
 
 
+def test_two_level_text_of_three_chunks_equals_literal():
+    """A text of three _CHUNK-double chunks and a partial fourth at
+    V = 1024, so that every chunk holds several blocks and blocks
+    straddle chunk edges: both sources, soft and hard, both plans, equal
+    to the literal sampler."""
+    code, V = BchCode.make(31, 6, 7), 1024
+    T = 3 * (generation._CHUNK // V) + 7
+    arms = itertools.product((("soft", 2.5), ("hard", 0.0)), (None, 0.3),
+                             (False, True))
+    for i, ((scheme, delta), mass, diverse) in enumerate(arms):
+        src = ControlledMassSource(V, mass) if mass else UniformSource(V)
+        cfg = EmbedConfig(code=code, delta=delta, scheme=scheme,
+                          token_count=T, rng_seed=40 + i, diverse=diverse)
+        payload = int_to_bits(5 * i + 2, code.k)
+        assert embed(src, KEY, payload, cfg).tokens.tolist() == \
+            _literal_embed(src, KEY, payload, cfg), (scheme, mass, diverse)
+
+
 def test_hard_failure_in_a_later_block_of_a_chunk():
     """At V = 3 one chunk holds every row of the text.  Under this key
     block 4 alone of blocks 0..5 puts every id in one list: a text of
@@ -429,6 +448,39 @@ def test_embedding_derives_each_block_key_once(monkeypatch, src, diverse):
     assert calls == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("nkt", sorted(NAMED_CODES),
+                         ids=lambda nkt: "-".join(map(str, nkt)))
+def test_block_targets_equal_plan_block(nkt):
+    """_blocks builds every block's target bits from one plan_rows call;
+    they equal plan_block's block by block, under both plans, over a text
+    of four blocks, the last one partial: for a random payload, and for
+    payloads that make c1 of block 0 (coin 0) or block 1 (coin 1) the zero
+    word or c_max.  In each of the latter the diverse plan targets c_max,
+    through the zero-target rule, the zero-partner rule or the coin."""
+    code = BchCode.make(*nkt)
+    T = 3 * code.n + 4
+    keys = [derive_block_key(KEY, j, code.k) for j in (0, 1)]
+    assert [keying.diverse_coin(bk) for bk in keys] == [0, 1]
+    ones = max_weight_codeword(code)[:code.k]
+    cases = [(None, int_to_bits(0x2B, code.k))]
+    cases += [(j, bk.randomizer ^ flip) for j, bk in enumerate(keys)
+              for flip in (0, ones)]
+    for j, payload in cases:
+        for diverse in (False, True):
+            cfg = EmbedConfig(code=code, delta=2.0, scheme="soft",
+                              token_count=T, rng_seed=0, diverse=diverse)
+            got = [bits for *_, bits in
+                   generation._blocks(UniformSource(64), KEY, payload, cfg)]
+            assert [len(bits) for bits in got] == [code.n] * 3 + [4]
+            for i, bits in enumerate(got):
+                plan = plan_block(KEY, i, payload, code, diverse)
+                assert np.array_equal(bits, plan.target_bits[:len(bits)])
+            if j is not None:
+                c1 = bch.encode(code, payload ^ keys[j].randomizer)
+                assert np.array_equal(got[j], c1) or diverse
+                assert got[j].all() or not diverse
+
+
 def _zero_at(index: int, seed: int = 5) -> np.random.Generator:
     """A generator whose draw number `index` is the double 0.0: PCG64 emits
     the state it steps to, and 0.0 when that state is 0."""
@@ -462,9 +514,37 @@ def test_zero_uniform_is_redrawn_like_gumbel(index):
     assert rng_a.random() == rng_b.random()     # the streams stay aligned
     rng_a, rng_b = _zero_at(index), _zero_at(index)
     rng_b.gumbel(size=rows * V)
-    assert generation._gumbel_argmax(rng_a, scores[:2]) + \
-        generation._gumbel_argmax(rng_a, scores[2:]) == want
+    assert generation._gumbel_argmax(rng_a, scores[:2], np.empty(2 * V)) + \
+        generation._gumbel_argmax(rng_a, scores[2:],
+                                  np.empty((rows - 2) * V)) == want
     assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("where", [0, 77, -1], ids=["first", "inner", "last"])
+def test_zero_uniform_in_a_later_chunk_is_redrawn_like_gumbel(where):
+    """Each sampler draws every chunk of a text into one reused buffer.  A
+    u = 0 in the second chunk of a two-chunk text (its first, an inner or
+    its last double) leaves the stream as rng.gumbel makes it leave: the
+    tokens and the next double equal the literal sampler's."""
+    for V, chunk in ((1 << 15, generation._CHUNK),
+                     (1 << 12, generation._STEP_CHUNK)):
+        rows = chunk // V
+        index = rows * V + where if where >= 0 else 2 * rows * V - 1
+        consts = np.tile([[0.0, 1.5], [2.0, -np.inf]], (rows, 1))
+        part = np.arange(V) % 3 == 0
+        scores = np.where(part, consts[:, 1:], consts[:, :1])
+        rng_b = _zero_at(index)
+        want = [int(np.argmax(row + rng_b.gumbel(size=V))) for row in scores]
+        rng_a = _zero_at(index)
+        if chunk == generation._CHUNK:
+            got = generation._two_level_argmax(
+                rng_a, V, lambda rows, ids: part.astype(np.int8)[ids], consts)
+        else:
+            def fill(span, out):
+                out[...] = scores[span]
+            got = generation._per_step(rng_a, V, len(scores), fill).tolist()
+        assert got == want, V
+        assert rng_a.random() == rng_b.random()
 
 
 _SCORE = st.one_of(
@@ -488,9 +568,11 @@ def test_gumbel_argmax_equals_literal_sampler(V, data):
     edge = data.draw(st.integers(1, rows))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = generation._gumbel_argmax(rng_a, scores[:edge])
+    got = generation._gumbel_argmax(rng_a, scores[:edge],
+                                    np.empty(edge * V))
     if edge < rows:
-        got += generation._gumbel_argmax(rng_a, scores[edge:])
+        got += generation._gumbel_argmax(rng_a, scores[edge:],
+                                         np.empty((rows - edge) * V))
     want = [int(np.argmax(row + rng_b.gumbel(size=V))) for row in scores]
     assert got == want
     assert rng_a.random() == rng_b.random()
@@ -525,9 +607,13 @@ class _Scripted:
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self, size):
-        out, self.values = self.values[:size], self.values[size:]
-        return np.array(out)
+    def random(self, size=None, out=None):
+        size = size if out is None else out.size
+        got, self.values = self.values[:size], self.values[size:]
+        if out is None:
+            return np.array(got)
+        out[...] = got
+        return out
 
 
 def test_near_minimum_ties_go_to_smallest_id():
@@ -568,7 +654,8 @@ def test_rescoring_follows_libm_where_vectorised_log_differs():
     assert scores[0, i1] + fast[i1] < fast[i0]
     want = int(np.argmax(scores[0] + exact))
     assert want == i1
-    assert generation._gumbel_argmax(_Scripted(u[0]), scores) == [want]
+    assert generation._gumbel_argmax(_Scripted(u[0]), scores,
+                                     np.empty(V)) == [want]
 
 
 def test_walk_follows_libm_where_vectorised_log_differs():
@@ -607,7 +694,7 @@ def test_walk_follows_libm_where_vectorised_log_differs():
 
 def test_uniforms_follow_gumbel_stream():
     a, b = np.random.default_rng(3), np.random.default_rng(3)
-    u = generation._uniforms(a, 4096)
+    u = generation._uniforms(a, np.empty(4096))
     assert np.array_equal([generation._gumbel(x) for x in u],
                           b.gumbel(size=4096))
 

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -462,3 +463,76 @@ def test_cli_detect_continues_past_malformed_lines(tmp_path):
     assert "ContractError" in reps[8]["error"]
     assert "ContractError" in reps[9]["error"]
     assert all(r["is_wm"] and r["payload"] == 29 for r in (reps[0], reps[10]))
+
+
+@pytest.mark.parametrize("payload", [64, 99, -1])
+def test_cli_embed_refuses_payload_out_of_range(tmp_path, payload):
+    """At k = 6 a payload outside [0, 64) ends embed with one
+    `blockmark: ...` line and no file, where the low six bits of 99 (35)
+    or of -1 (63) used to be embedded; 0 and 63 embed."""
+    key = tmp_path / "key.txt"
+    seqio.write_key(key, SecretKey(bytes(32)))
+    out = tmp_path / "wm.jsonl"
+    argv = ["embed", "--key-file", str(key), "--tokens", "31",
+            "--output", str(out)]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--payload", str(payload)])
+    assert exit_.value.code == \
+        f"blockmark: payload must lie in [0, 2^6) for k = 6, got {payload}"
+    assert not out.exists()
+    for edge in (0, 63):
+        main(argv + ["--payload", str(edge)])
+        assert len(seqio.read_sequences(out)) == 1
+
+
+@pytest.mark.parametrize("command", ["embed", "sample-h0"])
+def test_cli_refuses_negative_count(tmp_path, command):
+    """A negative --count ends embed and sample-h0 with one
+    `blockmark: ...` line and no file, where it used to write an empty
+    one; --count 0 still writes an empty file."""
+    key = tmp_path / "key.txt"
+    seqio.write_key(key, SecretKey(bytes(32)))
+    out = tmp_path / "seqs.jsonl"
+    argv = [command, "--tokens", "31", "--output", str(out)]
+    if command == "embed":
+        argv += ["--key-file", str(key), "--payload", "5"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--count", "-1"])
+    assert exit_.value.code == "blockmark: count must be >= 0, got -1"
+    assert not out.exists()
+    main(argv + ["--count", "0"])
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("meta", ["[1, 2]", '"x"', "null", "3"])
+def test_non_object_meta_is_a_malformed_line(tmp_path, meta):
+    """A "meta" that is not a JSON object makes its line malformed: a
+    ContractError naming the line, a BadRecord with keep_bad, a one-line
+    exit of attack (it used to die in dump_sequences with a TypeError
+    traceback) and a bad-line report of detect.  A line that is itself
+    not an object stays a TypeError."""
+    good = '{"tokens": [1, 2], "vocab_size": 4}'
+    path = tmp_path / "seqs.jsonl"
+    path.write_text(f'{good}\n{{"tokens": [1], "vocab_size": 4, '
+                    f'"meta": {meta}}}\n{meta}\n')
+    message = f"ContractError: meta must be a JSON object, got {meta}"
+    with pytest.raises(ContractError,
+                       match=re.escape(f"line 2: {message}") + "$"):
+        seqio.read_sequences(path)
+    _, bad, whole = seqio.read_sequences(path, keep_bad=True)
+    assert (bad.line, bad.error) == (2, message)
+    assert whole.line == 3 and whole.error.startswith("TypeError: ")
+    out = tmp_path / "att.jsonl"
+    with pytest.raises(SystemExit) as exit_:
+        main(["attack", "--kind", "delete", "--rate", "0.1", "--input",
+              str(path), "--output", str(out)])
+    assert exit_.value.code == f"blockmark: {path}: line 2: {message}"
+    assert not out.exists()
+    key = tmp_path / "key.txt"
+    seqio.write_key(key, SecretKey(bytes(32)))
+    rep = tmp_path / "rep.jsonl"
+    main(["detect", "--key-file", str(key), "--input", str(path),
+          "--output", str(rep)])
+    reps = [json.loads(line) for line in rep.read_text().splitlines()]
+    assert [r.get("line") for r in reps] == [None, 2, 3]
+    assert reps[1]["error"] == message
