@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import ContractError
+from .bch import ContractError, check_setting
 from .generation import TokenSequence
 from .keying import SecretKey, derive_block_key, partition_bits
 
@@ -23,9 +23,7 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ContractError(f"unknown attack kind {self.kind!r}")
-        if isinstance(self.rate, bool) or \
-                not isinstance(self.rate, numbers.Real):
-            raise ContractError(f"rate must be a number, got {self.rate!r}")
+        check_setting("rate", self.rate, float)
         if not 0.0 <= self.rate <= 1.0:
             raise ContractError("rate must lie in [0, 1]")
 

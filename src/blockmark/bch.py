@@ -9,6 +9,7 @@ so message recovery is a slice.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -19,6 +20,17 @@ from .gf import FieldGF2m
 
 class ContractError(ValueError):
     """Raised when an operation precondition is violated."""
+
+
+def check_setting(name: str, value, kind: type) -> None:
+    """ContractError unless value is of kind: int (numpy's included),
+    float (any real number) or bool; only a bool setting takes a bool."""
+    abstract, what = {int: (numbers.Integral, "an integer"),
+                      float: (numbers.Real, "a number"),
+                      bool: (bool, "true or false")}[kind]
+    if isinstance(value, bool) != (kind is bool) or \
+            not isinstance(value, abstract):
+        raise ContractError(f"{name} must be {what}, got {value!r}")
 
 
 # Named instances: (n, k, t) -> extension degree m.  All are narrow-sense
@@ -191,8 +203,8 @@ def syndromes(code: BchCode, received: np.ndarray) -> np.ndarray:
 
 
 def is_codeword(code: BchCode, bits: np.ndarray) -> bool:
-    bits = np.asarray(bits, dtype=np.uint8)
-    return bits.shape == (code.n,) and not syndromes(code, bits).any()
+    bits = np.asarray(bits, dtype=np.uint8)[None]
+    return bits.shape == (1, code.n) and not _odd_syndromes(code, bits).any()
 
 
 def message_of(code: BchCode, cw: np.ndarray) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bch import BchCode, ContractError, bits_to_int, decode_rows, \
-    int_to_bits, max_weight_codeword, safe_decode
+from .bch import BchCode, ContractError, bits_to_int, check_setting, \
+    decode_rows, int_to_bits, max_weight_codeword, safe_decode
 from .generation import TokenSequence
 from .keying import SecretKey, derive_block_key, diverse_coin, token_bits
 
@@ -37,6 +37,9 @@ class DetectConfig:
     prompt_len: int = 0
 
     def __post_init__(self):
+        for name, kind in (("s_max", int), ("tau", int), ("prompt_len", int),
+                           ("diverse", bool)):
+            check_setting(name, getattr(self, name), kind)
         if self.tau < 1:
             raise ContractError("tau must be >= 1")
         if self.prompt_len < 0:
@@ -111,26 +114,6 @@ def _decode_blocks(code: BchCode, blocks: np.ndarray):
     return decode_rows(code, blocks)
 
 
-def _decoded_offsets(code: BchCode, rows: np.ndarray, T: int, offsets: list):
-    """(offset, decoded blocks) of each offset in turn, its blocks sliced
-    from the block_windows `rows` of a T-token text over the offsets'
-    range.  A stage of offsets is decoded when the caller first asks for
-    one of them, so a caller that stops early decodes no later stage."""
-    lo = min(offsets)
-    # k <= 7 decodes block by block, so a stage of one offset costs
-    # nothing; each decode_rows call has a fixed cost, so one stage
-    stages = [[s] for s in offsets] if code.k <= 7 else [offsets]
-    for stage in stages:
-        counts = [(T - s) // code.n for s in stage]
-        decoded = _decode_blocks(code, np.concatenate(
-            [rows[:M, s - lo:s - lo + code.n]
-             for s, M in zip(stage, counts)]))
-        at = 0
-        for s, M in zip(stage, counts):
-            yield s, decoded[at:at + M]
-            at += M
-
-
 def _vote(code: BchCode, decoded, randomizers, coins=None):
     """The stage-1 vote over decoded blocks, with messages and
     randomizers as ints.
@@ -202,17 +185,23 @@ def _randomizers_and_coins(bks, diverse: bool):
 
 def detect_all(seq: TokenSequence, cfgs) -> list:
     """The detection core: one report per config sharing code, key,
-    diverse and prompt_len.  Each offset that any config searches gets one
-    record per text: its decoded blocks, voted payload, and which blocks
-    decode and which carry the designated codeword, i.e. have the voted
-    payload as their vote key msg(cw_j) XOR r_j, so none is rebuilt.  The
-    blocks of every offset are slices of one block_windows, decoded in
-    _decoded_offsets' stages.  A config searches its offsets (0 alone, or
+    diverse and prompt_len.  A config searches its offsets (0 alone, or
     0, -1, +1, ... +-s_max with the shift search) and keeps the first, in
     that order, with the best ratio of blocks under its mask: decodable
-    (naive, shift_only) or designated.  The search stops at the first
-    offset by which every config that searches beyond 0 has an offset of
-    ratio 1 or has run out of offsets: no later offset could win."""
+    (naive, shift_only) or designated (the offset's voted payload is the
+    block's vote key msg(cw_j) XOR r_j).  Every offset's blocks are slices
+    of one block_windows, each decoded at most once, when first needed.
+
+    While a config that searches beyond offset 0 waits for an offset of
+    ratio 1, the offsets are walked in search order, block by block, and
+    one is given up at the first block that rules out ratio 1 for every
+    waiting config: one that does not decode, or, if all of them use the
+    designated mask, one after which no payload designates every block
+    walked.  Only a walk to the last block records the offset
+    (decoded blocks, vote, both masks); the search ends when no config
+    waits.  A config reports its first recorded offset of ratio 1, or
+    records all its offsets and reports the best.  No report changes: both
+    rules are necessary for ratio 1, the most, and the first tie wins."""
     shared = {(c.code, c.key, c.diverse, c.prompt_len) for c in cfgs}
     if len(shared) != 1:
         raise ContractError("detect_all needs configs that share code, key, "
@@ -224,49 +213,88 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
     # the index of each config's mask in a record: decodable or designated
     rules = [2 if c.mode in ("naive", "shift_only") else 3 for c in cfgs]
     order = [0, *(s for d in range(1, max(reaches) + 1) for s in (-d, d))]
-    offsets = [s for s in order if T - s >= code.n]
+    # the number of blocks at each offset that holds one, in search order
+    counts = {s: (T - s) // code.n for s in order if T - s >= code.n}
     records = {}   # offset: (decoded, payload, decodable, designated)
-    # (mask, number of offsets searched) of each config that searches
-    # beyond offset 0 and has neither found an offset of ratio 1 nor run
-    # out of offsets: once none is left, no later offset can change a
-    # report, for a ratio is at most 1 and the first of equal ratios wins
-    pending = {(rule, 2 * reach + 1)
+    # (mask, number of offsets searched) of each waiting config
+    waiting = {(rule, 2 * reach + 1)
                for rule, reach in zip(rules, reaches) if reach}
-    if offsets:
-        rows, bks = block_windows(seq, key, code.n, code.k, min(offsets),
-                                  max(offsets), prompt_len)
+    if counts:
+        n, lo, first = code.n, min(counts), next(iter(counts))
+        rows, bks = block_windows(seq, key, n, code.k, lo, max(counts),
+                                  prompt_len)
         rands, coins = _randomizers_and_coins(bks, diverse)
-        for s, blocks in _decoded_offsets(code, rows, T, offsets):
-            payload, _, designating = _vote(code, blocks, rands, coins)
-            records[s] = (blocks, payload,
-                          [dec is not None for dec in blocks],
-                          [payload in keys for keys in designating])
-            i = order.index(s)
-            pending = {(rule, width) for rule, width in pending
-                       if i + 1 < width and not all(records[s][rule])}
-            if not pending:
+        # msg(c_max) in diverse mode, else 0: a decoded block's pair
+        # partner designates the block's vote key XOR this
+        partner = bits_to_int(max_weight_codeword(code)[:code.k] * diverse)
+        done = {s: [] for s in counts}   # the blocks decoded so far
+
+        def decoded(s, stop):
+            # at least the first `stop` blocks of offset s, each decoded
+            # once: k <= 7 decodes the blocks asked for; k > 7, whose
+            # decode_rows call has a fixed cost, the first offset, then
+            # every block of the rest at once
+            if len(done[s]) < stop and code.k <= 7:
+                done[s] += _decode_blocks(
+                    code, rows[len(done[s]):stop, s - lo:s - lo + n])
+            elif len(done[s]) < stop:
+                stage = [o for o in counts if (o == first) == (s == first)]
+                blocks = _decode_blocks(code, np.concatenate(
+                    [rows[:counts[o], o - lo:o - lo + n] for o in stage]))
+                for o in stage:
+                    done[o], blocks = blocks[:counts[o]], blocks[counts[o]:]
+            return done[s]
+
+        def record(s):
+            if s not in records:
+                blocks = decoded(s, counts[s])
+                payload, _, designating = _vote(code, blocks, rands, coins)
+                records[s] = (blocks, payload,
+                              [dec is not None for dec in blocks],
+                              [payload in keys for keys in designating])
+            return records[s]
+
+        for s in counts:
+            waiting = {(r, w) for r, w in waiting if order.index(s) < w}
+            if not waiting:
                 break
+            for j in range(counts[s]):
+                dec = decoded(s, j + 1)[j]
+                if dec is None:
+                    break
+                # the payloads that designate every block so far (_vote's)
+                vote = bits_to_int(dec[0][:code.k]) ^ rands[j]
+                keys = {vote, vote ^ partner} if dec[0].any() else {vote}
+                candidates = keys if j == 0 else candidates & keys
+                if not candidates and all(r == 3 for r, _ in waiting):
+                    break
+            else:
+                waiting = {(r, w) for r, w in waiting
+                           if not all(record(s)[r])}
 
     reports = []
     for cfg, reach, rule in zip(cfgs, reaches, rules):
-        searched = [s for s in order[:2 * reach + 1] if s in records]
+        searched = [s for s in order[:2 * reach + 1] if s in counts]
         if not searched:
             reports.append(DetectionReport(
                 False, None, 0, 0, 0, diagnostic="text shorter than one block"))
             continue
+        if not any(all(records[s][rule]) for s in searched if s in records):
+            for s in searched:
+                record(s)
         # max keeps the first of equal ratios, so the search order decides
-        s = max(searched, key=lambda o: sum(records[o][rule])
-                / len(records[o][rule]))
-        decoded, payload = records[s][:2]
+        s = max((s for s in searched if s in records),
+                key=lambda o: sum(records[o][rule]) / len(records[o][rule]))
+        blocks, payload = records[s][:2]
         matches = records[s][rule]
         matched = sum(matches)
         is_wm = matched >= cfg.tau
         reports.append(DetectionReport(
             is_wm, int_to_bits(payload, code.k) if is_wm else None,
-            best_offset=s, matched=matched, block_count=len(decoded),
+            best_offset=s, matched=matched, block_count=len(blocks),
             per_block=[BlockResult(m, dec[1] if dec else None, s)
-                       for dec, m in zip(decoded, matches)],
-            score=matched / len(decoded)))
+                       for dec, m in zip(blocks, matches)],
+            score=matched / len(blocks)))
     return reports
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bch import BchCode, ContractError
+from .bch import BchCode, ContractError, check_setting
 from .keying import SecretKey, bits_of, check_vocab_size, \
     derive_block_key, keyed_bits, partition_bits, plan_rows
 
@@ -93,6 +93,9 @@ class EmbedConfig:
     diverse: bool = False    # plan each block with the diverse pair
 
     def __post_init__(self):
+        for name, kind in (("delta", float), ("token_count", int),
+                           ("rng_seed", int), ("diverse", bool)):
+            check_setting(name, getattr(self, name), kind)
         if not 0 <= self.delta < math.inf:
             raise ContractError("delta must be finite and >= 0")
         if self.token_count < 1:

@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from .attacks import AttackSpec, attack
-from .bch import BchCode, ContractError, code_params, int_to_bits
+from .bch import BchCode, ContractError, check_setting, code_params, \
+    int_to_bits
 from .detector import DetectConfig, detect, detect_all, extract_bits
 from .generation import ControlledMassSource, EmbedConfig, TokenSequence, \
     UniformSource, embed, logit_source, sample_unwatermarked
@@ -51,22 +51,17 @@ class ExperimentSpec:
             if not isinstance(grid, (list, tuple)):
                 raise ContractError(f"{name} must be a list, got {grid!r}")
             setattr(self, name, tuple(grid))
-        if not isinstance(self.diverse, bool):
-            raise ContractError(f"diverse must be true or false, "
-                                f"got {self.diverse!r}")
-        numeric = [(name, getattr(self, name), numbers.Integral) for name in
-                   ("trials", "vocab_size", "text_len", "master_seed")]
-        numeric += [(f"{name} item", v, numbers.Integral)
-                    for name in ("s_max_grid", "tau_grid")
-                    for v in getattr(self, name)]
-        numeric += [(name, getattr(self, name), numbers.Real)
-                    for name in ("delta", "mass")
-                    if getattr(self, name) is not None]
-        for name, value, kind in numeric:
-            # Python counts a bool as an int; no setting takes one so
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is numbers.Integral else "a number"
-                raise ContractError(f"{name} must be {what}, got {value!r}")
+        settings = [("diverse", self.diverse, bool)]
+        settings += [(name, getattr(self, name), int) for name in
+                     ("trials", "vocab_size", "text_len", "master_seed")]
+        settings += [(f"{name} item", v, int)
+                     for name in ("s_max_grid", "tau_grid")
+                     for v in getattr(self, name)]
+        settings += [(name, getattr(self, name), float)
+                     for name in ("delta", "mass")
+                     if getattr(self, name) is not None]
+        for setting in settings:
+            check_setting(*setting)
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentSpec":

@@ -50,6 +50,21 @@ def test_config_contracts():
         _cfg(prompt_len=-1)
 
 
+def test_config_refuses_wrongly_typed_settings():
+    """A wrongly typed setting raises ContractError when the config is
+    built: s_max 2.5 and prompt_len 1.5 used to fail at detection, and
+    tau True was taken as 1.  numpy integers count as integers."""
+    for name, value in (("s_max", 2.5), ("s_max", True), ("tau", True),
+                        ("tau", 1.0), ("prompt_len", 1.5),
+                        ("prompt_len", False), ("diverse", 1),
+                        ("diverse", "yes")):
+        with pytest.raises(ContractError, match=name):
+            _cfg(**{name: value})
+    rep = detect(_wm(), _cfg(s_max=np.int64(2), tau=np.int32(3),
+                             prompt_len=np.uint8(0)))
+    assert rep.is_wm and np.array_equal(rep.payload, PAYLOAD)
+
+
 def test_extract_offset_identities():
     seq = _wm(100)
     # positive offset s drops the first s tokens from the stream frame
@@ -342,11 +357,12 @@ def _ref_detect(seq, cfg):
 
 
 @st.composite
-def _texts(draw, min_blocks=0, max_blocks=3, kinds=None):
+def _texts(draw, min_blocks=0, max_blocks=3, kinds=None, pushed=False):
     """A text built block by block at the stream level: each block carries
     the designated codeword (or its diverse partner, the zero word, c_max,
     another codeword or noise) plus a few flipped bits, mapped to tokens
-    of the matching keyed bit; then a prefix shift and a prompt."""
+    of the matching keyed bit; then a prefix shift and a prompt.  With
+    `pushed`, one block gets t+1 ... t+3 flips."""
     code = draw(st.sampled_from(CODES))
     n, k = code.n, code.k
     key = SecretKey(bytes([draw(st.integers(0, 255))]) * 32)
@@ -357,6 +373,7 @@ def _texts(draw, min_blocks=0, max_blocks=3, kinds=None):
     else:
         payload = rng.integers(0, 2, k).astype(np.uint8)
     c_max = max_weight_codeword(code)
+    push = draw(st.integers(0, M - 1)) if pushed and M else None
     words = []
     for j in range(M):
         c1 = encode(code, payload ^ derive_block_key(key, j, k).randomizer)
@@ -367,6 +384,8 @@ def _texts(draw, min_blocks=0, max_blocks=3, kinds=None):
              "other": encode(code, rng.integers(0, 2, k).astype(np.uint8)),
              "noise": rng.integers(0, 2, n).astype(np.uint8)}[kind].copy()
         flips = draw(st.integers(0, code.t + 1)) if kinds is None else 0
+        if j == push:
+            flips = draw(st.integers(code.t + 1, code.t + 3))
         w[rng.choice(n, flips, replace=False)] ^= 1
         words.append(w)
     bits = np.concatenate(words + [rng.integers(
@@ -507,17 +526,78 @@ def _search_texts(draw):
                               prompt_len=prompt, **c) for c in cfgs]
 
 
-@settings(max_examples=150, deadline=None)
-@given(_search_texts())
-def test_shift_search_stops_at_first_perfect_offset(task):
-    """detect_all stops its shift search once every config that searches
-    beyond offset 0 has an offset of ratio 1 or has searched all its
-    offsets, and its reports still equal the reference.  For k <= 7 the
-    offsets that reach _decode_blocks, one per call, are the search-order
-    prefix that ends there; for k > 7 a text still makes one call, over
-    every offset."""
-    seq, cfgs = task
-    code, key, prompt = cfgs[0].code, cfgs[0].key, cfgs[0].prompt_len
+def _blocks(seq, cfg, s):
+    """The (M, n) blocks of cfg's text at offset s, from extract_bits."""
+    n = cfg.code.n
+    bits = extract_bits(seq, cfg.key, n, cfg.code.k, s, cfg.prompt_len)
+    return bits[:len(bits) // n * n].reshape(-1, n)
+
+
+def _designating(code, key, j, cw, diverse):
+    """The payload ints that designate codeword cw in block j: its vote
+    key msg(cw) ^ r_j, and in diverse mode the partner's unless cw is
+    the zero word."""
+    vote = bits_to_int(message_of(code, cw)) ^ bits_to_int(
+        derive_block_key(key, j, code.k).randomizer)
+    c_max = bits_to_int(message_of(code, max_weight_codeword(code)))
+    return {vote, vote ^ c_max} if diverse and cw.any() else {vote}
+
+
+def _schedule(seq, cfgs):
+    """The lazy shift search's decode schedule, spelled out from the
+    reference: the (offset, first block, end block) runs detect_all asks
+    for, in order.  While a config of s_max > 0 waits for an offset of
+    ratio 1, each offset is walked block by block up to its first block
+    that does not decode or, when every waiting config is `both`, that
+    shares no designating payload with the blocks before it.  An offset
+    walked to its end is recorded.  A config with no recorded offset of
+    ratio 1 then completes each of its offsets, config by config."""
+    cfg0 = cfgs[0]
+    code, T = cfg0.code, len(seq.tokens) - cfg0.prompt_len
+    reach = [c.s_max if c.mode in ("shift_only", "both") else 0
+             for c in cfgs]
+    order = [0, *(s for d in range(1, max(reach) + 1) for s in (-d, d))]
+    counts = {s: (T - s) // code.n for s in order if T - s >= code.n}
+    perfect = [{s for ratio, _, s, *_ in _ref_offsets(seq, c) if ratio == 1}
+               for c in cfgs]
+    done = dict.fromkeys(counts, 0)
+    runs, recorded = [], set()
+
+    def need(s, stop):
+        if done[s] < stop:
+            runs.append((s, done[s], stop))
+            done[s] = stop
+    waiting = [i for i, r in enumerate(reach) if r]
+    for s in counts:
+        waiting = [i for i in waiting if order.index(s) <= 2 * reach[i]]
+        if not waiting:
+            break
+        shared = None
+        for j, block in enumerate(_blocks(seq, cfg0, s)):
+            need(s, j + 1)
+            dec = safe_decode(code, block)
+            if dec is None:
+                break
+            if all(cfgs[i].mode == "both" for i in waiting):
+                keys = _designating(code, cfg0.key, j, dec[0], cfg0.diverse)
+                shared = keys if shared is None else shared & keys
+                if not shared:
+                    break
+        else:
+            recorded.add(s)
+            waiting = [i for i in waiting if s not in perfect[i]]
+    for i, r in enumerate(reach):
+        searched = [s for s in order[:2 * r + 1] if s in counts]
+        if not perfect[i] & recorded & set(searched):
+            for s in searched:
+                need(s, counts[s])
+                recorded.add(s)
+    return runs, counts
+
+
+def _decode_calls(seq, cfgs):
+    """detect_all's reports and the blocks of each of its _decode_blocks
+    calls."""
     calls = []
     decode = detector._decode_blocks
 
@@ -526,66 +606,129 @@ def test_shift_search_stops_at_first_perfect_offset(task):
         return decode(code, blocks)
     with mock.patch.object(detector, "_decode_blocks", recording):
         reps = detect_all(seq, cfgs)
-    for cfg, rep in zip(cfgs, reps):
-        _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
+    return reps, calls
 
-    reaches = [c.s_max for c in cfgs if c.mode in ("shift_only", "both")]
-    order = [0, *(s for d in range(1, max(reaches, default=0) + 1)
-                  for s in (-d, d))]
-    stop = 0
-    for cfg in cfgs:
-        if cfg.mode not in ("shift_only", "both") or not cfg.s_max:
-            continue
-        perfect = [s for ratio, _, s, *_ in _ref_offsets(seq, cfg)
-                   if ratio == 1]
-        stop = max(stop, order.index(perfect[0]) if perfect
-                   else 2 * cfg.s_max)
-    T = len(seq.tokens) - prompt
 
-    def blocks(s):
-        M = (T - s) // code.n
-        return extract_bits(seq, key, code.n, code.k, s,
-                            prompt)[:M * code.n].reshape(M, code.n)
-    if code.k <= 7:
-        want = [blocks(s) for s in order[:stop + 1] if T - s >= code.n]
-    else:
-        want = [np.concatenate([blocks(s) for s in order
-                                if T - s >= code.n])]
-        want = want if len(want[0]) else []
+def _want_calls(seq, cfgs):
+    """The _decode_blocks calls _schedule implies: one per run for k <= 7;
+    for k > 7 every block of the first offset in one call, and on the
+    first run at any other offset every block of the rest in one."""
+    runs, counts = _schedule(seq, cfgs)
+    cfg = cfgs[0]
+    if cfg.code.k <= 7:
+        return [_blocks(seq, cfg, s)[a:b] for s, a, b in runs]
+    first = next(iter(counts), None)
+    stages = list(dict.fromkeys(s == first for s, _, _ in runs))
+    return [_blocks(seq, cfg, first) if at_first else np.concatenate(
+        [_blocks(seq, cfg, o) for o in counts if o != first])
+        for at_first in stages]
+
+
+def _assert_decoded_once(calls, want):
     assert len(calls) == len(want)
     assert all(np.array_equal(got, w) for got, w in zip(calls, want))
 
 
+@settings(max_examples=150, deadline=None)
+@given(_search_texts())
+def test_shift_search_stops_at_first_perfect_offset(task):
+    """detect_all walks each offset only as far as the search needs and
+    its reports still equal the reference.  Its _decode_blocks calls are
+    exactly those of _schedule: for k <= 7 each walked block alone, then
+    the rest of each offset a config completes; for k > 7 the first
+    offset, then the rest in one call.  Each block is decoded at most
+    once, and no offset past the last one a waiting config searches."""
+    seq, cfgs = task
+    reps, calls = _decode_calls(seq, cfgs)
+    for cfg, rep in zip(cfgs, reps):
+        _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
+    runs, _ = _schedule(seq, cfgs)
+    walked = [(s, j) for s, a, b in runs for j in range(a, b)]
+    assert len(walked) == len(set(walked))
+    _assert_decoded_once(calls, _want_calls(seq, cfgs))
+
+
 def test_shift_search_waits_only_for_configs_with_offsets_left():
     """A config with no perfect offset holds the search only until its
-    own offsets run out.  Two blocks carry codewords of different vote
-    keys, and three more tokens follow: shift_only at s_max 3 finds
-    offset 0 perfect, both at s_max 1 finds no perfect offset, so
-    (15,5,3) decodes offsets 0, -1 and +1, one _decode_blocks call each,
-    and none beyond."""
+    own offsets run out.  Three blocks carry codewords whose vote keys
+    differ, and three more tokens follow: shift_only at s_max 3 finds
+    offset 0 perfect, both at s_max 1 finds no perfect offset.  So
+    (15,5,3) walks offset 0 to its end (shift_only waits, and each block
+    decodes); at -1 and +1, where both waits alone, block 1 decodes to a
+    vote key other than block 0's, so each walk gives up there.  Then
+    both completes -1 and +1 with their last block, and no block of +-2
+    or +-3 is decoded."""
     code = BchCode.make(15, 5, 3)
     rng = np.random.default_rng(0)
     bits = np.concatenate([encode(code, int_to_bits(m, code.k))
-                           for m in (3, 17)])
+                           for m in (3, 17, 3)])
     toks = [rng.choice(np.flatnonzero(partition_bits(
         derive_block_key(KEY, p // code.n, code.k), SMALL_V) == b))
         for p, b in enumerate(bits)]
     seq = TokenSequence(toks + [1, 2, 3], SMALL_V)
     cfgs = [DetectConfig(code=code, key=KEY, s_max=3, mode="shift_only"),
             DetectConfig(code=code, key=KEY, s_max=1, mode="both")]
-    calls = []
-    decode = detector._decode_blocks
-
-    def counting(code, blocks):
-        calls.append(len(blocks))
-        return decode(code, blocks)
-    with mock.patch.object(detector, "_decode_blocks", counting):
-        reps = detect_all(seq, cfgs)
+    reps, calls = _decode_calls(seq, cfgs)
     assert [(r.best_offset, r.matched, r.block_count) for r in reps] == \
-        [(0, 2, 2), (0, 1, 2)]
-    assert calls == [2, 2, 2]
+        [(0, 3, 3), (0, 1, 3)]
     for cfg, rep in zip(cfgs, reps):
         _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
+    runs = [(0, 0, 1), (0, 1, 2), (0, 2, 3), (-1, 0, 1), (-1, 1, 2),
+            (1, 0, 1), (1, 1, 2), (-1, 2, 3), (1, 2, 3)]
+    assert _schedule(seq, cfgs)[0] == runs
+    _assert_decoded_once(calls, [_blocks(seq, cfgs[0], s)[a:b]
+                                 for s, a, b in runs])
+
+
+@st.composite
+def _lazy_tasks(draw):
+    """A text whose blocks carry the designated codeword (in diverse mode
+    either of the pair) but one, pushed t+1 ... t+3 flips away, behind
+    r <= 3 inserted or deleted prefix tokens, sometimes cut shorter than
+    a block, behind a 0-2 token prompt; and 2-4 configs, at least one
+    searching offset 0 alone and one searching beyond it."""
+    diverse = draw(st.booleans())
+    code, key, _, toks, rng = draw(_texts(
+        max_blocks=4, kinds=("c1", "c2") if diverse else ("c1",),
+        pushed=True))
+    r = draw(st.integers(-3, 3))
+    toks = (np.concatenate([rng.integers(0, SMALL_V, r), toks]) if r > 0
+            else toks[-r:])
+    toks = toks[:draw(st.sampled_from([len(toks), code.n - 1, 3]))]
+    prompt = draw(st.integers(0, 2))
+    seq = TokenSequence(
+        np.concatenate([rng.integers(0, SMALL_V, prompt), toks]), SMALL_V)
+    top = code.n if code.k > 7 else 8
+    cfgs = [dict(mode=draw(st.sampled_from(MODE_NAMES)), s_max=0),
+            dict(mode=draw(st.sampled_from(("shift_only", "both"))),
+                 s_max=draw(st.integers(1, top)))]
+    cfgs += [dict(mode=draw(st.sampled_from(MODE_NAMES)),
+                  s_max=draw(st.integers(0, top)))
+             for _ in range(draw(st.integers(0, 2)))]
+    return seq, [DetectConfig(code=code, key=key, diverse=diverse,
+                              prompt_len=prompt,
+                              tau=draw(st.integers(1, 3)), **c)
+                 for c in draw(st.permutations(cfgs))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lazy_tasks())
+def test_lazy_search_matches_reference(task):
+    """detect_all with the lazy shift search equals the reference on
+    every report field, for all six codes, both plans, texts shorter than
+    a block, and configs of reach 0 beside shift configs, where a pushed
+    block rules out the true offset and the offsets walked partway are
+    completed; no block is decoded twice."""
+    seq, cfgs = task
+    reps, calls = _decode_calls(seq, cfgs)
+    for cfg, rep in zip(cfgs, reps):
+        _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
+    cfg = cfgs[0]
+    T = len(seq.tokens) - cfg.prompt_len
+    reach = max(c.s_max for c in cfgs)
+    assert sum(map(len, calls)) <= sum(max((T - s) // cfg.code.n, 0)
+                                       for s in range(-reach, reach + 1))
+    _assert_decoded_once(calls, _want_calls(seq, cfgs))
 
 
 def test_detect_at_largest_vocabulary_hashes_only_windows(monkeypatch):

@@ -128,6 +128,23 @@ def test_embed_config_contracts():
                     rng_seed=0)
 
 
+def test_embed_config_refuses_wrongly_typed_settings():
+    """A wrongly typed setting raises ContractError when the config is
+    built: a float count or seed used to fail inside numpy, and a bool
+    count embedded one token.  numpy integers count as integers."""
+    base = dict(code=CODE, delta=1.0, scheme="soft", token_count=10,
+                rng_seed=0)
+    for name, value in (("token_count", 40.5), ("token_count", True),
+                        ("rng_seed", 1.5), ("rng_seed", False),
+                        ("diverse", 1), ("diverse", None),
+                        ("delta", True), ("delta", "2")):
+        with pytest.raises(ContractError, match=name):
+            EmbedConfig(**{**base, name: value})
+    cfg = EmbedConfig(**{**base, "token_count": np.int64(10),
+                         "rng_seed": np.uint32(3)})
+    assert len(embed(UniformSource(64), KEY, PAYLOAD, cfg).tokens) == 10
+
+
 def test_embed_deterministic_under_seed():
     cfg = EmbedConfig(code=CODE, delta=2.0, scheme="soft", token_count=100,
                       rng_seed=77)

@@ -121,33 +121,55 @@ def test_from_dict_rejects_unknown_keys():
 
 def test_campaign_decodes_each_text_once_per_offset(monkeypatch):
     """The ablation grid scores its three modes from one pass per text:
-    one block_windows call, and each distinct offset (0, +-1 .. +-5)
-    decoded at most once, not once per (mode, offset).  (31,6,7) decodes
-    one offset per _decode_blocks call, so the shift search stops after
-    offset 0 of the clean watermarked text and decodes all 11 offsets of
-    the H0 text."""
-    calls = {"block_windows": 0, "_decode_blocks": 0}
+    one block_windows call, and each block of each offset (0, +-1 .. +-5)
+    decoded at most once, not once per (mode, offset).  shift_only
+    waits for a perfect offset, so each offset is walked one block per
+    _decode_blocks call up to its first block that does not decode.  The
+    clean watermarked text decodes the six blocks of offset 0 and
+    nothing else.  No offset of the H0 text walks to its end, so both
+    then completes its 11 offsets in search order, and every block of
+    every offset is decoded exactly once."""
+    events = []
+    windows, decode = detector.block_windows, detector._decode_blocks
 
-    def counting(name):
-        original = getattr(detector, name)
+    def recording_windows(seq, key, *args):
+        events.append((seq, key, []))
+        return windows(seq, key, *args)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(detector, name, counting(name))
+    def recording_decode(code, blocks):
+        events[-1][2].append(blocks.copy())
+        return decode(code, blocks)
+    monkeypatch.setattr(detector, "block_windows", recording_windows)
+    monkeypatch.setattr(detector, "_decode_blocks", recording_decode)
     spec = ExperimentSpec(trials=1, code=(31, 6, 7), text_len=200,
                           attacks=[AttackSpec("substitute", 0.0)],
                           s_max_grid=(5,), tau_grid=(1,),
                           mode_grid=("both", "shift_only",
                                      "designated_only"), master_seed=3)
     rows = run_campaign(spec)
-    texts = 2       # the watermarked text and the H0 text of one trial
-    assert calls == {"block_windows": texts, "_decode_blocks": 1 + 11}
     assert [r.mode for r in rows] == ["both", "shift_only", "designated_only"]
     assert all(r.tpr == 1.0 and r.match_rate == 1.0 for r in rows)
+
+    code = BchCode.make(31, 6, 7)
+    order = [0, *(s for d in range(1, 6) for s in (-d, d))]
+    # the watermarked text and the H0 text of one trial
+    (wm, key, wm_calls), (h0, _, h0_calls) = events
+
+    def blocks_at(seq, s):
+        bits = detector.extract_bits(seq, key, code.n, code.k, s)
+        return bits[:len(bits) // code.n * code.n].reshape(-1, code.n)
+
+    def assert_calls(calls, want):
+        assert len(calls) == len(want)
+        assert all(np.array_equal(got, w) for got, w in zip(calls, want))
+    assert_calls(wm_calls, [blocks_at(wm, 0)[j:j + 1] for j in range(6)])
+    blocks = {s: blocks_at(h0, s) for s in order}
+    walked = {s: [detector.safe_decode(code, b) is not None
+                  for b in blocks[s]].index(False) + 1 for s in order}
+    assert_calls(h0_calls, [
+        *(blocks[s][j:j + 1] for s in order for j in range(walked[s])),
+        *(blocks[s][walked[s]:] for s in order
+          if walked[s] < len(blocks[s]))])
 
 
 def test_campaign_grid_is_checked_before_the_first_trial(monkeypatch):

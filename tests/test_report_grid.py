@@ -14,6 +14,8 @@ PINNED = [
     "126392cc63efb1a089a2b28f96c7487018c5bb6511941984282a088170ef980b",
     "576 prefix-shifted reports sha256 "
     "37b888ee945f31ed448a3e77e5d128f9b1a5e52f90e69c635e5a9afdde10a87c",
+    "1728 partial-then-complete reports sha256 "
+    "d9dec249062dfe5feda402f75d391a429be5b09c48282481d8abb4e727346a11",
 ]
 
 

@@ -17,7 +17,10 @@ fields, the per-block results and the types of the numbers included.
 A second line does the same for the texts where the shift search stops
 partway: each clean embedding behind r = 1, 2, 3 inserted prefix tokens
 and with its first r tokens deleted, under the four modes at s_max 3
-and n.
+and n.  A third line covers the texts whose offsets are given up partway
+and then completed: the same prefix-shifted texts with block 0, 1 or 2
+of the clean embedding garbled, its n tokens replaced by those of an
+unwatermarked text.
 """
 import hashlib
 from dataclasses import asdict
@@ -28,8 +31,8 @@ from blockmark.attacks import AttackSpec, attack, delete_prefix, \
     insert_prefix
 from blockmark.bch import NAMED_CODES, BchCode
 from blockmark.detector import MODES, DetectConfig, detect_all
-from blockmark.generation import EmbedConfig, UniformSource, embed, \
-    sample_unwatermarked
+from blockmark.generation import EmbedConfig, TokenSequence, \
+    UniformSource, embed, sample_unwatermarked
 from blockmark.keying import SecretKey
 
 KEY = SecretKey(bytes(range(32)))
@@ -62,6 +65,15 @@ def prefix_shifted(clean, seed: int):
                             delete_prefix(clean, r))]
 
 
+def garbled(clean, n: int, seed: int):
+    noise = sample_unwatermarked(UniformSource(VOCAB), len(clean.tokens),
+                                 seed + 1).tokens
+    for j in (0, 1, 2):
+        tokens = clean.tokens.copy()
+        tokens[j * n:(j + 1) * n] = noise[j * n:(j + 1) * n]
+        yield TokenSequence(tokens, VOCAB)
+
+
 class Digest:
     def __init__(self):
         self.sha = hashlib.sha256()
@@ -75,7 +87,7 @@ class Digest:
 
 
 def main():
-    grid, shifted = Digest(), Digest()
+    grid, shifted, partial = Digest(), Digest(), Digest()
     for seed, (n, k, t) in enumerate(sorted(NAMED_CODES)):
         code = BchCode.make(n, k, t)
         for diverse in (False, True):
@@ -84,11 +96,15 @@ def main():
                     for mode in MODES for s_max in (0, 3, n)]
             seqs = texts(code, diverse, seed)
             grid.add(seqs, cfgs)
-            shifted.add(prefix_shifted(seqs[0], seed),
-                        [cfg for cfg in cfgs if cfg.s_max])
+            shifting = [cfg for cfg in cfgs if cfg.s_max]
+            shifted.add(prefix_shifted(seqs[0], seed), shifting)
+            for text in garbled(seqs[0], n, seed):
+                partial.add(prefix_shifted(text, seed), shifting)
     print(f"{grid.count} reports sha256 {grid.sha.hexdigest()}")
     print(f"{shifted.count} prefix-shifted reports sha256 "
           f"{shifted.sha.hexdigest()}")
+    print(f"{partial.count} partial-then-complete reports sha256 "
+          f"{partial.sha.hexdigest()}")
 
 
 if __name__ == "__main__":
