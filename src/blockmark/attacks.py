@@ -24,6 +24,7 @@ class AttackSpec:
         if self.kind not in KINDS:
             raise ContractError(f"unknown attack kind {self.kind!r}")
         check_setting("rate", self.rate, float)
+        check_setting("rng_seed", self.rng_seed, int)
         if not 0.0 <= self.rate <= 1.0:
             raise ContractError("rate must lie in [0, 1]")
 
@@ -90,6 +91,7 @@ def _check_shift(r) -> None:
 def insert_prefix(seq: TokenSequence, r: int, rng_seed: int = 0) -> TokenSequence:
     """Prepend r uniform random tokens: a deterministic +r stream shift."""
     _check_shift(r)
+    check_setting("rng_seed", rng_seed, int)
     if r == 0:
         return TokenSequence(seq.tokens.copy(), seq.vocab_size,
                              meta=dict(seq.meta))

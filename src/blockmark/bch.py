@@ -24,13 +24,26 @@ class ContractError(ValueError):
 
 def check_setting(name: str, value, kind: type) -> None:
     """ContractError unless value is of kind: int (numpy's included),
-    float (any real number) or bool; only a bool setting takes a bool."""
-    abstract, what = {int: (numbers.Integral, "an integer"),
-                      float: (numbers.Real, "a number"),
-                      bool: (bool, "true or false")}[kind]
+    float (any real number), bool or a class such as BchCode; only a bool
+    setting takes a bool."""
+    known = {int: (numbers.Integral, "an integer"),
+             float: (numbers.Real, "a number"),
+             bool: (bool, "true or false")}
+    abstract, what = known.get(kind, (kind, f"a {kind.__name__}"))
     if isinstance(value, bool) != (kind is bool) or \
             not isinstance(value, abstract):
-        raise ContractError(f"{name} must be {what}, got {value!r}")
+        # a wrong key may be the secret itself: name only its type
+        got = repr(value) if kind in known else type(value).__name__
+        raise ContractError(f"{name} must be {what}, got {got}")
+
+
+def check_bits(name: str, bits) -> np.ndarray:
+    """bits as a uint8 array; ContractError unless every entry is 0 or 1
+    (a bit is never taken mod 2)."""
+    bits = np.asarray(bits)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ContractError(f"{name} entries must be 0 or 1")
+    return bits.astype(np.uint8, copy=False)
 
 
 # Named instances: (n, k, t) -> extension degree m.  All are narrow-sense
@@ -180,7 +193,7 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
 def encode_rows(code: BchCode, msgs: np.ndarray) -> np.ndarray:
     """(R, n) systematic codewords of the rows of an (R, k) bit matrix:
     one product with the generator matrix, taken mod 2."""
-    msgs = np.asarray(msgs, dtype=np.uint8)
+    msgs = check_bits("message", msgs)
     if msgs.ndim != 2 or msgs.shape[1] != code.k:
         raise ContractError(f"messages must be rows of length {code.k}")
     # a sum of at most k <= 92 ones fits in uint8
@@ -189,7 +202,7 @@ def encode_rows(code: BchCode, msgs: np.ndarray) -> np.ndarray:
 
 def encode(code: BchCode, msg: np.ndarray) -> np.ndarray:
     """Systematic encoding; message bits end up in codeword[:k]."""
-    msg = np.asarray(msg, dtype=np.uint8)
+    msg = np.asarray(msg)
     if msg.shape != (code.k,):
         raise ContractError(f"message must have length {code.k}")
     return encode_rows(code, msg[None])[0]

@@ -21,7 +21,7 @@ import numpy as np
 from .bch import BchCode, ContractError, bits_to_int, check_setting, \
     decode_rows, int_to_bits, max_weight_codeword, safe_decode
 from .generation import TokenSequence
-from .keying import SecretKey, derive_block_key, diverse_coin, token_bits
+from .keying import SecretKey, derive_block_key, diverse_coin, window_bits
 
 MODES = ("designated_only", "shift_only", "both", "naive")
 
@@ -37,7 +37,8 @@ class DetectConfig:
     prompt_len: int = 0
 
     def __post_init__(self):
-        for name, kind in (("s_max", int), ("tau", int), ("prompt_len", int),
+        for name, kind in (("code", BchCode), ("key", SecretKey),
+                           ("s_max", int), ("tau", int), ("prompt_len", int),
                            ("diverse", bool)):
             check_setting(name, getattr(self, name), kind)
         if self.tau < 1:
@@ -75,8 +76,9 @@ def block_windows(seq: TokenSequence, key: SecretKey, n: int, k: int,
     row j holds f_j of the post-prompt tokens at j*n+lo ... (j+1)*n+hi-1,
     and 0 where no token exists.  Block j of the stream at offset s is
     rows[j, s-lo:s-lo+n].  Returns (rows, block keys), one
-    derive_block_key and one token_bits call per row: O(T) hashes per
-    text, whatever the vocabulary."""
+    derive_block_key and one keying.window_bits read per row: at most
+    O(T) hashes per text, whatever the vocabulary, and none for an id a
+    text under the same key has read before."""
     toks = seq.tokens[prompt_len:]
     T = len(toks)
     width = n + hi - lo
@@ -86,8 +88,8 @@ def block_windows(seq: TokenSequence, key: SecretKey, n: int, k: int,
         a = j * n + lo
         first, last = max(a, 0), min(a + width, T)
         bks.append(derive_block_key(key, j, k))
-        rows[j, first - a:last - a] = token_bits(bks[j].seed,
-                                                 toks[first:last].tolist())
+        rows[j, first - a:last - a] = window_bits(
+            bks[j].seed, seq.vocab_size, toks[first:last])
     return rows, bks
 
 

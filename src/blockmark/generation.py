@@ -93,8 +93,9 @@ class EmbedConfig:
     diverse: bool = False    # plan each block with the diverse pair
 
     def __post_init__(self):
-        for name, kind in (("delta", float), ("token_count", int),
-                           ("rng_seed", int), ("diverse", bool)):
+        for name, kind in (("code", BchCode), ("delta", float),
+                           ("token_count", int), ("rng_seed", int),
+                           ("diverse", bool)):
             check_setting(name, getattr(self, name), kind)
         if not 0 <= self.delta < math.inf:
             raise ContractError("delta must be finite and >= 0")
@@ -430,6 +431,8 @@ def sample_unwatermarked(src: LogitSource, token_count: int,
                          rng_seed: int) -> TokenSequence:
     """Plain softmax sampling, no bias; the H0 corpus."""
     check_vocab_size(src.vocab_size)
+    check_setting("token_count", token_count, int)
+    check_setting("rng_seed", rng_seed, int)
     if token_count < 0:
         raise ContractError("token_count must be >= 0")
     rng = np.random.default_rng(rng_seed)

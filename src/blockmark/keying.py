@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import BchCode, ContractError, encode_rows, max_weight_codeword
+from .bch import BchCode, ContractError, check_bits, encode_rows, \
+    max_weight_codeword
 
 KEY_LEN = 32
 MAX_VOCAB = 1 << 32      # token ids hash as LE32
@@ -81,11 +82,16 @@ def derive_block_key(key: SecretKey, j: int, k: int) -> BlockKey:
 def token_bits(seed: bytes, tokens) -> np.ndarray:
     """Keyed bit f_j(v) of each token id v under block seed `seed`:
     SHA-256(seed || 0x02 || LE32(v))[0] & 1, as a uint8 array."""
-    sha = hashlib.sha256
-    prefix = seed + b"\x02"
+    state = hashlib.sha256(seed + b"\x02")
     pack = _LE32
-    out = np.fromiter((sha(prefix + pack(v)).digest()[0] for v in tokens),
-                      dtype=np.uint8, count=len(tokens))
+
+    def first_byte(v):
+        # a copy of the hashed prefix, so only the id is hashed per token
+        h = state.copy()
+        h.update(pack(v))
+        return h.digest()[0]
+    out = np.fromiter(map(first_byte, tokens), dtype=np.uint8,
+                      count=len(tokens))
     return out & 1
 
 
@@ -96,11 +102,28 @@ def token_bit(bk: BlockKey, v: int) -> int:
 
 # Bound on the bytes of keyed bits kept between calls: 16 MiB, 512 blocks
 # at V = 32768.  An entry counts its bits and _ENTRY_BYTES for the
-# objects that hold them.
+# objects that hold them; an entry that only window_bits has read holds
+# no bits yet (None).
 CACHE_BYTES = 16 << 20
 _ENTRY_BYTES = 512
-_cache: OrderedDict = OrderedDict()   # (seed, V) -> bits, LRU first
+_cache: OrderedDict = OrderedDict()   # (seed, V) -> bits or None, LRU first
 _held = 0                             # bytes that _cache counts
+
+
+def _size(bits) -> int:
+    return _ENTRY_BYTES + (0 if bits is None else bits.nbytes)
+
+
+def _keep(key, bits) -> None:
+    """Hold `bits` as the most recently used entry of `key`, dropping the
+    least recently used entries to stay within CACHE_BYTES."""
+    global _held
+    if key in _cache:
+        _held -= _size(_cache.pop(key))
+    while _held + _size(bits) > CACHE_BYTES:
+        _held -= _size(_cache.popitem(last=False)[1])
+    _cache[key] = bits
+    _held += _size(bits)
 
 
 def keyed_bits(seed: bytes, vocab_size: int) -> np.ndarray:
@@ -108,7 +131,6 @@ def keyed_bits(seed: bytes, vocab_size: int) -> np.ndarray:
     vocabulary: one int8 per id, -1 for an id not yet hashed.  `bits_of`
     fills it in.  The cache keeps at most CACHE_BYTES, dropping the least
     recently used; an array larger than that is returned but not kept."""
-    global _held
     check_vocab_size(vocab_size)
     key = (seed, int(vocab_size))
     bits = _cache.get(key)
@@ -116,12 +138,8 @@ def keyed_bits(seed: bytes, vocab_size: int) -> np.ndarray:
         _cache.move_to_end(key)
         return bits
     bits = np.full(vocab_size, -1, dtype=np.int8)
-    size = bits.nbytes + _ENTRY_BYTES
-    if size <= CACHE_BYTES:
-        while _held + size > CACHE_BYTES:
-            _held -= _cache.popitem(last=False)[1].nbytes + _ENTRY_BYTES
-        _cache[key] = bits
-        _held += size
+    if _size(bits) <= CACHE_BYTES:
+        _keep(key, bits)
     return bits
 
 
@@ -131,10 +149,27 @@ def bits_of(seed: bytes, bits: np.ndarray, ids: np.ndarray) -> np.ndarray:
     got = bits[ids]
     new = np.sort(ids[got < 0], axis=None)
     if new.size:
-        new = new[np.diff(new, prepend=-1) != 0]
+        first = np.ones(new.size, dtype=bool)
+        np.not_equal(new[1:], new[:-1], out=first[1:])
+        new = new[first]
         bits[new] = token_bits(seed, new.tolist())
         got = bits[ids]
     return got
+
+
+def window_bits(seed: bytes, vocab_size: int, ids: np.ndarray) -> np.ndarray:
+    """The keyed bits of the ids of one window (a 1-D array) under block
+    seed `seed`, as uint8.  The first read of a (seed, V) hashes the ids
+    and leaves an entry without bits; a later read, like any keyed_bits
+    call, gives the entry its array and reads through bits_of.  So a seed
+    read once allocates nothing of vocabulary size.  Where the array
+    would not be kept, the ids are hashed and nothing is recorded."""
+    key = (seed, int(vocab_size))
+    if key in _cache:
+        return bits_of(seed, keyed_bits(seed, vocab_size), ids).view(np.uint8)
+    if _ENTRY_BYTES + vocab_size <= CACHE_BYTES:
+        _keep(key, None)
+    return token_bits(seed, ids.tolist())
 
 
 def partition_bits(bk: BlockKey, vocab_size: int) -> np.ndarray:
@@ -181,7 +216,7 @@ def plan_rows(bks: list, payload: np.ndarray, code: BchCode,
     the designated codewords, (B, 1, n) or (B, 2, n) with the diverse
     pair, and the target bits, (B, n), every c1 from one encode_rows
     product."""
-    payload = np.asarray(payload, dtype=np.uint8)
+    payload = check_bits("payload", payload)
     if payload.shape != (code.k,):
         raise ContractError(f"payload must have length {code.k}")
     rand = np.array([bk.randomizer for bk in bks], dtype=np.uint8)

@@ -29,6 +29,22 @@ def test_spec_contracts():
         AttackSpec("substitute", 1.5)
 
 
+def test_seeds_are_checked_when_given():
+    """A seed that is not an integer raises ContractError where it is
+    given: AttackSpec("insert", 0.1, 1.5) used to build and fail inside
+    numpy, and a bool seed attacked with seed 1."""
+    for seed in (1.5, "3", True, None):
+        with pytest.raises(ContractError, match="rng_seed"):
+            AttackSpec("insert", 0.1, seed)
+        with pytest.raises(ContractError, match="rng_seed"):
+            insert_prefix(_seq(), 2, seed)
+    spec = AttackSpec("insert", 0.1, np.int64(3))
+    assert np.array_equal(attack(_seq(), spec).tokens,
+                          attack(_seq(), AttackSpec("insert", 0.1, 3)).tokens)
+    assert np.array_equal(insert_prefix(_seq(), 2, np.uint8(4)).tokens,
+                          insert_prefix(_seq(), 2, 4).tokens)
+
+
 def test_rate_zero_is_identity():
     seq = _seq()
     for kind in ("substitute", "delete", "insert"):

@@ -151,6 +151,20 @@ def test_shape_contracts(small):
             encode_rows(small, np.zeros(shape, dtype=np.uint8))
 
 
+def test_encoders_refuse_entries_that_are_not_bits(small):
+    """A message entry outside {0, 1} raises ContractError where it used
+    to be taken mod 2 (2 encoded as 0) or fail inside numpy (-1)."""
+    for bad in (2, -1, 0.5, 255):
+        msg = np.zeros(small.k, dtype=np.int64 if bad != 0.5 else float)
+        msg[1] = bad
+        with pytest.raises(ContractError, match="message entries"):
+            encode(small, msg)
+        with pytest.raises(ContractError, match="message entries"):
+            encode_rows(small, np.stack([msg * 0, msg]))
+    ones = np.ones(small.k, dtype=bool)
+    assert np.array_equal(encode(small, ones), encode(small, ones * 1.0))
+
+
 def test_code_params():
     assert code_params([31, 6, 7]) == code_params((31, 6, 7)) == (31, 6, 7)
     for bad in ("31,6,7", "317", "31,6", "31,6,x", [31, 6], [31, 6, 7, 1],

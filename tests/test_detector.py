@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import OrderedDict
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockmark import detector
+from blockmark import detector, keying
 from blockmark.attacks import AttackSpec, attack, delete_prefix, insert_prefix
 from blockmark.bch import NAMED_CODES, BchCode, ContractError, bits_to_int, \
     encode, int_to_bits, max_weight_codeword, message_of, safe_decode
@@ -60,6 +61,15 @@ def test_config_refuses_wrongly_typed_settings():
                         ("diverse", "yes")):
         with pytest.raises(ContractError, match=name):
             _cfg(**{name: value})
+    # a code or key of the wrong type used to fail at detection; a wrong
+    # key is named by its type only, never shown
+    for name, value in (("code", (31, 6, 7)), ("code", "31,6,7"),
+                        ("key", bytes(range(32))),
+                        ("key", KEY.to_hex())):
+        with pytest.raises(ContractError, match=f"{name} must be a") as exc:
+            _cfg(**{name: value})
+        assert KEY.to_hex() not in str(exc.value)
+        assert repr(bytes(range(32))) not in str(exc.value)
     rep = detect(_wm(), _cfg(s_max=np.int64(2), tau=np.int32(3),
                              prompt_len=np.uint8(0)))
     assert rep.is_wm and np.array_equal(rep.payload, PAYLOAD)
@@ -731,29 +741,41 @@ def test_lazy_search_matches_reference(task):
     _assert_decoded_once(calls, _want_calls(seq, cfgs))
 
 
+def _carrying(key, V, T, prefix, rng):
+    """A T-token text at vocabulary V whose tokens carry PAYLOAD's target
+    bits under `key` behind `prefix` random tokens, each id drawn until
+    its token_bit fits: built without the keyed-bit cache."""
+    toks = list(rng.integers(0, V, prefix))
+    for j in range(-(-(T - prefix) // CODE.n)):
+        bk = derive_block_key(key, j, CODE.k)
+        for b in plan_block(key, j, PAYLOAD, CODE).target_bits:
+            v = int(rng.integers(V))
+            while token_bit(bk, v) != b:
+                v = int(rng.integers(V))
+            toks.append(v)
+    return TokenSequence(toks[:T], V)
+
+
+def _hash_counter(monkeypatch):
+    """The length of each keying.token_bits call from now on."""
+    hashed = []
+    original = keying.token_bits
+
+    def counting(seed, tokens):
+        hashed.append(len(tokens))
+        return original(seed, tokens)
+    monkeypatch.setattr(keying, "token_bits", counting)
+    return hashed
+
+
 def test_detect_at_largest_vocabulary_hashes_only_windows(monkeypatch):
     """At V = 2^32 - 1 a detection hashes at most one window of
     n + 2 s_max ids per block, allocates nothing of vocabulary size, and
     equals the reference.  The text carries the payload's target bits,
     each id drawn until its keyed bit fits, behind a 3-token prefix."""
     V, T, s_max, n = (1 << 32) - 1, 300, 5, CODE.n
-    rng = np.random.default_rng(5)
-    toks = list(rng.integers(0, V, 3))
-    for j in range(-(-(T - 3) // n)):
-        bk = derive_block_key(KEY, j, CODE.k)
-        for b in plan_block(KEY, j, PAYLOAD, CODE).target_bits:
-            v = int(rng.integers(V))
-            while token_bit(bk, v) != b:
-                v = int(rng.integers(V))
-            toks.append(v)
-    seq = TokenSequence(toks[:T], V)
-    hashed = []
-    original = detector.token_bits
-
-    def counting(seed, tokens):
-        hashed.append(len(tokens))
-        return original(seed, tokens)
-    monkeypatch.setattr(detector, "token_bits", counting)
+    seq = _carrying(KEY, V, T, 3, np.random.default_rng(5))
+    hashed = _hash_counter(monkeypatch)
     cfg = DetectConfig(code=CODE, key=KEY, s_max=s_max, tau=3)
     tracemalloc.start()
     try:
@@ -761,11 +783,118 @@ def test_detect_at_largest_vocabulary_hashes_only_windows(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(hashed) <= -(-(T + s_max) // n) * (n + 2 * s_max)
+    assert 0 < sum(hashed) <= -(-(T + s_max) // n) * (n + 2 * s_max)
     assert peak < 1 << 24
     assert rep.is_wm and rep.best_offset == 3
     assert np.array_equal(rep.payload, PAYLOAD)
     _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
+
+
+def test_cold_detection_allocates_nothing_of_vocabulary_size(monkeypatch):
+    """A detection at V = 32768 under a key never seen before hashes each
+    block's window directly: its traced peak stays below one vocabulary
+    of int8, and the only entries it leaves hold no bits, one per block
+    seed it read."""
+    V, T, s_max = 1 << 15, 250, 2
+    key = SecretKey(bytes([77]) * 32)
+    seq = _carrying(key, V, T, 1, np.random.default_rng(12))
+    monkeypatch.setattr(keying, "_cache", OrderedDict())
+    monkeypatch.setattr(keying, "_held", 0)
+    cfg = DetectConfig(code=CODE, key=key, s_max=s_max, tau=3)
+    tracemalloc.start()
+    try:
+        rep = detect(seq, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < V
+    rows = -(-(T + s_max) // CODE.n)
+    assert list(keying._cache.items()) == [
+        ((derive_block_key(key, j, CODE.k).seed, V), None)
+        for j in range(rows)]
+    assert rep.is_wm and rep.best_offset == 1
+    _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
+
+
+def test_repeat_detections_read_windows_from_the_cache(monkeypatch):
+    """Detections of one text under one key: the first hashes each
+    block's window as it stands, the second fills each block's array with
+    its window's distinct ids, and every later one hashes nothing.  All
+    reports equal the reference."""
+    V, T, s_max, n = 1024, 200, 3, CODE.n
+    key = SecretKey(bytes([78]) * 32)
+    seq = _carrying(key, V, T, 2, np.random.default_rng(13))
+    toks = seq.tokens.tolist()
+    windows = [toks[max(a, 0):a + n + 2 * s_max]
+               for a in range(-s_max, T, n)]
+    monkeypatch.setattr(keying, "_cache", OrderedDict())
+    monkeypatch.setattr(keying, "_held", 0)
+    hashed = _hash_counter(monkeypatch)
+    cfg = DetectConfig(code=CODE, key=key, s_max=s_max, tau=3)
+    ref = _ref_detect(seq, cfg)
+    calls = []
+    for _ in range(3):
+        hashed.clear()
+        _assert_report_equals_reference(detect(seq, cfg), ref, cfg)
+        calls.append(list(hashed))
+    assert calls == [[len(w) for w in windows],
+                     [len(set(w)) for w in windows], []]
+    assert all(bits is not None for bits in keying._cache.values())
+
+
+@st.composite
+def _batches(draw):
+    """Texts under one key and code, at V = 64 or 2000, embedded (either
+    plan, sometimes behind a prefix) or unwatermarked; a detection config
+    per text; and a schedule of (text, clear the cache first) steps."""
+    code = draw(st.sampled_from([BchCode.make(15, 5, 3), CODE]))
+    key = SecretKey(bytes([draw(st.integers(0, 255))]) * 32)
+    texts = []
+    for i in range(draw(st.integers(1, 4))):
+        V = draw(st.sampled_from([SMALL_V, 2000]))
+        T = draw(st.integers(code.n - 2, 4 * code.n))
+        diverse = draw(st.booleans())
+        if draw(st.booleans()):
+            payload = int_to_bits(draw(st.integers(0, (1 << code.k) - 1)),
+                                  code.k)
+            seq = embed(UniformSource(V), key, payload, EmbedConfig(
+                code=code, delta=4.0, scheme="soft", token_count=T,
+                rng_seed=i, diverse=diverse))
+            seq = insert_prefix(seq, draw(st.integers(0, 3)), rng_seed=i)
+        else:
+            seq = sample_unwatermarked(UniformSource(V), T, i)
+        texts.append((seq, DetectConfig(
+            code=code, key=key, s_max=draw(st.integers(0, 3)),
+            tau=draw(st.integers(1, 2)), diverse=diverse)))
+    steps = draw(st.lists(st.tuples(st.integers(0, len(texts) - 1),
+                                    st.booleans()), min_size=1, max_size=8))
+    return texts, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batch_under_one_key_matches_reference_through_the_cache(data):
+    """Texts under one key, embedded and detected in any order through a
+    cache that holds three arrays of 64 ids, emptied at random steps,
+    detect as the reference does.  A vocabulary beyond the bound leaves
+    no entry, and _held always counts the entries."""
+    bound = 3 * (SMALL_V + keying._ENTRY_BYTES)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(keying, "CACHE_BYTES", bound)
+        mp.setattr(keying, "_cache", OrderedDict())
+        mp.setattr(keying, "_held", 0)
+        texts, steps = data.draw(_batches())
+        refs = [_ref_detect(seq, cfg) for seq, cfg in texts]
+        for i, clear in steps:
+            if clear:
+                keying._cache.clear()
+                keying._held = 0
+            seq, cfg = texts[i]
+            _assert_report_equals_reference(detect(seq, cfg), refs[i], cfg)
+            assert all(V == SMALL_V for _, V in keying._cache)
+            assert keying._held == sum(
+                keying._ENTRY_BYTES + (0 if b is None else b.nbytes)
+                for b in keying._cache.values()) <= bound
 
 
 def test_detect_at_s_max_n_decodes_in_bounded_memory():

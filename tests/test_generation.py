@@ -143,6 +143,36 @@ def test_embed_config_refuses_wrongly_typed_settings():
     cfg = EmbedConfig(**{**base, "token_count": np.int64(10),
                          "rng_seed": np.uint32(3)})
     assert len(embed(UniformSource(64), KEY, PAYLOAD, cfg).tokens) == 10
+    # a code that is not a BchCode used to fail later, inside embed
+    with pytest.raises(ContractError, match="code must be a BchCode"):
+        EmbedConfig(**{**base, "code": (31, 6, 7)})
+
+
+def test_embed_refuses_a_payload_that_is_not_binary():
+    """A payload entry outside {0, 1} raises ContractError: [2,1,0,1,0,1]
+    used to embed exactly the tokens of [0,1,0,1,0,1]."""
+    cfg = EmbedConfig(code=CODE, delta=2.0, scheme="soft", token_count=40,
+                      rng_seed=1)
+    for bad in ([2, 1, 0, 1, 0, 1], [-1, 1, 0, 1, 0, 1],
+                [0.5, 1, 0, 1, 0, 1], ["1", "0", "1", "0", "1", "0"]):
+        with pytest.raises(ContractError, match="payload"):
+            embed(UniformSource(64), KEY, bad, cfg)
+    assert np.array_equal(
+        embed(UniformSource(64), KEY, [True, 1, 0, 1.0, 0, 1], cfg).tokens,
+        embed(UniformSource(64), KEY, [1, 1, 0, 1, 0, 1], cfg).tokens)
+
+
+def test_sample_unwatermarked_checks_count_and_seed():
+    """A count or seed that is not an integer raises ContractError; both
+    used to fail inside numpy or Python."""
+    src = UniformSource(16)
+    for count, seed, name in ((2.5, 0, "token_count"),
+                              (True, 0, "token_count"),
+                              (5, 1.5, "rng_seed"), (5, "7", "rng_seed")):
+        with pytest.raises(ContractError, match=name):
+            sample_unwatermarked(src, count, seed)
+    assert np.array_equal(sample_unwatermarked(src, np.int64(5), 3).tokens,
+                          sample_unwatermarked(src, 5, np.uint16(3)).tokens)
 
 
 def test_embed_deterministic_under_seed():

@@ -4,6 +4,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockmark import keying
 from blockmark.bch import BchCode, ContractError, encode, int_to_bits, \
@@ -11,7 +12,7 @@ from blockmark.bch import BchCode, ContractError, encode, int_to_bits, \
 from blockmark.generation import TokenSequence
 from blockmark.keying import (SecretKey, bits_of, derive_block_key,
                               keyed_bits, partition_bits, plan_block,
-                              token_bit, token_bits)
+                              token_bit, token_bits, window_bits)
 
 ZERO_KEY = SecretKey(bytes(32))
 
@@ -123,6 +124,12 @@ def test_plan_contracts():
     code = BchCode.make(31, 6, 7)
     with pytest.raises(ContractError):
         plan_block(ZERO_KEY, 0, np.zeros(5, dtype=np.uint8), code)
+    # a payload bit is never taken mod 2: [2,1,0,1,0,1] used to plan
+    # exactly the blocks of [0,1,0,1,0,1]
+    for bad in ([2, 1, 0, 1, 0, 1], [0, 1, 0, 1, 0, -1], [0, 1, 0, 1, 0, 3]):
+        for diverse in (False, True):
+            with pytest.raises(ContractError, match="payload entries"):
+                plan_block(ZERO_KEY, 0, bad, code, diverse)
 
 
 def test_token_bits_agree_with_partition():
@@ -193,3 +200,84 @@ def test_keyed_bit_cache_is_bounded_by_bytes(monkeypatch):
     assert part.tolist() == token_bits(big.seed, range(V)).tolist()
     assert [s for s, _ in keying._cache] == seeds[9:] + seeds[:1]
     assert held() <= bound
+
+
+def _assert_held_counts_entries():
+    """_held is the sum over entries of their bits and _ENTRY_BYTES, a
+    window-only entry (None) counting _ENTRY_BYTES alone, and stays
+    within CACHE_BYTES."""
+    total = sum(keying._ENTRY_BYTES + (0 if b is None else b.nbytes)
+                for b in keying._cache.values())
+    assert keying._held == total <= keying.CACHE_BYTES
+
+
+def test_window_read_makes_the_array_on_the_second_read(monkeypatch):
+    """The first window read of a (seed, V) hashes the ids and leaves an
+    entry without bits; the second gives it its array, filled with the
+    ids read; keyed_bits returns that array; the bits equal token_bits."""
+    monkeypatch.setattr(keying, "_cache", OrderedDict())
+    monkeypatch.setattr(keying, "_held", 0)
+    seed = derive_block_key(ZERO_KEY, 4, 6).seed
+    ids = np.array([9, 3, 9, 250])
+    want = token_bits(seed, ids.tolist()).tolist()
+    got = window_bits(seed, 300, ids)
+    assert got.dtype == np.uint8 and got.tolist() == want
+    assert list(keying._cache.items()) == [((seed, 300), None)]
+    _assert_held_counts_entries()
+    assert window_bits(seed, 300, ids).tolist() == want
+    bits = keying._cache[seed, 300]
+    assert np.flatnonzero(bits >= 0).tolist() == [3, 9, 250]
+    assert keyed_bits(seed, 300) is bits
+    _assert_held_counts_entries()
+    # keyed_bits gives a window-only entry its array too
+    other = derive_block_key(ZERO_KEY, 5, 6).seed
+    window_bits(other, 300, ids)
+    assert keying._cache[other, 300] is None
+    assert keyed_bits(other, 300) is keying._cache[other, 300]
+    assert list(keying._cache) == [(seed, 300), (other, 300)]
+    _assert_held_counts_entries()
+
+
+def test_window_read_beyond_the_bound_records_nothing(monkeypatch):
+    """Where V + _ENTRY_BYTES exceeds CACHE_BYTES a window read hashes its
+    ids and leaves the cache as it was."""
+    monkeypatch.setattr(keying, "CACHE_BYTES", 1000 + keying._ENTRY_BYTES)
+    monkeypatch.setattr(keying, "_cache", OrderedDict())
+    monkeypatch.setattr(keying, "_held", 0)
+    seed = derive_block_key(ZERO_KEY, 6, 6).seed
+    ids = np.array([0, 1000])
+    for _ in range(2):
+        assert window_bits(seed, 1001, ids).tolist() == \
+            token_bits(seed, [0, 1000]).tolist()
+        assert not keying._cache and keying._held == 0
+    window_bits(seed, 1000, ids[:1])
+    assert list(keying._cache) == [(seed, 1000)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("keyed", "window", "partition")),
+                          st.integers(0, 5), st.sampled_from((40, 300, 900)),
+                          st.lists(st.integers(0, 899), max_size=12)),
+                max_size=30))
+def test_held_counts_every_entry_under_any_mix_of_reads(ops):
+    """After any mix of keyed_bits, window reads and partition_bits over a
+    cache that holds about two arrays of 900 ids, _held equals the sum
+    over the entries and never exceeds CACHE_BYTES, and every read
+    returns token_bits' bits."""
+    seeds = [derive_block_key(ZERO_KEY, j, 6).seed for j in range(6)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(keying, "CACHE_BYTES", 2 * (900 + keying._ENTRY_BYTES))
+        mp.setattr(keying, "_cache", OrderedDict())
+        mp.setattr(keying, "_held", 0)
+        for op, j, V, ids in ops:
+            ids = np.array([v % V for v in ids], dtype=np.int64)
+            want = token_bits(seeds[j], ids.tolist())
+            if op == "keyed":
+                got = bits_of(seeds[j], keyed_bits(seeds[j], V), ids)
+            elif op == "window":
+                got = window_bits(seeds[j], V, ids)
+            else:
+                got = partition_bits(derive_block_key(ZERO_KEY, j, 6),
+                                     V)[ids]
+            assert got.tolist() == want.tolist()
+            _assert_held_counts_entries()
