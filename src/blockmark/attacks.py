@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import ContractError, check_setting
+from .bch import ContractError, check_seed, check_setting
 from .generation import TokenSequence
 from .keying import SecretKey, derive_block_key, partition_bits
 
@@ -24,7 +24,7 @@ class AttackSpec:
         if self.kind not in KINDS:
             raise ContractError(f"unknown attack kind {self.kind!r}")
         check_setting("rate", self.rate, float)
-        check_setting("rng_seed", self.rng_seed, int)
+        check_seed("rng_seed", self.rng_seed)
         if not 0.0 <= self.rate <= 1.0:
             raise ContractError("rate must lie in [0, 1]")
 
@@ -91,7 +91,7 @@ def _check_shift(r) -> None:
 def insert_prefix(seq: TokenSequence, r: int, rng_seed: int = 0) -> TokenSequence:
     """Prepend r uniform random tokens: a deterministic +r stream shift."""
     _check_shift(r)
-    check_setting("rng_seed", rng_seed, int)
+    check_seed("rng_seed", rng_seed)
     if r == 0:
         return TokenSequence(seq.tokens.copy(), seq.vocab_size,
                              meta=dict(seq.meta))

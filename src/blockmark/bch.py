@@ -37,6 +37,14 @@ def check_setting(name: str, value, kind: type) -> None:
         raise ContractError(f"{name} must be {what}, got {got}")
 
 
+def check_seed(name: str, value) -> None:
+    """ContractError unless value is an integer >= 0, as numpy's
+    generators take it (a bool is no seed)."""
+    check_setting(name, value, int)
+    if value < 0:
+        raise ContractError(f"{name} must be >= 0, got {value!r}")
+
+
 def check_bits(name: str, bits) -> np.ndarray:
     """bits as a uint8 array; ContractError unless every entry is 0 or 1
     (a bit is never taken mod 2)."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bch import BchCode, ContractError, bits_to_int, check_setting, \
-    decode_rows, int_to_bits, max_weight_codeword, safe_decode
+    decode_rows, encode_rows, int_to_bits, max_weight_codeword, safe_decode
 from .generation import TokenSequence
 from .keying import SecretKey, derive_block_key, diverse_coin, window_bits
 
@@ -116,6 +116,22 @@ def _decode_blocks(code: BchCode, blocks: np.ndarray):
     return decode_rows(code, blocks)
 
 
+def _verify(code: BchCode, blocks: np.ndarray, keys, randomizers) -> list:
+    """safe_decode of each row of an (M, n) block matrix that lies within
+    t of a codeword G(p XOR r_j) designated by a payload p in `keys`, None
+    for every other row: one encode_rows product and one Hamming count.
+    Decoding within radius t is unique, so such a row decodes to exactly
+    (that codeword, its distance); two designated codewords of one row
+    differ by c_max, of weight n > 2t, so at most one is that close."""
+    msgs = np.array([[p ^ r for r in randomizers] for p in keys])
+    cws = encode_rows(code, msgs.reshape(-1, 1) >> np.arange(
+        code.k - 1, -1, -1) & 1).reshape(len(keys), len(blocks), code.n)
+    dist = (cws != blocks).sum(axis=2)
+    return [(cws[c, j], d) if d <= code.t else None
+            for j, (c, d) in enumerate(zip(dist.argmin(axis=0).tolist(),
+                                           dist.min(axis=0).tolist()))]
+
+
 def _vote(code: BchCode, decoded, randomizers, coins=None):
     """The stage-1 vote over decoded blocks, with messages and
     randomizers as ints.
@@ -199,11 +215,16 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
     one is given up at the first block that rules out ratio 1 for every
     waiting config: one that does not decode, or, if all of them use the
     designated mask, one after which no payload designates every block
-    walked.  Only a walk to the last block records the offset
-    (decoded blocks, vote, both masks); the search ends when no config
-    waits.  A config reports its first recorded offset of ratio 1, or
-    records all its offsets and reports the best.  No report changes: both
-    rules are necessary for ratio 1, the most, and the first tie wins."""
+    walked.  For k <= 7, once blocks 0 and 1 of a walk share a
+    designating payload, every later block within t of a codeword such a
+    payload designates takes that (codeword, distance) from _verify and
+    is not decoded; every other block is decoded blind.  Only a walk to
+    the last block records the offset (decoded blocks, vote, both masks);
+    the search ends when no config waits.  A config reports its first
+    recorded offset of ratio 1, or records all its offsets and reports the
+    best.  No report changes: both rules are necessary for ratio 1, the
+    most, and the first tie wins, and a block within t of a codeword
+    decodes to it."""
     shared = {(c.code, c.key, c.diverse, c.prompt_len) for c in cfgs}
     if len(shared) != 1:
         raise ContractError("detect_all needs configs that share code, key, "
@@ -260,7 +281,10 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
             waiting = {(r, w) for r, w in waiting if order.index(s) < w}
             if not waiting:
                 break
+            verified = []
             for j in range(counts[s]):
+                if j < len(verified) and verified[j]:
+                    done[s].append(verified[j])
                 dec = decoded(s, j + 1)[j]
                 if dec is None:
                     break
@@ -268,6 +292,15 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
                 vote = bits_to_int(dec[0][:code.k]) ^ rands[j]
                 keys = {vote, vote ^ partner} if dec[0].any() else {vote}
                 candidates = keys if j == 0 else candidates & keys
+                if j == 1 and candidates and code.k <= 7:
+                    # blocks 0 and 1 share a payload: a later block within
+                    # t of a codeword it designates needs no decoding.
+                    # Block 0 alone is no sign: shifted by s <= t tokens it
+                    # lies near a cyclic shift of its codeword, which
+                    # decodes, at the offsets around a watermarked one
+                    M = counts[s]
+                    verified = _verify(code, rows[:M, s - lo:s - lo + n],
+                                       candidates, rands[:M])
                 if not candidates and all(r == 3 for r, _ in waiting):
                     break
             else:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bch import BchCode, ContractError, check_setting
+from .bch import BchCode, ContractError, check_seed, check_setting
 from .keying import SecretKey, bits_of, check_vocab_size, \
     derive_block_key, keyed_bits, partition_bits, plan_rows
 
@@ -94,9 +94,9 @@ class EmbedConfig:
 
     def __post_init__(self):
         for name, kind in (("code", BchCode), ("delta", float),
-                           ("token_count", int), ("rng_seed", int),
-                           ("diverse", bool)):
+                           ("token_count", int), ("diverse", bool)):
             check_setting(name, getattr(self, name), kind)
+        check_seed("rng_seed", self.rng_seed)
         if not 0 <= self.delta < math.inf:
             raise ContractError("delta must be finite and >= 0")
         if self.token_count < 1:
@@ -432,7 +432,7 @@ def sample_unwatermarked(src: LogitSource, token_count: int,
     """Plain softmax sampling, no bias; the H0 corpus."""
     check_vocab_size(src.vocab_size)
     check_setting("token_count", token_count, int)
-    check_setting("rng_seed", rng_seed, int)
+    check_seed("rng_seed", rng_seed)
     if token_count < 0:
         raise ContractError("token_count must be >= 0")
     rng = np.random.default_rng(rng_seed)

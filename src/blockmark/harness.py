@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .attacks import AttackSpec, attack
-from .bch import BchCode, ContractError, check_setting, code_params, \
-    int_to_bits
+from .bch import BchCode, ContractError, check_seed, check_setting, \
+    code_params, int_to_bits
 from .detector import DetectConfig, detect, detect_all, extract_bits
 from .generation import ControlledMassSource, EmbedConfig, TokenSequence, \
     UniformSource, embed, logit_source, sample_unwatermarked
@@ -53,7 +53,7 @@ class ExperimentSpec:
             setattr(self, name, tuple(grid))
         settings = [("diverse", self.diverse, bool)]
         settings += [(name, getattr(self, name), int) for name in
-                     ("trials", "vocab_size", "text_len", "master_seed")]
+                     ("trials", "vocab_size", "text_len")]
         settings += [(f"{name} item", v, int)
                      for name in ("s_max_grid", "tau_grid")
                      for v in getattr(self, name)]
@@ -62,6 +62,7 @@ class ExperimentSpec:
                      if getattr(self, name) is not None]
         for setting in settings:
             check_setting(*setting)
+        check_seed("master_seed", self.master_seed)
 
     @staticmethod
     def from_dict(cfg: dict) -> "ExperimentSpec":
@@ -257,6 +258,7 @@ def ber_curve(delta_grid, mass: float, bit_count: int, code: BchCode,
               vocab_size: int, master_seed: int = 0) -> list[dict]:
     """Per-delta bit error rate of watermarked text plus an unwatermarked
     reference arm, measured against the designated bit schedule."""
+    check_seed("master_seed", master_seed)
     key = _derive_key(master_seed)
     src = ControlledMassSource(vocab_size, mass)
     rng = np.random.default_rng(_seed_for(master_seed, 10))
@@ -288,6 +290,7 @@ def _ber_against_plan(seq: TokenSequence, key: SecretKey,
 def latency_bench(text_lens, codes, s_max_grid, repeats: int = 5,
                   vocab_size: int = 512, master_seed: int = 0) -> list[dict]:
     """Median single-text detection time per (T, code, s_max) cell."""
+    check_seed("master_seed", master_seed)
     key = _derive_key(master_seed)
     rows = []
     for T in text_lens:

@@ -45,6 +45,17 @@ def test_seeds_are_checked_when_given():
                           insert_prefix(_seq(), 2, 4).tokens)
 
 
+def test_negative_seeds_are_refused_when_given():
+    """A negative seed raises ContractError where it is given; it used to
+    build and end in numpy's ValueError when drawn."""
+    with pytest.raises(ContractError, match="rng_seed must be >= 0"):
+        AttackSpec("insert", 0.1, -2)
+    with pytest.raises(ContractError, match="rng_seed must be >= 0"):
+        insert_prefix(_seq(), 2, -1)
+    AttackSpec("insert", 0.1, 0)
+    insert_prefix(_seq(), 2, 0)
+
+
 def test_rate_zero_is_identity():
     seq = _seq()
     for kind in ("substitute", "delete", "insert"):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import OrderedDict
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -553,15 +554,26 @@ def _designating(code, key, j, cw, diverse):
     return {vote, vote ^ c_max} if diverse and cw.any() else {vote}
 
 
+def _near_designated(code, key, j, block, keys):
+    """Whether block j lies within t of a codeword G(p ^ r_j) that a
+    payload p in `keys` designates: brute force, one encode per key."""
+    r = bits_to_int(derive_block_key(key, j, code.k).randomizer)
+    return min(np.count_nonzero(block != encode(code, int_to_bits(
+        p ^ r, code.k))) for p in keys) <= code.t
+
+
 def _schedule(seq, cfgs):
     """The lazy shift search's decode schedule, spelled out from the
     reference: the (offset, first block, end block) runs detect_all asks
     for, in order.  While a config of s_max > 0 waits for an offset of
     ratio 1, each offset is walked block by block up to its first block
     that does not decode or, when every waiting config is `both`, that
-    shares no designating payload with the blocks before it.  An offset
-    walked to its end is recorded.  A config with no recorded offset of
-    ratio 1 then completes each of its offsets, config by config."""
+    shares no designating payload with the blocks before it.  For k <= 7
+    a walked block after block 1 is not decoded when it lies within t of
+    a codeword that a payload designating both blocks 0 and 1 designates.
+    An offset walked to its end is recorded.  A config with no recorded
+    offset of ratio 1 then completes each of its offsets, config by
+    config, decoding every block the walks left."""
     cfg0 = cfgs[0]
     code, T = cfg0.code, len(seq.tokens) - cfg0.prompt_len
     reach = [c.s_max if c.mode in ("shift_only", "both") else 0
@@ -582,17 +594,21 @@ def _schedule(seq, cfgs):
         waiting = [i for i in waiting if order.index(s) <= 2 * reach[i]]
         if not waiting:
             break
-        shared = None
+        agreed = None
         for j, block in enumerate(_blocks(seq, cfg0, s)):
-            need(s, j + 1)
+            if agreed and _near_designated(code, cfg0.key, j, block, agreed):
+                done[s] = j + 1
+            else:
+                need(s, j + 1)
             dec = safe_decode(code, block)
             if dec is None:
                 break
-            if all(cfgs[i].mode == "both" for i in waiting):
-                keys = _designating(code, cfg0.key, j, dec[0], cfg0.diverse)
-                shared = keys if shared is None else shared & keys
-                if not shared:
-                    break
+            keys = _designating(code, cfg0.key, j, dec[0], cfg0.diverse)
+            shared = keys if j == 0 else shared & keys
+            if j == 1 and code.k <= 7:
+                agreed = shared
+            if all(cfgs[i].mode == "both" for i in waiting) and not shared:
+                break
         else:
             recorded.add(s)
             waiting = [i for i in waiting if s not in perfect[i]]
@@ -620,7 +636,8 @@ def _decode_calls(seq, cfgs):
 
 
 def _want_calls(seq, cfgs):
-    """The _decode_blocks calls _schedule implies: one per run for k <= 7;
+    """The _decode_blocks calls _schedule implies: one per run for k <= 7,
+    so none for a block that verification decoded;
     for k > 7 every block of the first offset in one call, and on the
     first run at any other offset every block of the rest in one."""
     runs, counts = _schedule(seq, cfgs)
@@ -644,10 +661,12 @@ def _assert_decoded_once(calls, want):
 def test_shift_search_stops_at_first_perfect_offset(task):
     """detect_all walks each offset only as far as the search needs and
     its reports still equal the reference.  Its _decode_blocks calls are
-    exactly those of _schedule: for k <= 7 each walked block alone, then
-    the rest of each offset a config completes; for k > 7 the first
-    offset, then the rest in one call.  Each block is decoded at most
-    once, and no offset past the last one a waiting config searches."""
+    exactly those of _schedule: for k <= 7 each walked block alone that
+    is not within t of a codeword the payloads of blocks 0 and 1
+    designate, then the rest of each offset a config completes; for k > 7
+    the first offset, then the rest in one call.  Each block is decoded
+    at most once, and no offset past the last one a waiting config
+    searches."""
     seq, cfgs = task
     reps, calls = _decode_calls(seq, cfgs)
     for cfg, rep in zip(cfgs, reps):
@@ -739,6 +758,121 @@ def test_lazy_search_matches_reference(task):
     assert sum(map(len, calls)) <= sum(max((T - s) // cfg.code.n, 0)
                                        for s in range(-reach, reach + 1))
     _assert_decoded_once(calls, _want_calls(seq, cfgs))
+
+
+SHORT_CODES = [c for c in CODES if c.k <= 7]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SHORT_CODES), st.booleans(), st.data())
+def test_verified_blocks_equal_the_blind_decoder(code, diverse, data):
+    """The walk's verification against safe_decode, for every k <= 7 code
+    under both plans: the payloads are those that designate a random
+    codeword, the zero word or c_max in block 0, and each block lies at
+    distance 0, t, t + 1 from a codeword one of them designates, or is
+    random.  A block within t is verified as exactly safe_decode's
+    (codeword, distance); any other is left to the blind decoder, which
+    finds no designated codeword there."""
+    key = SecretKey(bytes([data.draw(st.integers(0, 255))]) * 32)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n, k, t = code.n, code.k, code.t
+    M = data.draw(st.integers(1, 6))
+    rands = [bits_to_int(derive_block_key(key, j, k).randomizer)
+             for j in range(M)]
+    first = {"other": encode(code, rng.integers(0, 2, k).astype(np.uint8)),
+             "zero": np.zeros(n, dtype=np.uint8),
+             "cmax": max_weight_codeword(code)}[
+        data.draw(st.sampled_from(("other", "zero", "cmax")))]
+    keys = _designating(code, key, 0, first, diverse)
+    designated = [[encode(code, int_to_bits(p ^ r, k)) for p in sorted(keys)]
+                  for r in rands]
+    words = []
+    for j in range(M):
+        word = designated[j][data.draw(st.integers(0, len(keys) - 1))].copy()
+        flips = data.draw(st.sampled_from((0, t, t + 1, None)))
+        if flips is None:
+            word = rng.integers(0, 2, n).astype(np.uint8)
+        else:
+            word[rng.choice(n, flips, replace=False)] ^= 1
+        words.append(word)
+    got = detector._verify(code, np.array(words), keys, rands)
+    assert len(got) == M
+    for j, (word, mine) in enumerate(zip(words, got)):
+        blind = safe_decode(code, word)
+        assert (mine is not None) == _near_designated(code, key, j, word,
+                                                      keys)
+        if mine is not None:
+            assert np.array_equal(mine[0], blind[0])
+            assert mine[0].dtype == blind[0].dtype
+            assert type(mine[1]) is int and mine[1] == blind[1] <= t
+        else:
+            assert blind is None or not any(
+                np.array_equal(blind[0], cw) for cw in designated[j])
+
+
+@st.composite
+def _verified_tasks(draw):
+    """A text for the verification walk: a k <= 7 embedding under either
+    plan, clean, with a block after block 1 moved to exactly t or t + 1
+    errors from its designated codeword, behind r <= 3 inserted or
+    deleted prefix tokens, or substituted at 0.05 or 0.1, and 1-3 configs
+    of mixed mode and s_max."""
+    code = draw(st.sampled_from(SHORT_CODES))
+    n, k = code.n, code.k
+    diverse = draw(st.booleans())
+    key = SecretKey(bytes([draw(st.integers(0, 255))]) * 32)
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    payload = rng.integers(0, 2, k).astype(np.uint8)
+    M = draw(st.integers(2, 5))
+    seq = embed(UniformSource(SMALL_V), key, payload, EmbedConfig(
+        code=code, delta=draw(st.sampled_from((2.5, 6.0))), scheme="soft",
+        token_count=M * n + draw(st.integers(0, n - 1)), rng_seed=seed,
+        diverse=diverse))
+    kind = draw(st.sampled_from(("clean", "boundary", "insert", "delete",
+                                 "substitute")))
+    r = draw(st.integers(1, 3))
+    if kind == "boundary" and M > 2:
+        j = draw(st.integers(2, M - 1))
+        part = partition_bits(derive_block_key(key, j, k), SMALL_V)
+        want = plan_block(key, j, payload, code, diverse).target_bits.copy()
+        want[rng.choice(n, draw(st.sampled_from((code.t, code.t + 1))),
+                        replace=False)] ^= 1
+        toks = seq.tokens.copy()
+        for i in np.flatnonzero(part[toks[j * n:(j + 1) * n]] != want):
+            toks[j * n + i] = rng.choice(np.flatnonzero(part == want[i]))
+        seq = TokenSequence(toks, SMALL_V)
+    elif kind == "insert":
+        seq = insert_prefix(seq, r, rng_seed=seed)
+    elif kind == "delete":
+        seq = delete_prefix(seq, r)
+    elif kind == "substitute":
+        seq = attack(seq, AttackSpec("substitute",
+                                     draw(st.sampled_from((0.05, 0.1))), seed))
+    return seq, [DetectConfig(code=code, key=key, diverse=diverse,
+                              mode=draw(st.sampled_from(MODE_NAMES)),
+                              s_max=draw(st.integers(0, 4)),
+                              tau=draw(st.integers(1, 3)))
+                 for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_verified_tasks())
+def test_verification_leaves_reports_as_the_blind_walk_gives_them(task):
+    """detect_all's reports equal those of the walk that decodes every
+    block blind (verification patched to verify nothing), field by field
+    and in the types of their numbers, and equal the reference; the
+    verifying walk decodes no more blocks."""
+    seq, cfgs = task
+    reps, calls = _decode_calls(seq, cfgs)
+    with mock.patch.object(detector, "_verify",
+                           lambda code, blocks, *_: [None] * len(blocks)):
+        blind, blind_calls = _decode_calls(seq, cfgs)
+    assert [repr(asdict(r)) for r in reps] == \
+        [repr(asdict(r)) for r in blind]
+    assert sum(map(len, calls)) <= sum(map(len, blind_calls))
+    for cfg, rep in zip(cfgs, reps):
+        _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
 
 
 def _carrying(key, V, T, prefix, rng):

@@ -175,6 +175,17 @@ def test_sample_unwatermarked_checks_count_and_seed():
                           sample_unwatermarked(src, 5, np.uint16(3)).tokens)
 
 
+def test_negative_seeds_are_refused_when_given():
+    """A negative seed raises ContractError where it is given; it used to
+    end in numpy's ValueError when drawn."""
+    with pytest.raises(ContractError, match="rng_seed must be >= 0"):
+        EmbedConfig(code=CODE, delta=2.0, scheme="soft", token_count=10,
+                    rng_seed=-1)
+    with pytest.raises(ContractError, match="rng_seed must be >= 0"):
+        sample_unwatermarked(UniformSource(16), 5, -3)
+    assert len(sample_unwatermarked(UniformSource(16), 5, 0)) == 5
+
+
 def test_embed_deterministic_under_seed():
     cfg = EmbedConfig(code=CODE, delta=2.0, scheme="soft", token_count=100,
                       rng_seed=77)

@@ -8,7 +8,9 @@ import pytest
 
 from blockmark import detector, harness
 from blockmark.attacks import AttackSpec
-from blockmark.bch import BchCode, ContractError
+from blockmark.bch import BchCode, ContractError, bits_to_int, encode, \
+    int_to_bits
+from blockmark.keying import derive_block_key
 from blockmark.harness import (CSV_FIELDS, ExperimentSpec, ber_curve,
                                latency_bench, roc_auc, roc_sweep,
                                run_campaign, wilson, write_metrics)
@@ -124,11 +126,14 @@ def test_campaign_decodes_each_text_once_per_offset(monkeypatch):
     one block_windows call, and each block of each offset (0, +-1 .. +-5)
     decoded at most once, not once per (mode, offset).  shift_only
     waits for a perfect offset, so each offset is walked one block per
-    _decode_blocks call up to its first block that does not decode.  The
-    clean watermarked text decodes the six blocks of offset 0 and
-    nothing else.  No offset of the H0 text walks to its end, so both
-    then completes its 11 offsets in search order, and every block of
-    every offset is decoded exactly once."""
+    _decode_blocks call up to its first block that does not decode,
+    except for the blocks after block 1 within t of the codeword that
+    the vote key of blocks 0 and 1 designates, when they share it, which
+    the walk verifies without decoding.  The clean watermarked text
+    decodes blocks 0 and 1 of offset 0, and of its other four blocks only
+    those not within t, and nothing else.  No offset of the H0 text walks to its end, so both then
+    completes its 11 offsets in search order, and every block of every
+    offset is decoded at most once."""
     events = []
     windows, decode = detector.block_windows, detector._decode_blocks
 
@@ -162,12 +167,30 @@ def test_campaign_decodes_each_text_once_per_offset(monkeypatch):
     def assert_calls(calls, want):
         assert len(calls) == len(want)
         assert all(np.array_equal(got, w) for got, w in zip(calls, want))
-    assert_calls(wm_calls, [blocks_at(wm, 0)[j:j + 1] for j in range(6)])
+    def rand(j):
+        return bits_to_int(derive_block_key(key, j, code.k).randomizer)
+
+    def verified(blocks, j):
+        # block j > 1 within t of G(v ^ r_j), v the vote key of blocks 0
+        # and 1 when they share it
+        if j < 2:
+            return False
+        v0, v1 = (bits_to_int(detector.safe_decode(code, blocks[i])[0][
+            :code.k]) ^ rand(i) for i in (0, 1))
+        cw = encode(code, int_to_bits(v0 ^ rand(j), code.k))
+        return v0 == v1 and np.count_nonzero(blocks[j] != cw) <= code.t
+
+    wm_blocks = blocks_at(wm, 0)
+    assert len(wm_blocks) == 6
+    assert_calls(wm_calls, [wm_blocks[j:j + 1] for j in range(6)
+                            if not verified(wm_blocks, j)])
+    assert len(wm_calls) < 6
     blocks = {s: blocks_at(h0, s) for s in order}
     walked = {s: [detector.safe_decode(code, b) is not None
                   for b in blocks[s]].index(False) + 1 for s in order}
     assert_calls(h0_calls, [
-        *(blocks[s][j:j + 1] for s in order for j in range(walked[s])),
+        *(blocks[s][j:j + 1] for s in order for j in range(walked[s])
+          if not verified(blocks[s], j)),
         *(blocks[s][walked[s]:] for s in order
           if walked[s] < len(blocks[s]))])
 
@@ -191,6 +214,20 @@ def test_campaign_grid_is_checked_before_the_first_trial(monkeypatch):
             run_campaign(spec)
         with pytest.raises(ContractError, match=message):
             roc_sweep(spec)
+
+
+def test_master_seeds_are_checked_when_given():
+    """A negative or non-integer master seed raises ContractError before
+    any draw; each used to end in numpy's ValueError or TypeError."""
+    code = BchCode.make(31, 6, 7)
+    with pytest.raises(ContractError, match="master_seed must be >= 0"):
+        ExperimentSpec(master_seed=-1)
+    for seed, message in ((-1, ">= 0"), (1.5, "an integer")):
+        with pytest.raises(ContractError, match=f"master_seed must be "
+                                                f"{message}"):
+            ber_curve([1.0], 0.5, 62, code, 64, master_seed=seed)
+    with pytest.raises(ContractError, match="master_seed must be >= 0"):
+        latency_bench([62], [(31, 6, 7)], [0], repeats=1, master_seed=-1)
 
 
 def test_csv_deterministic():

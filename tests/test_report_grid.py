@@ -16,6 +16,8 @@ PINNED = [
     "37b888ee945f31ed448a3e77e5d128f9b1a5e52f90e69c635e5a9afdde10a87c",
     "1728 partial-then-complete reports sha256 "
     "d9dec249062dfe5feda402f75d391a429be5b09c48282481d8abb4e727346a11",
+    "768 verification-boundary reports sha256 "
+    "d0bff084dba47c8f7bdf2427bc3e85c2e72120cf369482a2aa0568f4a2bc16ac",
 ]
 
 

@@ -120,6 +120,20 @@ def test_cli_detect_rejects_bad_key_file(tmp_path):
     assert not out.exists()
 
 
+def test_cli_refuses_a_negative_seed(tmp_path):
+    """`blockmark sample-h0 --seed -2` ends in one `blockmark: ...` line on
+    standard error and a nonzero status, where numpy's ValueError used to
+    print a traceback, and writes no file."""
+    out = tmp_path / "h0.jsonl"
+    run = subprocess.run([sys.executable, "-m", "blockmark.cli", "sample-h0",
+                          "--seed", "-2", "--output", str(out)],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC))
+    assert run.returncode != 0 and run.stdout == ""
+    assert run.stderr == "blockmark: rng_seed must be >= 0, got -2\n"
+    assert not out.exists()
+
+
 def test_cli_attack_changes_tokens(tmp_path):
     key = tmp_path / "key.txt"
     seqio.write_key(key, SecretKey(bytes(32)))

@@ -20,7 +20,12 @@ and with its first r tokens deleted, under the four modes at s_max 3
 and n.  A third line covers the texts whose offsets are given up partway
 and then completed: the same prefix-shifted texts with block 0, 1 or 2
 of the clean embedding garbled, its n tokens replaced by those of an
-unwatermarked text.
+unwatermarked text.  A fourth line covers the boundary of designated
+verification, where a block within t of a designated codeword is
+decoded by comparison and any other block blindly: the clean embedding
+after substitute@0.05 and substitute@0.1, and with block 1, 2 or 3 moved
+to exactly t and to exactly t + 1 errors from its designated codeword,
+under the four modes at s_max 3 and n.
 """
 import hashlib
 from dataclasses import asdict
@@ -33,16 +38,20 @@ from blockmark.bch import NAMED_CODES, BchCode
 from blockmark.detector import MODES, DetectConfig, detect_all
 from blockmark.generation import EmbedConfig, TokenSequence, \
     UniformSource, embed, sample_unwatermarked
-from blockmark.keying import SecretKey
+from blockmark.keying import SecretKey, derive_block_key, partition_bits, \
+    plan_block
 
 KEY = SecretKey(bytes(range(32)))
 VOCAB = 1024
 
 
+def payload_of(code: BchCode, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 2, code.k).astype(np.uint8)
+
+
 def texts(code: BchCode, diverse: bool, seed: int):
     src = UniformSource(VOCAB)
-    payload = np.random.default_rng(seed).integers(
-        0, 2, code.k).astype(np.uint8)
+    payload = payload_of(code, seed)
 
     def wm(tokens):
         return embed(src, KEY, payload, EmbedConfig(
@@ -74,6 +83,24 @@ def garbled(clean, n: int, seed: int):
         yield TokenSequence(tokens, VOCAB)
 
 
+def at_the_boundary(clean, code: BchCode, diverse: bool, seed: int):
+    rng = np.random.default_rng(seed)
+    n, payload = code.n, payload_of(code, seed)
+    for rate in (0.05, 0.1):
+        yield attack(clean, AttackSpec("substitute", rate, seed))
+    for j in (1, 2, 3):
+        part = partition_bits(derive_block_key(KEY, j, code.k), VOCAB)
+        target = plan_block(KEY, j, payload, code, diverse).target_bits
+        for errors in (code.t, code.t + 1):
+            want = target.copy()
+            want[rng.choice(n, errors, replace=False)] ^= 1
+            tokens = clean.tokens.copy()
+            block = tokens[j * n:(j + 1) * n]
+            for i in np.flatnonzero(part[block] != want):
+                block[i] = rng.choice(np.flatnonzero(part == want[i]))
+            yield TokenSequence(tokens, VOCAB)
+
+
 class Digest:
     def __init__(self):
         self.sha = hashlib.sha256()
@@ -87,7 +114,7 @@ class Digest:
 
 
 def main():
-    grid, shifted, partial = Digest(), Digest(), Digest()
+    grid, shifted, partial, boundary = Digest(), Digest(), Digest(), Digest()
     for seed, (n, k, t) in enumerate(sorted(NAMED_CODES)):
         code = BchCode.make(n, k, t)
         for diverse in (False, True):
@@ -100,11 +127,15 @@ def main():
             shifted.add(prefix_shifted(seqs[0], seed), shifting)
             for text in garbled(seqs[0], n, seed):
                 partial.add(prefix_shifted(text, seed), shifting)
+            boundary.add(at_the_boundary(seqs[0], code, diverse, seed),
+                         shifting)
     print(f"{grid.count} reports sha256 {grid.sha.hexdigest()}")
     print(f"{shifted.count} prefix-shifted reports sha256 "
           f"{shifted.sha.hexdigest()}")
     print(f"{partial.count} partial-then-complete reports sha256 "
           f"{partial.sha.hexdigest()}")
+    print(f"{boundary.count} verification-boundary reports sha256 "
+          f"{boundary.sha.hexdigest()}")
 
 
 if __name__ == "__main__":
