@@ -132,6 +132,21 @@ def _verify(code: BchCode, blocks: np.ndarray, keys, randomizers) -> list:
                                            dist.min(axis=0).tolist()))]
 
 
+def _may_designate_all(code: BchCode, xs: np.ndarray, diverse: bool) -> bool:
+    """Whether one payload may designate every block of an offset, from
+    its blocks alone: xs holds each block b_j XOR G(r_j).  A block that
+    decodes to a codeword p designates is G(p XOR r_j) XOR e_j, plus
+    c_max in diverse mode, with wt(e_j) <= t; G is linear, so X_j = G(p)
+    XOR e_j (XOR c_max), and X_0 XOR X_j has weight <= 2t, or >= n - 2t
+    when c_max, the all-ones word, lies between them.  A block outside
+    that band rules out every payload: no decoding needed."""
+    w = (xs[1:] != xs[0]).sum(axis=1)
+    near = w <= 2 * code.t
+    if diverse:
+        near |= w >= code.n - 2 * code.t
+    return bool(near.all())
+
+
 def _vote(code: BchCode, decoded, randomizers, coins=None):
     """The stage-1 vote over decoded blocks, with messages and
     randomizers as ints.
@@ -213,18 +228,21 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
     While a config that searches beyond offset 0 waits for an offset of
     ratio 1, the offsets are walked in search order, block by block, and
     one is given up at the first block that rules out ratio 1 for every
-    waiting config: one that does not decode, or, if all of them use the
-    designated mask, one after which no payload designates every block
-    walked.  For k <= 7, once blocks 0 and 1 of a walk share a
-    designating payload, every later block within t of a codeword such a
-    payload designates takes that (codeword, distance) from _verify and
-    is not decoded; every other block is decoded blind.  Only a walk to
-    the last block records the offset (decoded blocks, vote, both masks);
-    the search ends when no config waits.  A config reports its first
-    recorded offset of ratio 1, or records all its offsets and reports the
-    best.  No report changes: both rules are necessary for ratio 1, the
-    most, and the first tie wins, and a block within t of a codeword
-    decodes to it."""
+    waiting config: one that does not decode or, for k <= 7 when all of
+    them use the designated mask, one that no payload designating block 0
+    designates.  Such a walk first gives up, with no decoding, an offset
+    whose raw blocks no payload can designate throughout
+    (_may_designate_all, the band).  Once block 0 of a k <= 7 walk
+    decodes at an offset inside the band, every block within t of a
+    codeword that a payload designating block 0 designates takes that
+    (codeword, distance) from _verify, also when the offset is completed
+    later, and is never decoded; every other block is decoded blind.
+    Only a walk to the last block records the offset (decoded blocks,
+    vote, both masks); the search ends when no config waits.  A config
+    reports its first recorded offset of ratio 1, or records all its
+    offsets and reports the best.  No report changes: each rule is
+    necessary for ratio 1, the most, and the first tie wins, and a block
+    within t of a codeword decodes to it."""
     shared = {(c.code, c.key, c.diverse, c.prompt_len) for c in cfgs}
     if len(shared) != 1:
         raise ContractError("detect_all needs configs that share code, key, "
@@ -251,22 +269,37 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
         # partner designates the block's vote key XOR this
         partner = bits_to_int(max_weight_codeword(code)[:code.k] * diverse)
         done = {s: [] for s in counts}   # the blocks decoded so far
+        checked = {}   # offset: _verify's result for each of its blocks
+        masks = None   # G(r_j) of each block, built when first needed
 
         def decoded(s, stop):
             # at least the first `stop` blocks of offset s, each decoded
-            # once: k <= 7 decodes the blocks asked for; k > 7, whose
-            # decode_rows call has a fixed cost, the first offset, then
-            # every block of the rest at once
-            if len(done[s]) < stop and code.k <= 7:
-                done[s] += _decode_blocks(
-                    code, rows[len(done[s]):stop, s - lo:s - lo + n])
-            elif len(done[s]) < stop:
+            # once: k <= 7 decodes the blocks asked for that _verify has
+            # not settled; k > 7, whose decode_rows call has a fixed cost,
+            # the first offset, then every block of the rest at once
+            have = len(done[s])
+            if have < stop and code.k <= 7:
+                settled = checked.get(s) or [None] * stop
+                blind = [j for j in range(have, stop) if settled[j] is None]
+                got = iter(_decode_blocks(
+                    code, rows[blind, s - lo:s - lo + n]) if blind else ())
+                done[s] += [settled[j] or next(got)
+                            for j in range(have, stop)]
+            elif have < stop:
                 stage = [o for o in counts if (o == first) == (s == first)]
                 blocks = _decode_blocks(code, np.concatenate(
                     [rows[:counts[o], o - lo:o - lo + n] for o in stage]))
                 for o in stage:
                     done[o], blocks = blocks[:counts[o]], blocks[counts[o]:]
             return done[s]
+
+        def banded(blocks):
+            nonlocal masks
+            if masks is None:
+                masks = encode_rows(code, np.array(
+                    [bk.randomizer for bk in bks]))
+            return _may_designate_all(code, blocks ^ masks[:len(blocks)],
+                                      diverse)
 
         def record(s):
             if s not in records:
@@ -281,28 +314,28 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
             waiting = {(r, w) for r, w in waiting if order.index(s) < w}
             if not waiting:
                 break
-            verified = []
-            for j in range(counts[s]):
-                if j < len(verified) and verified[j]:
-                    done[s].append(verified[j])
+            M = counts[s]
+            blocks = rows[:M, s - lo:s - lo + n]
+            # every waiting config counts designated blocks alone
+            designated = code.k <= 7 and all(r == 3 for r, _ in waiting)
+            if designated and not banded(blocks):
+                continue
+            for j in range(M):
+                if j and designated and checked[s][j] is None:
+                    break
                 dec = decoded(s, j + 1)[j]
                 if dec is None:
                     break
-                # the payloads that designate every block so far (_vote's)
-                vote = bits_to_int(dec[0][:code.k]) ^ rands[j]
-                keys = {vote, vote ^ partner} if dec[0].any() else {vote}
-                candidates = keys if j == 0 else candidates & keys
-                if j == 1 and candidates and code.k <= 7:
-                    # blocks 0 and 1 share a payload: a later block within
-                    # t of a codeword it designates needs no decoding.
-                    # Block 0 alone is no sign: shifted by s <= t tokens it
-                    # lies near a cyclic shift of its codeword, which
-                    # decodes, at the offsets around a watermarked one
-                    M = counts[s]
-                    verified = _verify(code, rows[:M, s - lo:s - lo + n],
-                                       candidates, rands[:M])
-                if not candidates and all(r == 3 for r, _ in waiting):
-                    break
+                # outside the band, as at the offsets around a watermarked
+                # one, where block 0 still decodes, verification would
+                # mostly settle nothing
+                if j == 0 and code.k <= 7 and (designated or banded(blocks)):
+                    # the payloads that designate block 0 (_vote's)
+                    vote = bits_to_int(dec[0][:code.k]) ^ rands[0]
+                    checked[s] = _verify(
+                        code, blocks,
+                        {vote, vote ^ partner} if dec[0].any() else {vote},
+                        rands[:M])
             else:
                 waiting = {(r, w) for r, w in waiting
                            if not all(record(s)[r])}

@@ -12,6 +12,7 @@ import hashlib
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,7 +72,11 @@ def check_vocab_size(vocab_size: int) -> None:
                             f"got {vocab_size}")
 
 
+@lru_cache(maxsize=1024)
 def derive_block_key(key: SecretKey, j: int, k: int) -> BlockKey:
+    """Block j's seed and k-bit randomizer under `key`.  A BlockKey is
+    immutable, so each (key, j, k) is derived once and then handed out
+    again from a bounded cache, dropping the least recently used."""
     if j < 0:
         raise ContractError("block index must be >= 0")
     seed = _digest(key.key_bytes, b"\x01", _LE64(j))

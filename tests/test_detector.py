@@ -562,20 +562,37 @@ def _near_designated(code, key, j, block, keys):
         p ^ r, code.k))) for p in keys) <= code.t
 
 
+def _may_share_payload(code, key, blocks, diverse):
+    """The offset rule from the block bits: with X_j = b_j ^ G(r_j), each
+    X_0 ^ X_j has weight <= 2t, or, in diverse mode, >= n - 2t (the
+    all-ones c_max between a block's codeword and block 0's)."""
+    xs = [b ^ encode(code, derive_block_key(key, j, code.k).randomizer)
+          for j, b in enumerate(blocks)]
+    for x in xs[1:]:
+        w = np.count_nonzero(x != xs[0])
+        if w > 2 * code.t and not (diverse and w >= code.n - 2 * code.t):
+            return False
+    return True
+
+
 def _schedule(seq, cfgs):
     """The lazy shift search's decode schedule, spelled out from the
-    reference: the (offset, first block, end block) runs detect_all asks
-    for, in order.  While a config of s_max > 0 waits for an offset of
-    ratio 1, each offset is walked block by block up to its first block
-    that does not decode or, when every waiting config is `both`, that
-    shares no designating payload with the blocks before it.  For k <= 7
-    a walked block after block 1 is not decoded when it lies within t of
-    a codeword that a payload designating both blocks 0 and 1 designates.
-    An offset walked to its end is recorded.  A config with no recorded
-    offset of ratio 1 then completes each of its offsets, config by
-    config, decoding every block the walks left."""
+    reference: the (offset, block indices) runs detect_all asks to decode
+    in one call each, in order.  While a config of s_max > 0 waits for an
+    offset of ratio 1, each offset is walked block by block up to its
+    first block that does not decode.  For k <= 7, once block 0 decodes
+    at an offset that passes the rule of _may_share_payload, a block
+    within t of a codeword that a payload designating block 0 designates
+    is settled without decoding, for the walk and for any later
+    completion of the offset.  When every waiting config is `both`
+    (k <= 7), an offset that fails the rule is given up before any block
+    is decoded, and the walk stops at the first block after block 0 that
+    is not settled.  An offset walked to its end
+    is recorded.  A config with no recorded offset of ratio 1 then
+    completes each of its offsets, config by config, decoding in one
+    call every block the walks neither decoded nor settled."""
     cfg0 = cfgs[0]
-    code, T = cfg0.code, len(seq.tokens) - cfg0.prompt_len
+    code, key, T = cfg0.code, cfg0.key, len(seq.tokens) - cfg0.prompt_len
     reach = [c.s_max if c.mode in ("shift_only", "both") else 0
              for c in cfgs]
     order = [0, *(s for d in range(1, max(reach) + 1) for s in (-d, d))]
@@ -583,32 +600,38 @@ def _schedule(seq, cfgs):
     perfect = [{s for ratio, _, s, *_ in _ref_offsets(seq, c) if ratio == 1}
                for c in cfgs]
     done = dict.fromkeys(counts, 0)
+    settled = {s: set() for s in counts}
     runs, recorded = [], set()
 
     def need(s, stop):
-        if done[s] < stop:
-            runs.append((s, done[s], stop))
-            done[s] = stop
+        blind = tuple(j for j in range(done[s], stop)
+                      if j not in settled[s])
+        if blind:
+            runs.append((s, blind))
+        done[s] = max(done[s], stop)
     waiting = [i for i, r in enumerate(reach) if r]
     for s in counts:
         waiting = [i for i in waiting if order.index(s) <= 2 * reach[i]]
         if not waiting:
             break
-        agreed = None
-        for j, block in enumerate(_blocks(seq, cfg0, s)):
-            if agreed and _near_designated(code, cfg0.key, j, block, agreed):
-                done[s] = j + 1
-            else:
-                need(s, j + 1)
+        blocks = _blocks(seq, cfg0, s)
+        banded = _may_share_payload(code, key, blocks, cfg0.diverse)
+        designated = code.k <= 7 and all(cfgs[i].mode == "both"
+                                         for i in waiting)
+        if designated and not banded:
+            continue
+        for j, block in enumerate(blocks):
+            if j and designated and j not in settled[s]:
+                break
+            need(s, j + 1)
             dec = safe_decode(code, block)
             if dec is None:
                 break
-            keys = _designating(code, cfg0.key, j, dec[0], cfg0.diverse)
-            shared = keys if j == 0 else shared & keys
-            if j == 1 and code.k <= 7:
-                agreed = shared
-            if all(cfgs[i].mode == "both" for i in waiting) and not shared:
-                break
+            if j == 0 and code.k <= 7 and banded:
+                keys = _designating(code, key, 0, dec[0], cfg0.diverse)
+                settled[s] = {i for i, b in enumerate(blocks)
+                              if i and _near_designated(code, key, i, b,
+                                                        keys)}
         else:
             recorded.add(s)
             waiting = [i for i in waiting if s not in perfect[i]]
@@ -637,15 +660,15 @@ def _decode_calls(seq, cfgs):
 
 def _want_calls(seq, cfgs):
     """The _decode_blocks calls _schedule implies: one per run for k <= 7,
-    so none for a block that verification decoded;
-    for k > 7 every block of the first offset in one call, and on the
-    first run at any other offset every block of the rest in one."""
+    so none for a block that verification settled; for k > 7 every block
+    of the first offset in one call, and on the first run at any other
+    offset every block of the rest in one."""
     runs, counts = _schedule(seq, cfgs)
     cfg = cfgs[0]
     if cfg.code.k <= 7:
-        return [_blocks(seq, cfg, s)[a:b] for s, a, b in runs]
+        return [_blocks(seq, cfg, s)[list(js)] for s, js in runs]
     first = next(iter(counts), None)
-    stages = list(dict.fromkeys(s == first for s, _, _ in runs))
+    stages = list(dict.fromkeys(s == first for s, _ in runs))
     return [_blocks(seq, cfg, first) if at_first else np.concatenate(
         [_blocks(seq, cfg, o) for o in counts if o != first])
         for at_first in stages]
@@ -661,18 +684,18 @@ def _assert_decoded_once(calls, want):
 def test_shift_search_stops_at_first_perfect_offset(task):
     """detect_all walks each offset only as far as the search needs and
     its reports still equal the reference.  Its _decode_blocks calls are
-    exactly those of _schedule: for k <= 7 each walked block alone that
-    is not within t of a codeword the payloads of blocks 0 and 1
-    designate, then the rest of each offset a config completes; for k > 7
-    the first offset, then the rest in one call.  Each block is decoded
-    at most once, and no offset past the last one a waiting config
-    searches."""
+    exactly those of _schedule: for k <= 7 no block of an offset the rule
+    rules out, then each walked block alone that is not within t of a
+    codeword the payloads of block 0 designate, then the rest of each
+    offset a config completes but its settled blocks; for k > 7 the first
+    offset, then the rest in one call.  Each block is decoded at most
+    once, and no offset past the last one a waiting config searches."""
     seq, cfgs = task
     reps, calls = _decode_calls(seq, cfgs)
     for cfg, rep in zip(cfgs, reps):
         _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
     runs, _ = _schedule(seq, cfgs)
-    walked = [(s, j) for s, a, b in runs for j in range(a, b)]
+    walked = [(s, j) for s, js in runs for j in js]
     assert len(walked) == len(set(walked))
     _assert_decoded_once(calls, _want_calls(seq, cfgs))
 
@@ -682,11 +705,12 @@ def test_shift_search_waits_only_for_configs_with_offsets_left():
     own offsets run out.  Three blocks carry codewords whose vote keys
     differ, and three more tokens follow: shift_only at s_max 3 finds
     offset 0 perfect, both at s_max 1 finds no perfect offset.  So
-    (15,5,3) walks offset 0 to its end (shift_only waits, and each block
-    decodes); at -1 and +1, where both waits alone, block 1 decodes to a
-    vote key other than block 0's, so each walk gives up there.  Then
-    both completes -1 and +1 with their last block, and no block of +-2
-    or +-3 is decoded."""
+    (15,5,3) walks offset 0 to its end (shift_only waits, and no block
+    after block 0 lies within t of a codeword block 0's vote key
+    designates, so each decodes); at -1 and +1, where both waits alone,
+    the raw blocks already rule out one payload throughout, so neither is
+    decoded in the walk.  Then both completes -1 and +1 in one call each,
+    and no block of +-2 or +-3 is decoded."""
     code = BchCode.make(15, 5, 3)
     rng = np.random.default_rng(0)
     bits = np.concatenate([encode(code, int_to_bits(m, code.k))
@@ -702,11 +726,13 @@ def test_shift_search_waits_only_for_configs_with_offsets_left():
         [(0, 3, 3), (0, 1, 3)]
     for cfg, rep in zip(cfgs, reps):
         _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
-    runs = [(0, 0, 1), (0, 1, 2), (0, 2, 3), (-1, 0, 1), (-1, 1, 2),
-            (1, 0, 1), (1, 1, 2), (-1, 2, 3), (1, 2, 3)]
+    assert [_may_share_payload(code, KEY, _blocks(seq, cfgs[1], s), False)
+            for s in (-1, 1)] == [False, False]
+    runs = [(0, (0,)), (0, (1,)), (0, (2,)), (-1, (0, 1, 2)),
+            (1, (0, 1, 2))]
     assert _schedule(seq, cfgs)[0] == runs
-    _assert_decoded_once(calls, [_blocks(seq, cfgs[0], s)[a:b]
-                                 for s, a, b in runs])
+    _assert_decoded_once(calls, [_blocks(seq, cfgs[0], s)[list(js)]
+                                 for s, js in runs])
 
 
 @st.composite
@@ -810,6 +836,52 @@ def test_verified_blocks_equal_the_blind_decoder(code, diverse, data):
                 np.array_equal(blind[0], cw) for cw in designated[j])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SHORT_CODES), st.booleans(), st.data())
+def test_offset_rule_keeps_every_offset_a_payload_designates(code, diverse,
+                                                             data):
+    """The walk's offset rule never gives up an offset whose blocks one
+    payload designates throughout, for every k <= 7 code under both
+    plans.  Each block carries a codeword p designates (in diverse mode
+    either of its pair, c_max partners included) and up to t errors;
+    block 0 and some later blocks carry exactly t, on supports disjoint
+    from block 0's, so X_0 ^ X_j lies exactly 2t from 0 or from c_max.
+    The rule's input is the blocks XOR G(r_j); the test checks first, by
+    safe_decode and plan_block, that p designates every block."""
+    key = SecretKey(bytes([data.draw(st.integers(0, 255))]) * 32)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n, k, t = code.n, code.k, code.t
+    M = data.draw(st.integers(2, 6))
+    bks = [derive_block_key(key, j, k) for j in range(M)]
+    # a random payload, or one whose c1 in block 0 is zero or c_max
+    payload = [rng.integers(0, 2, k).astype(np.uint8),
+               bks[0].randomizer.copy(),
+               bks[0].randomizer ^ message_of(
+                   code, max_weight_codeword(code))][data.draw(
+                       st.integers(0, 2))]
+    first = rng.choice(n, t, replace=False)
+    others = np.setdiff1d(np.arange(n), first)
+    blocks = []
+    for j, bk in enumerate(bks):
+        pair = plan_block(key, j, payload, code, diverse).designated
+        word = pair[data.draw(st.integers(0, len(pair) - 1))].copy()
+        errors = data.draw(st.sampled_from(("disjoint t", "up to t")))
+        if j == 0:
+            word[first] ^= 1
+        elif errors == "disjoint t":
+            word[rng.choice(others, t, replace=False)] ^= 1
+        else:
+            word[rng.choice(n, rng.integers(0, t + 1), replace=False)] ^= 1
+        dec = safe_decode(code, word)
+        assert dec is not None and plan_block(
+            key, j, payload, code, diverse).matches(dec[0])
+        blocks.append(word)
+    masks = np.array([encode(code, bk.randomizer) for bk in bks])
+    assert detector._may_designate_all(code, np.array(blocks) ^ masks,
+                                       diverse)
+    assert _may_share_payload(code, key, blocks, diverse)
+
+
 @st.composite
 def _verified_tasks(draw):
     """A text for the verification walk: a k <= 7 embedding under either
@@ -859,14 +931,20 @@ def _verified_tasks(draw):
 @settings(max_examples=120, deadline=None)
 @given(_verified_tasks())
 def test_verification_leaves_reports_as_the_blind_walk_gives_them(task):
-    """detect_all's reports equal those of the walk that decodes every
-    block blind (verification patched to verify nothing), field by field
-    and in the types of their numbers, and equal the reference; the
+    """detect_all's reports equal those of the walk that settles blocks by
+    decoding them blind (verification patched to decode every block and
+    keep those whose codeword a payload of block 0 designates), field by
+    field and in the types of their numbers, and equal the reference; the
     verifying walk decodes no more blocks."""
     seq, cfgs = task
     reps, calls = _decode_calls(seq, cfgs)
-    with mock.patch.object(detector, "_verify",
-                           lambda code, blocks, *_: [None] * len(blocks)):
+
+    def blind_verify(code, blocks, keys, randomizers):
+        return [dec if dec is not None and (bits_to_int(
+            message_of(code, dec[0])) ^ r) in keys else None
+            for dec, r in zip(detector._decode_blocks(code, blocks),
+                              randomizers)]
+    with mock.patch.object(detector, "_verify", blind_verify):
         blind, blind_calls = _decode_calls(seq, cfgs)
     assert [repr(asdict(r)) for r in reps] == \
         [repr(asdict(r)) for r in blind]

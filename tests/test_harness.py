@@ -127,13 +127,15 @@ def test_campaign_decodes_each_text_once_per_offset(monkeypatch):
     decoded at most once, not once per (mode, offset).  shift_only
     waits for a perfect offset, so each offset is walked one block per
     _decode_blocks call up to its first block that does not decode,
-    except for the blocks after block 1 within t of the codeword that
-    the vote key of blocks 0 and 1 designates, when they share it, which
-    the walk verifies without decoding.  The clean watermarked text
-    decodes blocks 0 and 1 of offset 0, and of its other four blocks only
-    those not within t, and nothing else.  No offset of the H0 text walks to its end, so both then
-    completes its 11 offsets in search order, and every block of every
-    offset is decoded at most once."""
+    except, at an offset whose blocks pass the band of the offset rule,
+    for the blocks after block 0 within t of the codeword that block 0's
+    vote key designates, which the walk verifies without decoding.  The
+    clean watermarked text decodes block 0 of offset 0, and of its other
+    five blocks only those not within t, and nothing else.  No offset of
+    the H0 text walks to its end, so both then completes its 11 offsets
+    in search order, each in one call of the blocks that the walk neither
+    decoded nor verified, and every block of every offset is decoded at
+    most once."""
     events = []
     windows, decode = detector.block_windows, detector._decode_blocks
 
@@ -167,18 +169,26 @@ def test_campaign_decodes_each_text_once_per_offset(monkeypatch):
     def assert_calls(calls, want):
         assert len(calls) == len(want)
         assert all(np.array_equal(got, w) for got, w in zip(calls, want))
+
     def rand(j):
         return bits_to_int(derive_block_key(key, j, code.k).randomizer)
 
+    def banded(blocks):
+        # every X_0 ^ X_j, X_j = b_j ^ G(r_j), of weight <= 2t (the
+        # campaign embeds with the payload plan: no c_max band)
+        xs = [b ^ encode(code, int_to_bits(rand(j), code.k))
+              for j, b in enumerate(blocks)]
+        return all(np.count_nonzero(x != xs[0]) <= 2 * code.t for x in xs)
+
     def verified(blocks, j):
-        # block j > 1 within t of G(v ^ r_j), v the vote key of blocks 0
-        # and 1 when they share it
-        if j < 2:
+        # block j > 0 within t of G(v ^ r_j), v the vote key of block 0,
+        # at an offset inside the band
+        first = detector.safe_decode(code, blocks[0])
+        if j == 0 or first is None or not banded(blocks):
             return False
-        v0, v1 = (bits_to_int(detector.safe_decode(code, blocks[i])[0][
-            :code.k]) ^ rand(i) for i in (0, 1))
-        cw = encode(code, int_to_bits(v0 ^ rand(j), code.k))
-        return v0 == v1 and np.count_nonzero(blocks[j] != cw) <= code.t
+        v = bits_to_int(first[0][:code.k]) ^ rand(0)
+        cw = encode(code, int_to_bits(v ^ rand(j), code.k))
+        return np.count_nonzero(blocks[j] != cw) <= code.t
 
     wm_blocks = blocks_at(wm, 0)
     assert len(wm_blocks) == 6
@@ -188,11 +198,12 @@ def test_campaign_decodes_each_text_once_per_offset(monkeypatch):
     blocks = {s: blocks_at(h0, s) for s in order}
     walked = {s: [detector.safe_decode(code, b) is not None
                   for b in blocks[s]].index(False) + 1 for s in order}
+    rest = {s: [j for j in range(walked[s], len(blocks[s]))
+                if not verified(blocks[s], j)] for s in order}
     assert_calls(h0_calls, [
         *(blocks[s][j:j + 1] for s in order for j in range(walked[s])
           if not verified(blocks[s], j)),
-        *(blocks[s][walked[s]:] for s in order
-          if walked[s] < len(blocks[s]))])
+        *(blocks[s][rest[s]] for s in order if rest[s])])
 
 
 def test_campaign_grid_is_checked_before_the_first_trial(monkeypatch):

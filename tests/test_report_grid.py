@@ -18,6 +18,8 @@ PINNED = [
     "d9dec249062dfe5feda402f75d391a429be5b09c48282481d8abb4e727346a11",
     "768 verification-boundary reports sha256 "
     "d0bff084dba47c8f7bdf2427bc3e85c2e72120cf369482a2aa0568f4a2bc16ac",
+    "768 designated-walk reports sha256 "
+    "59505e770393782b2e52668d2f074e474aa78a16d01ea38c31ddab1e6677bc67",
 ]
 
 

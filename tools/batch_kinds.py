@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Where detect-warm's p50_ms falls: detection time per text kind.
+
+    PYTHONPATH=src python3 tools/batch_kinds.py --seed N [--repeats 9]
+
+The package is imported from PYTHONPATH, so `PYTHONPATH=DIR/src` reads
+the checkout in DIR.  The batch is the one perfbench's detect-warm
+workload builds at benchmark seed N (`perfbench/workloads.py`, imported
+as it stands and only read): 32 texts of (31,6,7) at V = 1024, eight
+each of clean, prefix-shifted, attacked and unwatermarked, detected with
+`both` at s_max 5.  After one untimed detection per text, which warms
+the keyed-bit cache as the workload does, each text is detected
+`--repeats` times in turn, and its time is the median of its repeats.
+
+One line per kind prints its number of texts, how many of them have an
+offset of ratio 1 (a report of score 1), and the median of their times
+in ms.  The last line does the same for the whole batch.  detect-warm's
+p50_ms is the median over the same 32 texts, so it falls on a text of
+ratio 1 where more than 16 have one, and between the dearest of them
+and the cheapest other text where exactly 16 do.
+"""
+import argparse
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+from blockmark import detector  # noqa: E402
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--repeats", type=int, default=9)
+    args = p.parse_args(argv)
+    wl = workloads.DetectWarm()
+    with tempfile.TemporaryDirectory() as tmp:
+        wl.build(args.seed, Path(tmp))
+        state = wl.load(Path(tmp))
+    seqs, cfg = state["seqs"], state["cfg"]
+    kinds = [m["kind"] for m in state["meta"]]
+    perfect = [detector.detect(seq, cfg).score == 1 for seq in seqs]
+    times = [[] for _ in seqs]
+    for _ in range(args.repeats):
+        for seq, spent in zip(seqs, times):
+            start = time.perf_counter()
+            detector.detect(seq, cfg)
+            spent.append(time.perf_counter() - start)
+    ms = [statistics.median(spent) * 1e3 for spent in times]
+    for kind in (*wl.KINDS, None):
+        at = [i for i, k in enumerate(kinds) if kind in (k, None)]
+        print(f"{kind or 'all':6} texts {len(at):2}  ratio-1 "
+              f"{sum(perfect[i] for i in at):2}  median "
+              f"{statistics.median(ms[i] for i in at):.3f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,10 @@ verification, where a block within t of a designated codeword is
 decoded by comparison and any other block blindly: the clean embedding
 after substitute@0.05 and substitute@0.1, and with block 1, 2 or 3 moved
 to exactly t and to exactly t + 1 errors from its designated codeword,
-under the four modes at s_max 3 and n.
+under the four modes at s_max 3 and n.  A fifth line detects the texts of
+the second, third and fourth lines with `both` alone, one config a call
+at s_max 3 and at n: there only the designated mask waits in the shift
+search, so offsets are ruled out before they are decoded.
 """
 import hashlib
 from dataclasses import asdict
@@ -114,7 +117,7 @@ class Digest:
 
 
 def main():
-    grid, shifted, partial, boundary = Digest(), Digest(), Digest(), Digest()
+    grid, shifted, partial, boundary, alone = (Digest() for _ in range(5))
     for seed, (n, k, t) in enumerate(sorted(NAMED_CODES)):
         code = BchCode.make(n, k, t)
         for diverse in (False, True):
@@ -124,11 +127,16 @@ def main():
             seqs = texts(code, diverse, seed)
             grid.add(seqs, cfgs)
             shifting = [cfg for cfg in cfgs if cfg.s_max]
-            shifted.add(prefix_shifted(seqs[0], seed), shifting)
-            for text in garbled(seqs[0], n, seed):
-                partial.add(prefix_shifted(text, seed), shifting)
-            boundary.add(at_the_boundary(seqs[0], code, diverse, seed),
-                         shifting)
+            moved = prefix_shifted(seqs[0], seed)
+            cut = [shifted for text in garbled(seqs[0], n, seed)
+                   for shifted in prefix_shifted(text, seed)]
+            edge = list(at_the_boundary(seqs[0], code, diverse, seed))
+            shifted.add(moved, shifting)
+            partial.add(cut, shifting)
+            boundary.add(edge, shifting)
+            for cfg in shifting:
+                if cfg.mode == "both":
+                    alone.add(moved + cut + edge, [cfg])
     print(f"{grid.count} reports sha256 {grid.sha.hexdigest()}")
     print(f"{shifted.count} prefix-shifted reports sha256 "
           f"{shifted.sha.hexdigest()}")
@@ -136,6 +144,8 @@ def main():
           f"{partial.sha.hexdigest()}")
     print(f"{boundary.count} verification-boundary reports sha256 "
           f"{boundary.sha.hexdigest()}")
+    print(f"{alone.count} designated-walk reports sha256 "
+          f"{alone.sha.hexdigest()}")
 
 
 if __name__ == "__main__":
