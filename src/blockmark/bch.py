@@ -151,7 +151,7 @@ class BchCode:
         # row i: the systematic codeword of the message with bit i alone set
         units = [1 << (n - 1 - i) for i in range(k)]
         gen_rows = np.array([int_to_bits(x ^ _poly_mod(x, gen, n - k), n)
-                             for x in units])
+                             for x in units], dtype=np.float32)
         period = fld.period
         synd = np.zeros((2 * t, n), dtype=np.int64)
         for i in range(1, 2 * t + 1):
@@ -162,7 +162,7 @@ class BchCode:
         planes = (synd[0::2, :, None] >> np.arange(m)) & 1
         self.__dict__.update(
             generator=gen, fld=fld,
-            _gen_rows=gen_rows,   # (k, n) uint8 generator matrix
+            _gen_rows=gen_rows,   # (k, n) float32 generator matrix
             _synd_mat=synd,       # (2t, n) alpha^{i*(n-1-pos)}
             _chien_exp=chien,     # (n,) exponents -j mod period
             # decode_rows' tables: per position the bits of S_1, S_3, ...,
@@ -204,8 +204,8 @@ def encode_rows(code: BchCode, msgs: np.ndarray) -> np.ndarray:
     msgs = check_bits("message", msgs)
     if msgs.ndim != 2 or msgs.shape[1] != code.k:
         raise ContractError(f"messages must be rows of length {code.k}")
-    # a sum of at most k <= 92 ones fits in uint8
-    return np.matmul(msgs, code._gen_rows) & 1
+    # a sum of at most k <= 92 ones is exact in float32
+    return (msgs @ code._gen_rows).astype(np.uint8) & 1
 
 
 def encode(code: BchCode, msg: np.ndarray) -> np.ndarray:

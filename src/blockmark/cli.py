@@ -105,8 +105,9 @@ def cmd_detect(args):
     cfg = DetectConfig(code=code, key=key, s_max=args.s_max, tau=args.tau,
                        mode=args.mode, diverse=args.diverse,
                        prompt_len=args.prompt_len)
+    items = seqio.read_sequences(args.input, keep_bad=True)
     with _output(args.output) as out:
-        for item in seqio.read_sequences(args.input, keep_bad=True):
+        for item in items:
             if isinstance(item, seqio.BadRecord):
                 rec = asdict(item)
             else:
@@ -140,7 +141,11 @@ def cmd_params(args):
 
 def _load_spec(path) -> ExperimentSpec:
     with open(path, encoding="utf-8") as fh:
-        return ExperimentSpec.from_dict(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except ValueError as exc:     # not UTF-8 or not JSON
+            raise ContractError(f"{path}: {exc}") from exc
+    return ExperimentSpec.from_dict(spec)
 
 
 def cmd_campaign(args):
@@ -283,7 +288,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except ContractError as exc:
+    except (ContractError, OSError) as exc:   # OSError: a file not opened
         raise SystemExit(f"blockmark: {exc}") from exc
 
 

@@ -116,18 +116,19 @@ def _decode_blocks(code: BchCode, blocks: np.ndarray):
     return decode_rows(code, blocks)
 
 
-def _verify(code: BchCode, blocks: np.ndarray, keys, randomizers) -> list:
-    """safe_decode of each row of an (M, n) block matrix that lies within
-    t of a codeword G(p XOR r_j) designated by a payload p in `keys`, None
-    for every other row: one encode_rows product and one Hamming count.
-    Decoding within radius t is unique, so such a row decodes to exactly
-    (that codeword, its distance); two designated codewords of one row
-    differ by c_max, of weight n > 2t, so at most one is that close."""
-    msgs = np.array([[p ^ r for r in randomizers] for p in keys])
-    cws = encode_rows(code, msgs.reshape(-1, 1) >> np.arange(
-        code.k - 1, -1, -1) & 1).reshape(len(keys), len(blocks), code.n)
-    dist = (cws != blocks).sum(axis=2)
-    return [(cws[c, j], d) if d <= code.t else None
+def _verify(code: BchCode, xs: np.ndarray, masks: np.ndarray,
+            words: np.ndarray) -> list:
+    """safe_decode of each block b_j, given as X_j = b_j XOR G(r_j) in the
+    rows of xs with G(r_j) in those of masks, that lies within t of a
+    codeword G(p XOR r_j) designated by a payload p whose G(p) is a row
+    of words; None for every other block.  G is linear, so G(p XOR r_j)
+    = G(p) XOR G(r_j), and b_j lies as far from it as X_j from G(p): one
+    Hamming count.  Decoding within radius t is unique, so such a block
+    decodes to exactly (that codeword, its distance); two designated
+    codewords of one block differ by c_max, of weight n > 2t, so at most
+    one is that close."""
+    dist = (xs != words[:, None]).sum(axis=2)
+    return [(words[c] ^ masks[j], d) if d <= code.t else None
             for j, (c, d) in enumerate(zip(dist.argmin(axis=0).tolist(),
                                            dist.min(axis=0).tolist()))]
 
@@ -228,21 +229,22 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
     While a config that searches beyond offset 0 waits for an offset of
     ratio 1, the offsets are walked in search order, block by block, and
     one is given up at the first block that rules out ratio 1 for every
-    waiting config: one that does not decode or, for k <= 7 when all of
-    them use the designated mask, one that no payload designating block 0
-    designates.  Such a walk first gives up, with no decoding, an offset
-    whose raw blocks no payload can designate throughout
-    (_may_designate_all, the band).  Once block 0 of a k <= 7 walk
-    decodes at an offset inside the band, every block within t of a
-    codeword that a payload designating block 0 designates takes that
-    (codeword, distance) from _verify, also when the offset is completed
-    later, and is never decoded; every other block is decoded blind.
-    Only a walk to the last block records the offset (decoded blocks,
-    vote, both masks); the search ends when no config waits.  A config
-    reports its first recorded offset of ratio 1, or records all its
-    offsets and reports the best.  No report changes: each rule is
-    necessary for ratio 1, the most, and the first tie wins, and a block
-    within t of a codeword decodes to it."""
+    waiting config: one that does not decode or, when all of them use the
+    designated mask, one that no payload designating block 0 designates.
+    Such a walk first gives up, with no decoding, an offset whose raw
+    blocks no payload can designate throughout (_may_designate_all, the
+    band).  Once block 0 decodes at an offset inside the band, every block
+    within t of a codeword that a payload designating block 0 designates
+    takes that (codeword, distance) from _verify, also when the offset is
+    completed later, and is never decoded; every other block is decoded
+    blind when the walk reaches it.  Only a walk to the last block
+    records the offset (decoded blocks, vote, both masks); the search
+    ends when no config waits.  A config reports its first recorded
+    offset of ratio 1, or records all its offsets, decoding every block
+    still unknown at them in one _decode_blocks call, and reports the
+    best.  No report changes: each rule is necessary for ratio 1, the
+    most, and the first tie wins, and a block within t of a codeword
+    decodes to it."""
     shared = {(c.code, c.key, c.diverse, c.prompt_len) for c in cfgs}
     if len(shared) != 1:
         raise ContractError("detect_all needs configs that share code, key, "
@@ -261,49 +263,25 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
     waiting = {(rule, 2 * reach + 1)
                for rule, reach in zip(rules, reaches) if reach}
     if counts:
-        n, lo, first = code.n, min(counts), next(iter(counts))
+        n, lo = code.n, min(counts)
         rows, bks = block_windows(seq, key, n, code.k, lo, max(counts),
                                   prompt_len)
         rands, coins = _randomizers_and_coins(bks, diverse)
-        # msg(c_max) in diverse mode, else 0: a decoded block's pair
-        # partner designates the block's vote key XOR this
-        partner = bits_to_int(max_weight_codeword(code)[:code.k] * diverse)
-        done = {s: [] for s in counts}   # the blocks decoded so far
-        checked = {}   # offset: _verify's result for each of its blocks
-        masks = None   # G(r_j) of each block, built when first needed
+        masks = encode_rows(code, np.array([bk.randomizer for bk in bks]))
+        known = {}   # (offset, block index): the block's decoded result
 
-        def decoded(s, stop):
-            # at least the first `stop` blocks of offset s, each decoded
-            # once: k <= 7 decodes the blocks asked for that _verify has
-            # not settled; k > 7, whose decode_rows call has a fixed cost,
-            # the first offset, then every block of the rest at once
-            have = len(done[s])
-            if have < stop and code.k <= 7:
-                settled = checked.get(s) or [None] * stop
-                blind = [j for j in range(have, stop) if settled[j] is None]
-                got = iter(_decode_blocks(
-                    code, rows[blind, s - lo:s - lo + n]) if blind else ())
-                done[s] += [settled[j] or next(got)
-                            for j in range(have, stop)]
-            elif have < stop:
-                stage = [o for o in counts if (o == first) == (s == first)]
-                blocks = _decode_blocks(code, np.concatenate(
-                    [rows[:counts[o], o - lo:o - lo + n] for o in stage]))
-                for o in stage:
-                    done[o], blocks = blocks[:counts[o]], blocks[counts[o]:]
-            return done[s]
-
-        def banded(blocks):
-            nonlocal masks
-            if masks is None:
-                masks = encode_rows(code, np.array(
-                    [bk.randomizer for bk in bks]))
-            return _may_designate_all(code, blocks ^ masks[:len(blocks)],
-                                      diverse)
+        def decode(wanted):
+            # the results of the blocks (s, j) in `wanted`; those not yet
+            # known are decoded in one _decode_blocks call
+            blind = [b for b in wanted if b not in known]
+            if blind:
+                known.update(zip(blind, _decode_blocks(code, np.array(
+                    [rows[j, s - lo:s - lo + n] for s, j in blind]))))
+            return [known[b] for b in wanted]
 
         def record(s):
             if s not in records:
-                blocks = decoded(s, counts[s])
+                blocks = decode([(s, j) for j in range(counts[s])])
                 payload, _, designating = _vote(code, blocks, rands, coins)
                 records[s] = (blocks, payload,
                               [dec is not None for dec in blocks],
@@ -315,27 +293,30 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
             if not waiting:
                 break
             M = counts[s]
-            blocks = rows[:M, s - lo:s - lo + n]
+            xs = rows[:M, s - lo:s - lo + n] ^ masks[:M]
             # every waiting config counts designated blocks alone
-            designated = code.k <= 7 and all(r == 3 for r, _ in waiting)
-            if designated and not banded(blocks):
+            designated = all(r == 3 for r, _ in waiting)
+            if designated and not _may_designate_all(code, xs, diverse):
                 continue
             for j in range(M):
-                if j and designated and checked[s][j] is None:
+                if j and designated and (s, j) not in known:
                     break
-                dec = decoded(s, j + 1)[j]
+                dec, = decode([(s, j)])
                 if dec is None:
                     break
                 # outside the band, as at the offsets around a watermarked
                 # one, where block 0 still decodes, verification would
                 # mostly settle nothing
-                if j == 0 and code.k <= 7 and (designated or banded(blocks)):
-                    # the payloads that designate block 0 (_vote's)
-                    vote = bits_to_int(dec[0][:code.k]) ^ rands[0]
-                    checked[s] = _verify(
-                        code, blocks,
-                        {vote, vote ^ partner} if dec[0].any() else {vote},
-                        rands[:M])
+                if j == 0 and (designated
+                               or _may_designate_all(code, xs, diverse)):
+                    # G(v) of block 0's vote key v, and in diverse mode
+                    # G(v XOR msg(c_max)) = G(v) XOR c_max unless the
+                    # block decodes to zero: the payloads _vote gives it
+                    g = dec[0] ^ masks[0]
+                    settled = _verify(code, xs, masks, np.array(
+                        [g, g ^ 1] if diverse and dec[0].any() else [g]))
+                    known.update(((s, i), v) for i, v in enumerate(settled)
+                                 if i and v)
             else:
                 waiting = {(r, w) for r, w in waiting
                            if not all(record(s)[r])}
@@ -348,6 +329,7 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
                 False, None, 0, 0, 0, diagnostic="text shorter than one block"))
             continue
         if not any(all(records[s][rule]) for s in searched if s in records):
+            decode([(s, j) for s in searched for j in range(counts[s])])
             for s in searched:
                 record(s)
         # max keeps the first of equal ratios, so the search order decides

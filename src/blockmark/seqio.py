@@ -37,18 +37,18 @@ class BadRecord:
 def read_sequences(path, keep_bad: bool = False) -> list:
     """Sequences of a JSON-lines file, skipping blank lines.
 
-    A malformed line (a "meta" that is not an object included) raises
-    ContractError naming its 1-based number, or
-    with `keep_bad` becomes a BadRecord in its place so that the other
+    A malformed line (a "meta" that is not an object, or a byte that is
+    not UTF-8, included) raises ContractError naming its 1-based number,
+    or with `keep_bad` becomes a BadRecord in its place so that the other
     lines can still be used.
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
                 seq = TokenSequence(rec["tokens"], rec["vocab_size"],
                                     meta=rec.get("meta", {}))
@@ -66,7 +66,8 @@ def read_sequences(path, keep_bad: bool = False) -> list:
 
 
 def read_key(path) -> SecretKey:
-    text = Path(path).read_text(encoding="utf-8").strip()
+    # a byte that is not UTF-8 reads as U+FFFD, which is no hex character
+    text = Path(path).read_text(encoding="utf-8", errors="replace").strip()
     if not re.fullmatch("[0-9a-fA-F]{64}", text):
         raise ContractError("key file must hold exactly 64 hex characters")
     return SecretKey.from_hex(text)

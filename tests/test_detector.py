@@ -465,8 +465,8 @@ def _assert_report_equals_reference(rep, ref, cfg):
 def test_detect_matches_reference(text, data):
     """detect, and detect_all over 1-4 configs that share code, key,
     diverse and prompt but vary mode, s_max and tau, equal the reference
-    field by field.  The codes of k > 7, whose blocks decode in one batch
-    per text, search up to s_max = n."""
+    field by field.  The codes of k > 7, whose decode_rows batches decode
+    many blocks cheaply, search up to s_max = n."""
     code, key, _, toks, rng = text
     shift = data.draw(st.integers(-3, 3))
     toks = (np.concatenate([rng.integers(0, SMALL_V, shift), toks])
@@ -577,20 +577,20 @@ def _may_share_payload(code, key, blocks, diverse):
 
 def _schedule(seq, cfgs):
     """The lazy shift search's decode schedule, spelled out from the
-    reference: the (offset, block indices) runs detect_all asks to decode
-    in one call each, in order.  While a config of s_max > 0 waits for an
-    offset of ratio 1, each offset is walked block by block up to its
-    first block that does not decode.  For k <= 7, once block 0 decodes
-    at an offset that passes the rule of _may_share_payload, a block
-    within t of a codeword that a payload designating block 0 designates
-    is settled without decoding, for the walk and for any later
-    completion of the offset.  When every waiting config is `both`
-    (k <= 7), an offset that fails the rule is given up before any block
-    is decoded, and the walk stops at the first block after block 0 that
-    is not settled.  An offset walked to its end
-    is recorded.  A config with no recorded offset of ratio 1 then
-    completes each of its offsets, config by config, decoding in one
-    call every block the walks neither decoded nor settled."""
+    reference: the _decode_blocks calls detect_all makes, in order, each
+    as its (offset, block index) pairs.  While a config of s_max > 0
+    waits for an offset of ratio 1, each offset is walked block by block
+    up to its first block that does not decode, one call a block.  Once
+    block 0 decodes at an offset that passes the rule of
+    _may_share_payload, a block within t of a codeword that a payload
+    designating block 0 designates is settled without decoding, for the
+    walk and for any later completion of the offset.  When every waiting
+    config is `both`, an offset that fails the rule is given up before
+    any block is decoded, and the walk stops at the first block after
+    block 0 that is not settled.  An offset walked to its end is
+    recorded.  A config with no recorded offset of ratio 1 then completes
+    its offsets, config by config, decoding in one call every block of
+    them that the walks neither decoded nor settled."""
     cfg0 = cfgs[0]
     code, key, T = cfg0.code, cfg0.key, len(seq.tokens) - cfg0.prompt_len
     reach = [c.s_max if c.mode in ("shift_only", "both") else 0
@@ -601,14 +601,15 @@ def _schedule(seq, cfgs):
                for c in cfgs]
     done = dict.fromkeys(counts, 0)
     settled = {s: set() for s in counts}
-    runs, recorded = [], set()
+    calls, recorded = [], set()
 
-    def need(s, stop):
-        blind = tuple(j for j in range(done[s], stop)
-                      if j not in settled[s])
+    def need(stops):
+        blind = [(s, j) for s, stop in stops.items()
+                 for j in range(done[s], stop) if j not in settled[s]]
         if blind:
-            runs.append((s, blind))
-        done[s] = max(done[s], stop)
+            calls.append(blind)
+        for s, stop in stops.items():
+            done[s] = max(done[s], stop)
     waiting = [i for i, r in enumerate(reach) if r]
     for s in counts:
         waiting = [i for i in waiting if order.index(s) <= 2 * reach[i]]
@@ -616,18 +617,17 @@ def _schedule(seq, cfgs):
             break
         blocks = _blocks(seq, cfg0, s)
         banded = _may_share_payload(code, key, blocks, cfg0.diverse)
-        designated = code.k <= 7 and all(cfgs[i].mode == "both"
-                                         for i in waiting)
+        designated = all(cfgs[i].mode == "both" for i in waiting)
         if designated and not banded:
             continue
         for j, block in enumerate(blocks):
             if j and designated and j not in settled[s]:
                 break
-            need(s, j + 1)
+            need({s: j + 1})
             dec = safe_decode(code, block)
             if dec is None:
                 break
-            if j == 0 and code.k <= 7 and banded:
+            if j == 0 and banded:
                 keys = _designating(code, key, 0, dec[0], cfg0.diverse)
                 settled[s] = {i for i, b in enumerate(blocks)
                               if i and _near_designated(code, key, i, b,
@@ -638,10 +638,9 @@ def _schedule(seq, cfgs):
     for i, r in enumerate(reach):
         searched = [s for s in order[:2 * r + 1] if s in counts]
         if not perfect[i] & recorded & set(searched):
-            for s in searched:
-                need(s, counts[s])
-                recorded.add(s)
-    return runs, counts
+            need({s: counts[s] for s in searched})
+            recorded.update(searched)
+    return calls
 
 
 def _decode_calls(seq, cfgs):
@@ -658,20 +657,10 @@ def _decode_calls(seq, cfgs):
     return reps, calls
 
 
-def _want_calls(seq, cfgs):
-    """The _decode_blocks calls _schedule implies: one per run for k <= 7,
-    so none for a block that verification settled; for k > 7 every block
-    of the first offset in one call, and on the first run at any other
-    offset every block of the rest in one."""
-    runs, counts = _schedule(seq, cfgs)
-    cfg = cfgs[0]
-    if cfg.code.k <= 7:
-        return [_blocks(seq, cfg, s)[list(js)] for s, js in runs]
-    first = next(iter(counts), None)
-    stages = list(dict.fromkeys(s == first for s, _ in runs))
-    return [_blocks(seq, cfg, first) if at_first else np.concatenate(
-        [_blocks(seq, cfg, o) for o in counts if o != first])
-        for at_first in stages]
+def _call_blocks(seq, cfg, schedule):
+    """The blocks of each _decode_blocks call of a _schedule."""
+    blocks = {s: _blocks(seq, cfg, s) for call in schedule for s, _ in call}
+    return [np.array([blocks[s][j] for s, j in call]) for call in schedule]
 
 
 def _assert_decoded_once(calls, want):
@@ -684,20 +673,20 @@ def _assert_decoded_once(calls, want):
 def test_shift_search_stops_at_first_perfect_offset(task):
     """detect_all walks each offset only as far as the search needs and
     its reports still equal the reference.  Its _decode_blocks calls are
-    exactly those of _schedule: for k <= 7 no block of an offset the rule
-    rules out, then each walked block alone that is not within t of a
-    codeword the payloads of block 0 designate, then the rest of each
-    offset a config completes but its settled blocks; for k > 7 the first
-    offset, then the rest in one call.  Each block is decoded at most
-    once, and no offset past the last one a waiting config searches."""
+    exactly those of _schedule, for every code: no block of an offset the
+    rule rules out, then each walked block alone that is not within t of
+    a codeword the payloads of block 0 designate, then, in one call per
+    config that completes its offsets, every block of them not yet
+    decoded or settled.  Each block is decoded at most once, and no
+    offset past the last one a waiting config searches."""
     seq, cfgs = task
     reps, calls = _decode_calls(seq, cfgs)
     for cfg, rep in zip(cfgs, reps):
         _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
-    runs, _ = _schedule(seq, cfgs)
-    walked = [(s, j) for s, js in runs for j in js]
+    schedule = _schedule(seq, cfgs)
+    walked = [block for call in schedule for block in call]
     assert len(walked) == len(set(walked))
-    _assert_decoded_once(calls, _want_calls(seq, cfgs))
+    _assert_decoded_once(calls, _call_blocks(seq, cfgs[0], schedule))
 
 
 def test_shift_search_waits_only_for_configs_with_offsets_left():
@@ -709,8 +698,8 @@ def test_shift_search_waits_only_for_configs_with_offsets_left():
     after block 0 lies within t of a codeword block 0's vote key
     designates, so each decodes); at -1 and +1, where both waits alone,
     the raw blocks already rule out one payload throughout, so neither is
-    decoded in the walk.  Then both completes -1 and +1 in one call each,
-    and no block of +-2 or +-3 is decoded."""
+    decoded in the walk.  Then both completes -1 and +1 in one call, and
+    no block of +-2 or +-3 is decoded."""
     code = BchCode.make(15, 5, 3)
     rng = np.random.default_rng(0)
     bits = np.concatenate([encode(code, int_to_bits(m, code.k))
@@ -728,11 +717,31 @@ def test_shift_search_waits_only_for_configs_with_offsets_left():
         _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
     assert [_may_share_payload(code, KEY, _blocks(seq, cfgs[1], s), False)
             for s in (-1, 1)] == [False, False]
-    runs = [(0, (0,)), (0, (1,)), (0, (2,)), (-1, (0, 1, 2)),
-            (1, (0, 1, 2))]
-    assert _schedule(seq, cfgs)[0] == runs
-    _assert_decoded_once(calls, [_blocks(seq, cfgs[0], s)[list(js)]
-                                 for s, js in runs])
+    schedule = [[(0, 0)], [(0, 1)], [(0, 2)],
+                [(s, j) for s in (-1, 1) for j in range(3)]]
+    assert _schedule(seq, cfgs) == schedule
+    _assert_decoded_once(calls, _call_blocks(seq, cfgs[0], schedule))
+
+
+@pytest.mark.parametrize("params", [c for c in sorted(NAMED_CODES)
+                                    if c[1] > 7])
+def test_long_message_text_without_perfect_offset_decodes_once(params):
+    """An unwatermarked text under a code of k > 7, searched with `both`
+    at s_max 2, has no offset of ratio 1.  Its raw blocks rule out one
+    payload throughout at every offset, so the walk decodes nothing, and
+    the completion decodes every block of the five offsets in a single
+    _decode_blocks call: decode_rows' fixed cost is paid once a text."""
+    code = BchCode.make(*params)
+    seq = sample_unwatermarked(UniformSource(SMALL_V), 3 * code.n + 5, 7)
+    cfg = DetectConfig(code=code, key=KEY, s_max=2, mode="both")
+    offsets = (0, -1, 1, -2, 2)
+    assert not any(_may_share_payload(code, KEY, _blocks(seq, cfg, s), False)
+                   for s in offsets)
+    (rep,), calls = _decode_calls(seq, [cfg])
+    _assert_report_equals_reference(rep, _ref_detect(seq, cfg), cfg)
+    assert rep.score < 1
+    _assert_decoded_once(calls, [np.concatenate([_blocks(seq, cfg, s)
+                                                 for s in offsets])])
 
 
 @st.composite
@@ -783,22 +792,21 @@ def test_lazy_search_matches_reference(task):
     reach = max(c.s_max for c in cfgs)
     assert sum(map(len, calls)) <= sum(max((T - s) // cfg.code.n, 0)
                                        for s in range(-reach, reach + 1))
-    _assert_decoded_once(calls, _want_calls(seq, cfgs))
-
-
-SHORT_CODES = [c for c in CODES if c.k <= 7]
+    _assert_decoded_once(calls, _call_blocks(seq, cfgs[0],
+                                             _schedule(seq, cfgs)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(SHORT_CODES), st.booleans(), st.data())
+@given(st.sampled_from(CODES), st.booleans(), st.data())
 def test_verified_blocks_equal_the_blind_decoder(code, diverse, data):
-    """The walk's verification against safe_decode, for every k <= 7 code
-    under both plans: the payloads are those that designate a random
-    codeword, the zero word or c_max in block 0, and each block lies at
-    distance 0, t, t + 1 from a codeword one of them designates, or is
-    random.  A block within t is verified as exactly safe_decode's
-    (codeword, distance); any other is left to the blind decoder, which
-    finds no designated codeword there."""
+    """The walk's verification against safe_decode, for every code under
+    both plans: the payloads are those that designate a random codeword,
+    the zero word or c_max in block 0, and each block lies at distance 0,
+    t, t + 1 from a codeword one of them designates, or is random.
+    _verify reads the blocks as X_j = b_j ^ G(r_j) beside G(r_j) and the
+    payloads as G(p).  A block within t is verified as exactly
+    safe_decode's (codeword, distance); any other is left to the blind
+    decoder, which finds no designated codeword there."""
     key = SecretKey(bytes([data.draw(st.integers(0, 255))]) * 32)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n, k, t = code.n, code.k, code.t
@@ -821,7 +829,9 @@ def test_verified_blocks_equal_the_blind_decoder(code, diverse, data):
         else:
             word[rng.choice(n, flips, replace=False)] ^= 1
         words.append(word)
-    got = detector._verify(code, np.array(words), keys, rands)
+    masks = np.array([encode(code, int_to_bits(r, k)) for r in rands])
+    got = detector._verify(code, np.array(words) ^ masks, masks, np.array(
+        [encode(code, int_to_bits(p, k)) for p in sorted(keys)]))
     assert len(got) == M
     for j, (word, mine) in enumerate(zip(words, got)):
         blind = safe_decode(code, word)
@@ -837,12 +847,11 @@ def test_verified_blocks_equal_the_blind_decoder(code, diverse, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(SHORT_CODES), st.booleans(), st.data())
+@given(st.sampled_from(CODES), st.booleans(), st.data())
 def test_offset_rule_keeps_every_offset_a_payload_designates(code, diverse,
                                                              data):
     """The walk's offset rule never gives up an offset whose blocks one
-    payload designates throughout, for every k <= 7 code under both
-    plans.  Each block carries a codeword p designates (in diverse mode
+    payload designates throughout, for every code under both plans.  Each block carries a codeword p designates (in diverse mode
     either of its pair, c_max partners included) and up to t errors;
     block 0 and some later blocks carry exactly t, on supports disjoint
     from block 0's, so X_0 ^ X_j lies exactly 2t from 0 or from c_max.
@@ -884,12 +893,12 @@ def test_offset_rule_keeps_every_offset_a_payload_designates(code, diverse,
 
 @st.composite
 def _verified_tasks(draw):
-    """A text for the verification walk: a k <= 7 embedding under either
-    plan, clean, with a block after block 1 moved to exactly t or t + 1
-    errors from its designated codeword, behind r <= 3 inserted or
-    deleted prefix tokens, or substituted at 0.05 or 0.1, and 1-3 configs
-    of mixed mode and s_max."""
-    code = draw(st.sampled_from(SHORT_CODES))
+    """A text for the verification walk: an embedding under either plan,
+    clean, with a block after block 1 moved to exactly t or t + 1 errors
+    from its designated codeword, behind r <= 3 inserted or deleted
+    prefix tokens, or substituted at 0.05 or 0.1, and 1-3 configs of
+    mixed mode and s_max."""
+    code = draw(st.sampled_from(CODES))
     n, k = code.n, code.k
     diverse = draw(st.booleans())
     key = SecretKey(bytes([draw(st.integers(0, 255))]) * 32)
@@ -939,11 +948,12 @@ def test_verification_leaves_reports_as_the_blind_walk_gives_them(task):
     seq, cfgs = task
     reps, calls = _decode_calls(seq, cfgs)
 
-    def blind_verify(code, blocks, keys, randomizers):
-        return [dec if dec is not None and (bits_to_int(
-            message_of(code, dec[0])) ^ r) in keys else None
-            for dec, r in zip(detector._decode_blocks(code, blocks),
-                              randomizers)]
+    def blind_verify(code, xs, masks, words):
+        # a codeword cw of block j is G(p ^ r_j) iff cw ^ G(r_j) = G(p)
+        return [dec if dec is not None and any(
+            np.array_equal(dec[0] ^ mask, w) for w in words) else None
+            for dec, mask in zip(detector._decode_blocks(
+                code, xs ^ masks[:len(xs)]), masks)]
     with mock.patch.object(detector, "_verify", blind_verify):
         blind, blind_calls = _decode_calls(seq, cfgs)
     assert [repr(asdict(r)) for r in reps] == \

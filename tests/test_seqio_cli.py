@@ -550,3 +550,84 @@ def test_non_object_meta_is_a_malformed_line(tmp_path, meta):
     reps = [json.loads(line) for line in rep.read_text().splitlines()]
     assert [r.get("line") for r in reps] == [None, 2, 3]
     assert reps[1]["error"] == message
+
+
+def test_non_utf8_line_is_a_malformed_line(tmp_path):
+    """A byte that is not UTF-8 spoils its own line alone: a ContractError
+    naming the line, a BadRecord with keep_bad, a one-line exit of attack
+    and a bad-line report of detect between the reports of the good
+    lines.  It used to end every command in a UnicodeDecodeError
+    traceback."""
+    good = b'{"tokens": [1, 2], "vocab_size": 4}\n'
+    path = tmp_path / "seqs.jsonl"
+    path.write_bytes(good + b'{"tokens": [1], "vocab_size": 4, '
+                     b'"meta": {"x": "\xff"}}\n' + good)
+    with pytest.raises(ContractError, match="line 2: UnicodeDecodeError"):
+        seqio.read_sequences(path)
+    first, bad, last = seqio.read_sequences(path, keep_bad=True)
+    assert np.array_equal(first.tokens, last.tokens)
+    assert bad.line == 2 and bad.error.startswith("UnicodeDecodeError: ")
+    out = tmp_path / "att.jsonl"
+    with pytest.raises(SystemExit) as exit_:
+        main(["attack", "--kind", "delete", "--rate", "0.1", "--input",
+              str(path), "--output", str(out)])
+    assert exit_.value.code.startswith(
+        f"blockmark: {path}: line 2: UnicodeDecodeError: ")
+    key = tmp_path / "key.txt"
+    seqio.write_key(key, SecretKey(bytes(32)))
+    rep = tmp_path / "rep.jsonl"
+    main(["detect", "--key-file", str(key), "--input", str(path),
+          "--output", str(rep)])
+    reps = [json.loads(line) for line in rep.read_text().splitlines()]
+    assert [r.get("line") for r in reps] == [None, 2, None]
+    assert reps[1]["error"] == bad.error
+
+
+def test_non_utf8_key_file_is_a_contract_error(tmp_path):
+    """A key file with a byte that is not UTF-8 raises ContractError, and
+    detect ends in one `blockmark: ...` line; it used to raise
+    UnicodeDecodeError."""
+    key = tmp_path / "key.txt"
+    key.write_bytes(b"\xff" + b"0" * 63 + b"\n")
+    with pytest.raises(ContractError, match="64 hex characters"):
+        seqio.read_key(key)
+    seqs = tmp_path / "seqs.jsonl"
+    seqio.write_sequences(seqs, [TokenSequence([1, 2, 3], 16)])
+    with pytest.raises(SystemExit) as exit_:
+        main(["detect", "--key-file", str(key), "--input", str(seqs)])
+    assert exit_.value.code == \
+        "blockmark: key file must hold exactly 64 hex characters"
+
+
+def test_cli_missing_or_unreadable_files(tmp_path):
+    """A missing --input, --key-file or --config file, and a config that
+    is not UTF-8 or not JSON, end the command with status 1 and one
+    `blockmark: ...` line naming the file, where each used to end in a
+    traceback; detect leaves its --output as it was."""
+    key = tmp_path / "key.txt"
+    seqio.write_key(key, SecretKey(bytes(32)))
+    seqs = tmp_path / "seqs.jsonl"
+    seqio.write_sequences(seqs, [TokenSequence([1, 2, 3], 16)])
+    gone = tmp_path / "gone"
+    report = tmp_path / "rep.jsonl"
+    report.write_text("kept\n")
+    bytes_cfg = tmp_path / "bytes.json"
+    bytes_cfg.write_bytes(b'{"trials": \xff}')
+    text_cfg = tmp_path / "text.json"
+    text_cfg.write_text('{"trials": }')
+    cases = [
+        (["detect", "--key-file", str(key), "--input", str(gone),
+          "--output", str(report)], gone),
+        (["detect", "--key-file", str(gone), "--input", str(seqs)], gone),
+        (["attack", "--kind", "delete", "--rate", "0.1", "--input",
+          str(gone), "--output", "-"], gone),
+        (["campaign", "--config", str(gone)], gone),
+        (["campaign", "--config", str(bytes_cfg)], bytes_cfg),
+        (["roc", "--config", str(text_cfg)], text_cfg),
+    ]
+    for argv, named in cases:
+        status, out, err = _cli_exit(argv, tmp_path)
+        assert (status, out) == (1, ""), argv
+        assert err.startswith("blockmark: ") and err.count("\n") == 1, err
+        assert str(named) in err, err
+    assert report.read_text() == "kept\n"
