@@ -153,23 +153,21 @@ class BchCode:
         gen_rows = np.array([int_to_bits(x ^ _poly_mod(x, gen, n - k), n)
                              for x in units], dtype=np.float32)
         period = fld.period
-        synd = np.zeros((2 * t, n), dtype=np.int64)
-        for i in range(1, 2 * t + 1):
-            for pos in range(n):
-                synd[i - 1, pos] = fld.alpha_pow(i * (n - 1 - pos))
+        # alpha^{i*(n-1-pos)} of the odd i < 2t at every position
+        odd = np.array([[fld.alpha_pow(i * (n - 1 - pos)) for pos in range(n)]
+                        for i in range(1, 2 * t, 2)])
         chien = np.array([(period - j) % period for j in range(n)],
-                         dtype=np.int64)
-        planes = (synd[0::2, :, None] >> np.arange(m)) & 1
+                         dtype=np.int64)   # the exponents -j mod period
+        planes = (odd[:, :, None] >> np.arange(m)) & 1
         self.__dict__.update(
             generator=gen, fld=fld,
             _gen_rows=gen_rows,   # (k, n) float32 generator matrix
-            _synd_mat=synd,       # (2t, n) alpha^{i*(n-1-pos)}
-            _chien_exp=chien,     # (n,) exponents -j mod period
             # decode_rows' tables: per position the bits of S_1, S_3, ...,
             # S_2t-1, bit b of S_2i+1 in column i*m + b, (n, t*m) float32;
-            # the exponents l*_chien_exp mod period of every locator degree
-            # l <= t, (t+1, n) int16; and alpha^i for i < 2*period followed
-            # by zeros, read at 2*period for a zero coefficient, uint8
+            # the exponents -l*j mod period of every locator degree l <= t
+            # at every j < n, (t+1, n) int16; and alpha^i for i < 2*period
+            # followed by zeros, read at 2*period for a zero coefficient,
+            # uint8
             _odd_planes=planes.transpose(1, 0, 2).reshape(n, t * m)
             .astype(np.float32),
             _chien_pow=(np.arange(t + 1)[:, None] * chien
@@ -217,10 +215,10 @@ def encode(code: BchCode, msg: np.ndarray) -> np.ndarray:
 
 
 def syndromes(code: BchCode, received: np.ndarray) -> np.ndarray:
-    ones = np.flatnonzero(received)
-    if ones.size == 0:
-        return np.zeros(2 * code.t, dtype=np.int64)
-    return np.bitwise_xor.reduce(code._synd_mat[:, ones], axis=1)
+    """All 2t syndromes S_1 ... S_2t of a word, from its odd syndromes."""
+    odd = _odd_syndromes(code, check_bits("word", received)[None])
+    return np.array(_all_syndromes(code.fld, odd[0].tolist()),
+                    dtype=np.int64)
 
 
 def is_codeword(code: BchCode, bits: np.ndarray) -> bool:
@@ -243,25 +241,33 @@ def _odd_syndromes(code: BchCode, words: np.ndarray) -> np.ndarray:
                        axis=-1, bitorder="little")[..., 0]
 
 
-def _binary_berlekamp_massey(fld: FieldGF2m, t: int, odd: list[int]):
+def _all_syndromes(fld: FieldGF2m, odd: list[int]) -> list[int]:
+    """S_1 ... S_2t of a binary word from its t odd syndromes S_1, S_3,
+    ..., S_2t-1: S_2j = S_j^2."""
+    exp, log = fld._exp_l, fld._log_l
+    S = [0] * (2 * len(odd))
+    S[0::2] = odd
+    for j in range(1, len(odd) + 1):
+        s = S[j - 1]
+        S[2 * j - 1] = exp[2 * log[s]] if s else 0
+    return S
+
+
+def _binary_berlekamp_massey(fld: FieldGF2m, odd: list[int]):
     """The error locator of a binary word (ascending coefficients, no
-    trailing zeros) from its odd syndromes S_1, S_3, ..., S_2t-1, or None
+    trailing zeros) from its t odd syndromes S_1, S_3, ..., S_2t-1, or None
     when its LFSR length exceeds t or differs from its degree: more than
     t errors.  Berlekamp-Massey over S_1 ... S_2t, where S_2i = S_i^2, and
     then the discrepancy of every step N odd (0-based) is zero, so only
     the t steps N even are run."""
     exp, log, period = fld._exp_l, fld._log_l, fld.period
-    S = [0] * (2 * t)
-    S[0::2] = odd
-    for j in range(1, t + 1):                  # S_2j = S_j^2
-        s = S[j - 1]
-        S[2 * j - 1] = exp[2 * log[s]] if s else 0
+    S = _all_syndromes(fld, odd)
     C = [1]
     B = [1]
     L = 0
     shift = 1
     b = 1
-    for N in range(0, 2 * t, 2):
+    for N in range(0, len(S), 2):
         d = S[N]
         for i in range(1, min(L + 1, len(C))):
             if C[i] and S[N - i]:
@@ -285,54 +291,30 @@ def _binary_berlekamp_massey(fld: FieldGF2m, t: int, odd: list[int]):
         shift += 2                              # this step and step N + 1
     while len(C) > 1 and C[-1] == 0:
         C.pop()
-    return C if L <= t and len(C) - 1 == L else None
+    return C if L <= len(odd) and len(C) - 1 == L else None
 
 
 def safe_decode(code: BchCode, received: np.ndarray):
-    """Bounded-radius decoding.
+    """Bounded-radius decoding of one word: decode_rows of one row.
 
     Returns (codeword, distance) when a codeword lies within Hamming
     distance t of the input, otherwise None.  Never corrects beyond t.
-    The steps of decode_rows on one word, with a scalar Chien search.
     """
-    received = np.asarray(received, dtype=np.uint8)
+    received = np.asarray(received)
     if received.shape != (code.n,):
         raise ContractError(f"received word must have length {code.n}")
-    odd = _odd_syndromes(code, received[None])[0]
-    if not odd.any():
-        return received.copy(), 0
-    fld = code.fld
-    C = _binary_berlekamp_massey(fld, code.t, odd.tolist())
-    if C is None:
-        return None
-    L = len(C) - 1
-
-    # Chien search over all n positions, vectorized through the log table
-    exp = fld.exp
-    period = fld.period
-    vals = np.full(code.n, C[0], dtype=np.int64)
-    log_l = fld._log_l
-    for l in range(1, L + 1):
-        if C[l]:
-            idx = (log_l[C[l]] + code._chien_exp * l) % period
-            vals ^= exp[idx]
-    root_j = np.flatnonzero(vals == 0)
-    if root_j.size != L:
-        return None
-    corrected = received.copy()
-    corrected[code.n - 1 - root_j] ^= 1
-    if _odd_syndromes(code, corrected[None]).any():
-        return None
-    return corrected, L
+    return decode_rows(code, received[None])[0]
 
 
 def decode_rows(code: BchCode, words: np.ndarray) -> list:
-    """safe_decode of every row of an (R, n) bit matrix, DECODE_CHUNK rows
-    at a time: one syndrome product per chunk, a scalar binary
-    Berlekamp-Massey per row with a nonzero syndrome, one Chien search over
-    every locator of degree L <= t, and the syndrome product again on the
-    corrected rows.  A decoded row is a view of a fresh array."""
-    words = np.asarray(words, dtype=np.uint8)
+    """Bounded-radius decoding of every row of an (R, n) bit matrix: per
+    row (codeword, distance) when a codeword lies within Hamming distance
+    t, otherwise None.  DECODE_CHUNK rows at a time: one syndrome product
+    per chunk, a scalar binary Berlekamp-Massey per row with a nonzero
+    syndrome, one Chien search over every locator of degree L <= t, and
+    the syndrome product again on the corrected rows.  A decoded row is a
+    view of a fresh array."""
+    words = check_bits("word", words)
     if words.ndim != 2 or words.shape[1] != code.n:
         raise ContractError(f"rows must have length {code.n}")
     out = []
@@ -353,7 +335,7 @@ def _decode_chunk(code: BchCode, words: np.ndarray) -> list:
     rows, degrees, locators = [], [], []     # locators as logs, zero -> 2p
     for i, odd in zip(np.flatnonzero(nonzero).tolist(),
                       synd[nonzero].tolist()):
-        C = _binary_berlekamp_massey(fld, t, odd)
+        C = _binary_berlekamp_massey(fld, odd)
         if C is not None:
             rows.append(i)
             degrees.append(len(C) - 1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bch import BchCode, ContractError, bits_to_int, check_setting, \
-    decode_rows, encode_rows, int_to_bits, max_weight_codeword, safe_decode
+    decode_rows, encode_rows, int_to_bits, max_weight_codeword
 from .generation import TokenSequence
 from .keying import SecretKey, derive_block_key, diverse_coin, window_bits
 
@@ -103,17 +103,6 @@ def extract_bits(seq: TokenSequence, key: SecretKey, n: int, k: int,
         raise ContractError("prompt_len must be >= 0")
     rows, _ = block_windows(seq, key, n, k, offset, offset, prompt_len)
     return rows.ravel()[:len(seq.tokens[prompt_len:]) - offset]
-
-
-def _decode_blocks(code: BchCode, blocks: np.ndarray):
-    """safe_decode of each row of an (M, n) block matrix: block by block
-    for codes of k <= 7, in one decode_rows batch for longer messages."""
-    if code.k <= 7:
-        # decode_rows is faster here too, but a faster campaign runs more
-        # benchmark rounds, whose kept records take campaign peak_rss_mb
-        # to its bound (ROADMAP item 2)
-        return [safe_decode(code, block) for block in blocks]
-    return decode_rows(code, blocks)
 
 
 def _verify(code: BchCode, xs: np.ndarray, masks: np.ndarray,
@@ -204,7 +193,7 @@ def stage1_vote(bits: np.ndarray, code: BchCode, key: SecretKey,
     ties broken as in `_vote`.
     """
     M = len(bits) // code.n
-    decoded = _decode_blocks(code, bits[:M * code.n].reshape(M, code.n))
+    decoded = decode_rows(code, bits[:M * code.n].reshape(M, code.n))
     best, votes, _ = _vote(code, decoded, *_randomizers_and_coins(
         [derive_block_key(key, j, code.k) for j in range(M)], diverse))
     return (None if best is None else int_to_bits(best, code.k)), votes
@@ -241,7 +230,7 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
     records the offset (decoded blocks, vote, both masks); the search
     ends when no config waits.  A config reports its first recorded
     offset of ratio 1, or records all its offsets, decoding every block
-    still unknown at them in one _decode_blocks call, and reports the
+    still unknown at them in one decode_rows call, and reports the
     best.  No report changes: each rule is necessary for ratio 1, the
     most, and the first tie wins, and a block within t of a codeword
     decodes to it."""
@@ -272,10 +261,10 @@ def detect_all(seq: TokenSequence, cfgs) -> list:
 
         def decode(wanted):
             # the results of the blocks (s, j) in `wanted`; those not yet
-            # known are decoded in one _decode_blocks call
+            # known are decoded in one decode_rows call
             blind = [b for b in wanted if b not in known]
             if blind:
-                known.update(zip(blind, _decode_blocks(code, np.array(
+                known.update(zip(blind, decode_rows(code, np.array(
                     [rows[j, s - lo:s - lo + n] for s, j in blind]))))
             return [known[b] for b in wanted]
 

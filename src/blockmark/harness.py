@@ -15,10 +15,10 @@ import numpy as np
 from .attacks import AttackSpec, attack
 from .bch import BchCode, ContractError, check_seed, check_setting, \
     code_params, int_to_bits
-from .detector import DetectConfig, detect, detect_all, extract_bits
+from .detector import DetectConfig, block_windows, detect, detect_all
 from .generation import ControlledMassSource, EmbedConfig, TokenSequence, \
     UniformSource, embed, logit_source, sample_unwatermarked
-from .keying import SecretKey, plan_block
+from .keying import SecretKey, plan_rows
 from .seqio import FORMAT_VERSION
 
 # an attack entry's settings; its seed derives from master_seed
@@ -279,18 +279,21 @@ def ber_curve(delta_grid, mass: float, bit_count: int, code: BchCode,
 
 def _ber_against_plan(seq: TokenSequence, key: SecretKey,
                       payload: np.ndarray, code: BchCode) -> float:
-    bits = extract_bits(seq, key, code.n, code.k, 0)
-    U = len(bits)
-    target = np.concatenate(
-        [plan_block(key, j, payload, code).target_bits
-         for j in range(U // code.n + 1)])[:U]
-    return float(np.mean(bits != target))
+    """The share of seq's keyed bits at offset 0 that differ from the
+    payload plan's target bits: one block_windows, one plan_rows."""
+    rows, bks = block_windows(seq, key, code.n, code.k, 0, 0)
+    U = len(seq.tokens)
+    target = plan_rows(bks, payload, code, False)[1]
+    return float(np.mean(rows.ravel()[:U] != target.ravel()[:U]))
 
 
 def latency_bench(text_lens, codes, s_max_grid, repeats: int = 5,
                   vocab_size: int = 512, master_seed: int = 0) -> list[dict]:
     """Median single-text detection time per (T, code, s_max) cell."""
     check_seed("master_seed", master_seed)
+    check_setting("repeats", repeats, int)
+    if repeats < 1:
+        raise ContractError(f"repeats must be >= 1, got {repeats}")
     key = _derive_key(master_seed)
     rows = []
     for T in text_lens:

@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bch import BchCode, ContractError, check_bits, encode_rows, \
-    max_weight_codeword
+from .bch import BchCode, ContractError, check_bits, check_setting, \
+    encode_rows, max_weight_codeword
 
 KEY_LEN = 32
 MAX_VOCAB = 1 << 32      # token ids hash as LE32
@@ -101,7 +101,11 @@ def token_bits(seed: bytes, tokens) -> np.ndarray:
 
 
 def token_bit(bk: BlockKey, v: int) -> int:
-    """Keyed bit of token v in block bk: the membership function f_j."""
+    """Keyed bit of token v in block bk: the membership function f_j.
+    ContractError unless v is an id in [0, MAX_VOCAB)."""
+    check_setting("token id", v, int)
+    if not 0 <= v < MAX_VOCAB:
+        raise ContractError(f"token id must lie in [0, 2^32), got {v}")
     return int(token_bits(bk.seed, (v,))[0])
 
 

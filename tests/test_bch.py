@@ -13,6 +13,7 @@ from blockmark.bch import (NAMED_CODES, BchCode, ContractError, all_codewords,
                            bits_to_int, code_params, decode_rows, encode,
                            encode_rows, int_to_bits, is_codeword, max_weight_codeword,
                            message_of, safe_decode, syndromes)
+from blockmark.keying import SecretKey
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +164,29 @@ def test_encoders_refuse_entries_that_are_not_bits(small):
             encode_rows(small, np.stack([msg * 0, msg]))
     ones = np.ones(small.k, dtype=bool)
     assert np.array_equal(encode(small, ones), encode(small, ones * 1.0))
+
+
+def test_decoders_refuse_words_that_are_not_bits(small):
+    """A word entry outside {0, 1} raises ContractError in safe_decode,
+    decode_rows, syndromes and stage1_vote, where a word of 2s used to
+    decode as a codeword at distance 0 and a -1 to fail inside numpy."""
+    for bad in (2, -1, 0.5, 255):
+        word = np.zeros(small.n, dtype=np.int64 if bad != 0.5 else float)
+        word[3] = bad
+        with pytest.raises(ContractError, match="word entries"):
+            safe_decode(small, word)
+        with pytest.raises(ContractError, match="word entries"):
+            decode_rows(small, np.stack([word * 0, word]))
+        with pytest.raises(ContractError, match="word entries"):
+            syndromes(small, word)
+        with pytest.raises(ContractError, match="word entries"):
+            detector.stage1_vote(np.concatenate([word * 0, word]), small,
+                                 SecretKey(bytes(32)))
+    with pytest.raises(ContractError, match="word entries"):
+        safe_decode(small, np.full(small.n, 2))
+    ones = np.ones(small.n, dtype=bool)
+    for out in (safe_decode(small, ones), safe_decode(small, ones * 1.0)):
+        assert out[1] == 0 and np.array_equal(out[0], ones)
 
 
 def test_code_params():
@@ -352,8 +376,8 @@ def _assert_same_decode(got, want, words):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(NAMED_CODES)), st.data())
 def test_decode_rows_equals_safe_decode(params, data):
-    """safe_decode, decode_rows and the detector's _decode_blocks equal
-    the reference decoder row by row on every field, for all six codes:
+    """safe_decode and decode_rows equal the reference decoder row by
+    row on every field, for all six codes:
     words at distance 0 ... t+3 from random codewords, random words, the
     zero and the all-ones word, in batches of 0, 1 or more rows than one
     chunk."""
@@ -375,13 +399,30 @@ def test_decode_rows_equals_safe_decode(params, data):
     chunk = data.draw(st.sampled_from((1, 2, 5, bch.DECODE_CHUNK)))
     with mock.patch.object(bch, "DECODE_CHUNK", chunk):
         got = decode_rows(code, words)
-        blocks = detector._decode_blocks(code, words)
-    assert len(got) == len(blocks) == len(words)
-    for word, g, b in zip(words, got, blocks):
+    assert len(got) == len(words)
+    for word, g in zip(words, got):
         want = _reference_decode(code, word)
         _assert_same_decode(safe_decode(code, word), want, words)
         _assert_same_decode(g, want, words)
-        _assert_same_decode(b, want, words)
+
+
+@pytest.mark.parametrize("params", sorted(NAMED_CODES))
+def test_syndromes_equal_reference(params):
+    """All 2t syndromes, derived from the odd ones by S_2j = S_j^2, equal
+    the sums of alpha^(i(n-1-pos)) over the ones of a word, on random
+    words, codewords with up to t + 1 flips and the zero word."""
+    code = BchCode.make(*params)
+    n, k, t = params
+    rng = np.random.default_rng(n + k)
+    words = [np.zeros(n, dtype=np.uint8), *rng.integers(0, 2, (8, n))]
+    for flips in range(t + 2):
+        w = encode(code, rng.integers(0, 2, k).astype(np.uint8))
+        w[rng.choice(n, flips, replace=False)] ^= 1
+        words.append(w)
+    for word in words:
+        got = syndromes(code, word)
+        assert got.dtype == np.int64 and got.shape == (2 * t,)
+        assert got.tolist() == _reference_syndromes(code.fld, word, 2 * t)
 
 
 def test_decode_rows_across_chunks():

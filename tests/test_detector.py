@@ -577,7 +577,7 @@ def _may_share_payload(code, key, blocks, diverse):
 
 def _schedule(seq, cfgs):
     """The lazy shift search's decode schedule, spelled out from the
-    reference: the _decode_blocks calls detect_all makes, in order, each
+    reference: the decode_rows calls detect_all makes, in order, each
     as its (offset, block index) pairs.  While a config of s_max > 0
     waits for an offset of ratio 1, each offset is walked block by block
     up to its first block that does not decode, one call a block.  Once
@@ -644,21 +644,21 @@ def _schedule(seq, cfgs):
 
 
 def _decode_calls(seq, cfgs):
-    """detect_all's reports and the blocks of each of its _decode_blocks
+    """detect_all's reports and the blocks of each of its decode_rows
     calls."""
     calls = []
-    decode = detector._decode_blocks
+    decode = detector.decode_rows
 
     def recording(code, blocks):
         calls.append(blocks.copy())
         return decode(code, blocks)
-    with mock.patch.object(detector, "_decode_blocks", recording):
+    with mock.patch.object(detector, "decode_rows", recording):
         reps = detect_all(seq, cfgs)
     return reps, calls
 
 
 def _call_blocks(seq, cfg, schedule):
-    """The blocks of each _decode_blocks call of a _schedule."""
+    """The blocks of each decode_rows call of a _schedule."""
     blocks = {s: _blocks(seq, cfg, s) for call in schedule for s, _ in call}
     return [np.array([blocks[s][j] for s, j in call]) for call in schedule]
 
@@ -672,7 +672,7 @@ def _assert_decoded_once(calls, want):
 @given(_search_texts())
 def test_shift_search_stops_at_first_perfect_offset(task):
     """detect_all walks each offset only as far as the search needs and
-    its reports still equal the reference.  Its _decode_blocks calls are
+    its reports still equal the reference.  Its decode_rows calls are
     exactly those of _schedule, for every code: no block of an offset the
     rule rules out, then each walked block alone that is not within t of
     a codeword the payloads of block 0 designate, then, in one call per
@@ -730,7 +730,7 @@ def test_long_message_text_without_perfect_offset_decodes_once(params):
     at s_max 2, has no offset of ratio 1.  Its raw blocks rule out one
     payload throughout at every offset, so the walk decodes nothing, and
     the completion decodes every block of the five offsets in a single
-    _decode_blocks call: decode_rows' fixed cost is paid once a text."""
+    decode_rows call: decode_rows' fixed cost is paid once a text."""
     code = BchCode.make(*params)
     seq = sample_unwatermarked(UniformSource(SMALL_V), 3 * code.n + 5, 7)
     cfg = DetectConfig(code=code, key=KEY, s_max=2, mode="both")
@@ -952,7 +952,7 @@ def test_verification_leaves_reports_as_the_blind_walk_gives_them(task):
         # a codeword cw of block j is G(p ^ r_j) iff cw ^ G(r_j) = G(p)
         return [dec if dec is not None and any(
             np.array_equal(dec[0] ^ mask, w) for w in words) else None
-            for dec, mask in zip(detector._decode_blocks(
+            for dec, mask in zip(detector.decode_rows(
                 code, xs ^ masks[:len(xs)]), masks)]
     with mock.patch.object(detector, "_verify", blind_verify):
         blind, blind_calls = _decode_calls(seq, cfgs)

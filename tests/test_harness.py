@@ -9,7 +9,7 @@ import pytest
 from blockmark import detector, harness
 from blockmark.attacks import AttackSpec
 from blockmark.bch import BchCode, ContractError, bits_to_int, encode, \
-    int_to_bits
+    int_to_bits, safe_decode
 from blockmark.keying import derive_block_key
 from blockmark.harness import (CSV_FIELDS, ExperimentSpec, ber_curve,
                                latency_bench, roc_auc, roc_sweep,
@@ -126,7 +126,7 @@ def test_campaign_decodes_each_text_once_per_offset(monkeypatch):
     one block_windows call, and each block of each offset (0, +-1 .. +-5)
     decoded at most once, not once per (mode, offset).  shift_only
     waits for a perfect offset, so each offset is walked one block per
-    _decode_blocks call up to its first block that does not decode,
+    decode_rows call up to its first block that does not decode,
     except, at an offset whose blocks pass the band of the offset rule,
     for the blocks after block 0 within t of the codeword that block 0's
     vote key designates, which the walk verifies without decoding.  The
@@ -137,7 +137,7 @@ def test_campaign_decodes_each_text_once_per_offset(monkeypatch):
     in search order, and every block of every offset is decoded at most
     once."""
     events = []
-    windows, decode = detector.block_windows, detector._decode_blocks
+    windows, decode = detector.block_windows, detector.decode_rows
 
     def recording_windows(seq, key, *args):
         events.append((seq, key, []))
@@ -147,7 +147,7 @@ def test_campaign_decodes_each_text_once_per_offset(monkeypatch):
         events[-1][2].append(blocks.copy())
         return decode(code, blocks)
     monkeypatch.setattr(detector, "block_windows", recording_windows)
-    monkeypatch.setattr(detector, "_decode_blocks", recording_decode)
+    monkeypatch.setattr(detector, "decode_rows", recording_decode)
     spec = ExperimentSpec(trials=1, code=(31, 6, 7), text_len=200,
                           attacks=[AttackSpec("substitute", 0.0)],
                           s_max_grid=(5,), tau_grid=(1,),
@@ -183,7 +183,7 @@ def test_campaign_decodes_each_text_once_per_offset(monkeypatch):
     def verified(blocks, j):
         # block j > 0 within t of G(v ^ r_j), v the vote key of block 0,
         # at an offset inside the band
-        first = detector.safe_decode(code, blocks[0])
+        first = safe_decode(code, blocks[0])
         if j == 0 or first is None or not banded(blocks):
             return False
         v = bits_to_int(first[0][:code.k]) ^ rand(0)
@@ -196,7 +196,7 @@ def test_campaign_decodes_each_text_once_per_offset(monkeypatch):
                             if not verified(wm_blocks, j)])
     assert len(wm_calls) < 6
     blocks = {s: blocks_at(h0, s) for s in order}
-    walked = {s: [detector.safe_decode(code, b) is not None
+    walked = {s: [safe_decode(code, b) is not None
                   for b in blocks[s]].index(False) + 1 for s in order}
     rest = {s: [j for j in range(walked[s], len(blocks[s]))
                 if not verified(blocks[s], j)] for s in order}
@@ -285,6 +285,20 @@ def test_ber_curve_monotone():
     assert wm[0] > wm[1] > wm[2]
     h0 = [r for r in rows if r["arm"] == "unwatermarked"]
     assert len(h0) == 1 and 0.45 <= h0[0]["ber"] <= 0.55
+
+
+def test_latency_bench_refuses_repeats_below_one(monkeypatch):
+    """repeats of 0, below or not an integer raises ContractError before
+    any text is embedded or detected; 0 used to detect and then end in an
+    IndexError."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the check")
+    monkeypatch.setattr(harness, "embed", no_work)
+    monkeypatch.setattr(harness, "detect", no_work)
+    for repeats, message in ((0, ">= 1"), (-3, ">= 1"), (1.0, "an integer"),
+                             (True, "an integer")):
+        with pytest.raises(ContractError, match=f"repeats must be {message}"):
+            latency_bench([62], [(31, 6, 7)], [0], repeats=repeats)
 
 
 def test_latency_bench_shape():

@@ -45,6 +45,18 @@ def test_membership_vector():
     assert partition_bits(bk, 8).tolist() == F_0_FIRST8
 
 
+def test_token_bit_refuses_ids_outside_le32():
+    """An id outside [0, 2^32) or not an integer raises ContractError,
+    where -1 and 2^32 used to end in struct.error; the ends of the range
+    still hash."""
+    bk = derive_block_key(ZERO_KEY, 0, 6)
+    for v in (-1, 2**32, 2**40, 1.5, True, "3"):
+        with pytest.raises(ContractError, match="token id"):
+            token_bit(bk, v)
+    assert token_bit(bk, np.int64(3)) == F_0_FIRST8[3]
+    assert token_bit(bk, 2**32 - 1) == token_bits(bk.seed, [2**32 - 1])[0]
+
+
 def test_negative_block_index_rejected():
     with pytest.raises(ContractError):
         derive_block_key(ZERO_KEY, -1, 6)

@@ -326,6 +326,15 @@ def test_cli_bench(capsys):
     assert len(out) == 2
 
 
+def test_cli_bench_refuses_zero_repeats():
+    """`blockmark bench --repeats 0` ends in one `blockmark: ...` line,
+    where it used to detect and then end in an IndexError traceback."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["bench", "--text-lens", "124", "--codes", "31,6,7",
+              "--s-max-grid", "0", "--repeats", "0"])
+    assert exit_.value.code == "blockmark: repeats must be >= 1, got 0"
+
+
 def test_read_sequences_rejects_bad_line(tmp_path):
     path = tmp_path / "seqs.jsonl"
     path.write_text('{"tokens": [1], "vocab_size": 4}\n{"tokens": [9], '
