@@ -3,10 +3,10 @@ verification: BCH codec, keyed partitioning, embedding, attack channels,
 two-stage sliding-window detection, analytical bounds and a Monte-Carlo
 harness."""
 
-from .bch import BchCode, ContractError, encode, message_of, \
-    max_weight_codeword, safe_decode
+from .bch import BchCode, ContractError, encode, max_weight_codeword, \
+    safe_decode
 from .keying import BlockKey, BlockPlan, SecretKey, derive_block_key, \
-    partition_bits, plan_block, token_bit
+    partition_bits, plan_block
 from .generation import ControlledMassSource, EmbedConfig, LogitSource, \
     TokenSequence, UniformSource, embed, sample_unwatermarked
 from .attacks import AttackSpec, attack, delete_prefix, insert_prefix
@@ -14,10 +14,10 @@ from .detector import DetectConfig, DetectionReport, detect, detect_all, \
     extract_bits, stage1_vote
 
 __all__ = [
-    "BchCode", "ContractError", "encode", "message_of",
-    "max_weight_codeword", "safe_decode",
+    "BchCode", "ContractError", "encode", "max_weight_codeword",
+    "safe_decode",
     "BlockKey", "BlockPlan", "SecretKey", "derive_block_key",
-    "partition_bits", "plan_block", "token_bit",
+    "partition_bits", "plan_block",
     "ControlledMassSource", "EmbedConfig", "LogitSource", "TokenSequence",
     "UniformSource", "embed", "sample_unwatermarked",
     "AttackSpec", "attack", "delete_prefix", "insert_prefix",

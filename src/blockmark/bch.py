@@ -221,18 +221,6 @@ def syndromes(code: BchCode, received: np.ndarray) -> np.ndarray:
                     dtype=np.int64)
 
 
-def is_codeword(code: BchCode, bits: np.ndarray) -> bool:
-    bits = np.asarray(bits, dtype=np.uint8)[None]
-    return bits.shape == (1, code.n) and not _odd_syndromes(code, bits).any()
-
-
-def message_of(code: BchCode, cw: np.ndarray) -> np.ndarray:
-    cw = np.asarray(cw, dtype=np.uint8)
-    if not is_codeword(code, cw):
-        raise ContractError("input is not a codeword")
-    return cw[:code.k].copy()
-
-
 def _odd_syndromes(code: BchCode, words: np.ndarray) -> np.ndarray:
     """(R, t) odd syndromes S_1, S_3, ..., S_2t-1 of the rows of an (R, n)
     uint8 matrix: one product with the bit planes, taken mod 2."""

@@ -58,6 +58,7 @@ class ControlledMassSource(_TwoLevelSource):
     """
 
     def __init__(self, vocab_size: int, mass: float):
+        check_setting("mass", mass, float)
         if not 0.0 < mass < 1.0:
             raise ContractError("mass must lie in (0, 1)")
         self.vocab_size = vocab_size

@@ -31,12 +31,17 @@ class SecretKey:
     key_bytes: bytes
 
     def __post_init__(self):
+        check_setting("secret key", self.key_bytes, bytes)
         if len(self.key_bytes) != KEY_LEN:
             raise ContractError(f"secret key must be {KEY_LEN} bytes")
 
     @staticmethod
     def from_hex(text: str) -> "SecretKey":
-        return SecretKey(bytes.fromhex(text.strip()))
+        try:
+            key_bytes = bytes.fromhex(text.strip())
+        except ValueError:
+            raise ContractError("secret key must be hex digits") from None
+        return SecretKey(key_bytes)
 
     def to_hex(self) -> str:
         return self.key_bytes.hex()
@@ -44,7 +49,6 @@ class SecretKey:
 
 @dataclass(frozen=True)
 class BlockKey:
-    index: int
     seed: bytes              # 32 bytes
     randomizer: np.ndarray   # length-k bit mask
 
@@ -63,25 +67,29 @@ def _first_bits(data: bytes, count: int) -> np.ndarray:
 
 
 def check_vocab_size(vocab_size: int) -> None:
-    if isinstance(vocab_size, bool) \
-            or not isinstance(vocab_size, (int, np.integer)):
-        raise ContractError(f"vocab_size must be an integer, "
-                            f"got {vocab_size!r}")
+    check_setting("vocab_size", vocab_size, int)
     if not 1 <= vocab_size < MAX_VOCAB:
         raise ContractError(f"vocab_size must lie in [1, 2^32), "
                             f"got {vocab_size}")
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def derive_block_key(key: SecretKey, j: int, k: int) -> BlockKey:
     """Block j's seed and k-bit randomizer under `key`.  A BlockKey is
     immutable, so each (key, j, k) is derived once and then handed out
-    again from a bounded cache, dropping the least recently used."""
-    if j < 0:
-        raise ContractError("block index must be >= 0")
+    again from a bounded cache, dropping the least recently used.  The
+    cache tells argument types apart, so a j of 1.0 or True is checked
+    even after j = 1 is cached."""
+    check_setting("block index", j, int)
+    if not 0 <= j < 1 << 64:
+        raise ContractError(f"block index must lie in [0, 2^64), got {j}")
+    check_setting("randomizer length", k, int)
+    if not 0 <= k <= 256:
+        raise ContractError(f"randomizer length must lie in [0, 256], "
+                            f"got {k}")
     seed = _digest(key.key_bytes, b"\x01", _LE64(j))
     randomizer = _first_bits(_digest(seed, b"\x03"), k)
-    return BlockKey(index=j, seed=seed, randomizer=randomizer)
+    return BlockKey(seed=seed, randomizer=randomizer)
 
 
 def token_bits(seed: bytes, tokens) -> np.ndarray:
@@ -98,15 +106,6 @@ def token_bits(seed: bytes, tokens) -> np.ndarray:
     out = np.fromiter(map(first_byte, tokens), dtype=np.uint8,
                       count=len(tokens))
     return out & 1
-
-
-def token_bit(bk: BlockKey, v: int) -> int:
-    """Keyed bit of token v in block bk: the membership function f_j.
-    ContractError unless v is an id in [0, MAX_VOCAB)."""
-    check_setting("token id", v, int)
-    if not 0 <= v < MAX_VOCAB:
-        raise ContractError(f"token id must lie in [0, 2^32), got {v}")
-    return int(token_bits(bk.seed, (v,))[0])
 
 
 # Bound on the bytes of keyed bits kept between calls: 16 MiB, 512 blocks
@@ -200,9 +199,6 @@ def diverse_coin(bk: BlockKey) -> int:
 class BlockPlan:
     designated: tuple      # one codeword (payload plan) or a pair (diverse)
     target_bits: np.ndarray
-
-    def matches(self, cw: np.ndarray) -> bool:
-        return any(np.array_equal(cw, d) for d in self.designated)
 
 
 def plan_block(key: SecretKey, j: int, payload: np.ndarray, code: BchCode,

@@ -11,7 +11,7 @@ from blockmark.bch import BchCode, ContractError, int_to_bits
 from blockmark.detector import extract_bits
 from blockmark.generation import EmbedConfig, TokenSequence, UniformSource, \
     embed
-from blockmark.keying import SecretKey
+from blockmark.keying import SecretKey, derive_block_key
 
 KEY = SecretKey(bytes(range(32)))
 CODE = BchCode.make(31, 6, 7)
@@ -142,11 +142,11 @@ def test_bitflip_draws_are_pinned_across_codes():
 def test_bitflip_looks_up_each_hit_block_once(monkeypatch):
     """Bit-flip looks up at most one partition per block it hits, not
     one per hit token."""
-    blocks = []
+    seeds = []
     original = attacks.partition_bits
 
     def counting(bk, vocab_size):
-        blocks.append(bk.index)
+        seeds.append(bk.seed)
         return original(bk, vocab_size)
     monkeypatch.setattr(attacks, "partition_bits", counting)
     seq = _seq(10 * CODE.n + 7)
@@ -154,8 +154,9 @@ def test_bitflip_looks_up_each_hit_block_once(monkeypatch):
     attack(seq, spec, key=KEY, n=CODE.n)
     hits = np.flatnonzero(
         np.random.default_rng(spec.rng_seed).random(len(seq)) < spec.rate)
-    assert len(hits) > len(blocks)
-    assert blocks == sorted(set(hits // CODE.n))
+    assert len(hits) > len(seeds)
+    assert seeds == [derive_block_key(KEY, j, 0).seed
+                     for j in sorted(set(hits // CODE.n))]
 
 
 def test_bitflip_refuses_a_one_list_block():

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from blockmark import bch, detector
 from blockmark.bch import (NAMED_CODES, BchCode, ContractError, all_codewords,
                            bits_to_int, code_params, decode_rows, encode,
-                           encode_rows, int_to_bits, is_codeword, max_weight_codeword,
-                           message_of, safe_decode, syndromes)
+                           encode_rows, int_to_bits, max_weight_codeword,
+                           safe_decode, syndromes)
 from blockmark.keying import SecretKey
 
 
@@ -61,8 +61,7 @@ def test_systematic_property(small):
         msg = rng.integers(0, 2, small.k).astype(np.uint8)
         cw = encode(small, msg)
         assert np.array_equal(cw[:small.k], msg)
-        assert is_codeword(small, cw)
-        assert np.array_equal(message_of(small, cw), msg)
+        assert not syndromes(small, cw).any()
 
 
 def test_linearity(small, small_codewords):
@@ -132,11 +131,10 @@ def test_syndromes_zero_iff_codeword(small, small_codewords):
     assert syndromes(small, flipped).any()
 
 
-def test_message_of_rejects_noncodeword(small):
+def test_noncodeword_has_a_nonzero_syndrome(small):
     word = np.zeros(small.n, dtype=np.uint8)
     word[0] = 1
-    with pytest.raises(ContractError):
-        message_of(small, word)
+    assert syndromes(small, word).any()
 
 
 def test_shape_contracts(small):
@@ -201,7 +199,7 @@ def test_code_params():
 def test_max_weight_codeword(n, k, t):
     code = BchCode.make(n, k, t)
     cmax = max_weight_codeword(code)
-    assert is_codeword(code, cmax)
+    assert not syndromes(code, cmax).any()
     assert int(cmax.sum()) == n  # all-ones is a codeword of every instance
 
 

@@ -15,14 +15,14 @@ from hypothesis import given, settings, strategies as st
 from blockmark import detector, keying
 from blockmark.attacks import AttackSpec, attack, delete_prefix, insert_prefix
 from blockmark.bch import NAMED_CODES, BchCode, ContractError, bits_to_int, \
-    encode, int_to_bits, max_weight_codeword, message_of, safe_decode
+    encode, int_to_bits, max_weight_codeword, safe_decode
 from blockmark.detector import (BlockResult, DetectConfig, _vote,
                                 block_windows, detect, detect_all,
                                 extract_bits, stage1_vote)
 from blockmark.generation import EmbedConfig, TokenSequence, UniformSource, \
     embed, sample_unwatermarked
 from blockmark.keying import SecretKey, derive_block_key, diverse_coin, \
-    partition_bits, plan_block, token_bit
+    partition_bits, plan_block, token_bits
 
 KEY = SecretKey(bytes(range(32)))
 CODE = BchCode.make(31, 6, 7)
@@ -289,7 +289,7 @@ SMALL_V = 64
 
 
 def _ref_stream(tokens, key, code, s, bits=None):
-    """Brute force: the token_bit of each token read at offset s, one
+    """Brute force: the keyed bit of each token read at offset s, one
     call per (block, id) pair; `bits` keeps those bits, and a caller may
     share it across offsets."""
     U = len(tokens) - s
@@ -300,8 +300,8 @@ def _ref_stream(tokens, key, code, s, bits=None):
         if 0 <= p < U:
             j = p // code.n
             if (j, v) not in bits:
-                bits[j, v] = token_bit(derive_block_key(key, j, code.k),
-                                       int(v))
+                bits[j, v] = token_bits(
+                    derive_block_key(key, j, code.k).seed, [int(v)])[0]
             out[p] = bits[j, v]
     return out
 
@@ -331,10 +331,9 @@ def _ref_offsets(seq, cfg):
             if dec is None:
                 continue
             bk = derive_block_key(key, j, k)
-            cands = [message_of(code, dec[0]) ^ bk.randomizer]
+            cands = [dec[0][:k] ^ bk.randomizer]
             if cfg.diverse:
-                cands.append(message_of(code, dec[0] ^ c_max)
-                             ^ bk.randomizer)
+                cands.append((dec[0] ^ c_max)[:k] ^ bk.randomizer)
                 if (dec[0] ^ c_max).any():
                     o = bits_to_int(cands[diverse_coin(bk)])
                     orientation[o] = orientation.get(o, 0) + 1
@@ -350,8 +349,8 @@ def _ref_offsets(seq, cfg):
                 ok = dec is not None
             else:
                 ok = (dec is not None and payload is not None
-                      and plan_block(key, j, payload, code, cfg.diverse)
-                      .matches(dec[0]))
+                      and any(np.array_equal(dec[0], d) for d in plan_block(
+                          key, j, payload, code, cfg.diverse).designated))
             per_block.append(BlockResult(ok, dec[1] if dec else None, s))
         matched = sum(b.matched for b in per_block)
         yield matched / M, matched, s, payload, per_block, M
@@ -412,7 +411,7 @@ def _texts(draw, min_blocks=0, max_blocks=3, kinds=None, pushed=False):
 @given(_texts(), st.data())
 def test_streams_match_token_bit_oracle(text, data):
     """extract_bits at each offset, and each offset's blocks sliced from
-    one block_windows over [-s_max, s_max], equal the token_bit oracle,
+    one block_windows over [-s_max, s_max], equal the keyed-bit oracle,
     texts shorter than a block included."""
     code, key, _, toks, rng = text
     n = code.n
@@ -429,7 +428,8 @@ def test_streams_match_token_bit_oracle(text, data):
     rows, bks = block_windows(seq, key, n, code.k, -s_max, s_max, prompt)
     T = len(toks) - prompt
     assert rows.shape == (max(-(-(T + s_max) // n), 0), n + 2 * s_max)
-    assert [bk.index for bk in bks] == list(range(len(rows)))
+    assert [bk.seed for bk in bks] == \
+        [derive_block_key(key, j, code.k).seed for j in range(len(rows))]
     for s in range(-s_max, s_max + 1):
         want = _ref_stream(toks[prompt:], key, code, s)
         assert np.array_equal(extract_bits(seq, key, n, code.k, s, prompt),
@@ -548,9 +548,9 @@ def _designating(code, key, j, cw, diverse):
     """The payload ints that designate codeword cw in block j: its vote
     key msg(cw) ^ r_j, and in diverse mode the partner's unless cw is
     the zero word."""
-    vote = bits_to_int(message_of(code, cw)) ^ bits_to_int(
+    vote = bits_to_int(cw[:code.k]) ^ bits_to_int(
         derive_block_key(key, j, code.k).randomizer)
-    c_max = bits_to_int(message_of(code, max_weight_codeword(code)))
+    c_max = bits_to_int(max_weight_codeword(code)[:code.k])
     return {vote, vote ^ c_max} if diverse and cw.any() else {vote}
 
 
@@ -865,9 +865,8 @@ def test_offset_rule_keeps_every_offset_a_payload_designates(code, diverse,
     # a random payload, or one whose c1 in block 0 is zero or c_max
     payload = [rng.integers(0, 2, k).astype(np.uint8),
                bks[0].randomizer.copy(),
-               bks[0].randomizer ^ message_of(
-                   code, max_weight_codeword(code))][data.draw(
-                       st.integers(0, 2))]
+               bks[0].randomizer ^ max_weight_codeword(code)[:k]][
+                   data.draw(st.integers(0, 2))]
     first = rng.choice(n, t, replace=False)
     others = np.setdiff1d(np.arange(n), first)
     blocks = []
@@ -882,8 +881,8 @@ def test_offset_rule_keeps_every_offset_a_payload_designates(code, diverse,
         else:
             word[rng.choice(n, rng.integers(0, t + 1), replace=False)] ^= 1
         dec = safe_decode(code, word)
-        assert dec is not None and plan_block(
-            key, j, payload, code, diverse).matches(dec[0])
+        assert dec is not None and any(
+            np.array_equal(dec[0], d) for d in pair)
         blocks.append(word)
     masks = np.array([encode(code, bk.randomizer) for bk in bks])
     assert detector._may_designate_all(code, np.array(blocks) ^ masks,
@@ -966,13 +965,13 @@ def test_verification_leaves_reports_as_the_blind_walk_gives_them(task):
 def _carrying(key, V, T, prefix, rng):
     """A T-token text at vocabulary V whose tokens carry PAYLOAD's target
     bits under `key` behind `prefix` random tokens, each id drawn until
-    its token_bit fits: built without the keyed-bit cache."""
+    its keyed bit fits: built without the keyed-bit cache."""
     toks = list(rng.integers(0, V, prefix))
     for j in range(-(-(T - prefix) // CODE.n)):
         bk = derive_block_key(key, j, CODE.k)
         for b in plan_block(key, j, PAYLOAD, CODE).target_bits:
             v = int(rng.integers(V))
-            while token_bit(bk, v) != b:
+            while token_bits(bk.seed, [v])[0] != b:
                 v = int(rng.integers(V))
             toks.append(v)
     return TokenSequence(toks[:T], V)
@@ -1134,7 +1133,7 @@ def test_detect_at_s_max_n_decodes_in_bounded_memory():
         bk = derive_block_key(KEY, j, code.k)
         for b in plan_block(KEY, j, payload, code).target_bits:
             v = int(rng.integers(V))
-            while token_bit(bk, v) != b:
+            while token_bits(bk.seed, [v])[0] != b:
                 v = int(rng.integers(V))
             toks.append(v)
     seq = TokenSequence(toks[:T], V)
@@ -1210,7 +1209,8 @@ def test_vote_keys_equal_plan_matches(code, diverse):
             for p in range(1 << code.k):
                 plan = plan_block(KEY, j, int_to_bits(p, code.k), code,
                                   diverse)
-                assert (p in payloads) == plan.matches(cw)
+                assert (p in payloads) == any(
+                    np.array_equal(cw, d) for d in plan.designated)
 
 
 def test_detect_does_not_import_numpy_ma():

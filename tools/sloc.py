@@ -1,5 +1,5 @@
 """Count the non-blank, non-comment lines of each src/blockmark/*.py file,
-and the settable values of the package.
+the settable values of the package and its exported names.
 
 Usage: python3 tools/sloc.py
 
@@ -7,7 +7,8 @@ A line counts unless it is empty or holds only a `#` comment; docstrings
 count.  Prints one `<count> <file>` line per module, then the total, then
 the number of settable values: every function and method parameter except
 `self` and `cls`, every field of a `@dataclass`, and every `add_argument`
-call.
+call.  Last comes the number of exported names: the entries of
+`__init__.py`'s `__all__`.
 """
 import ast
 from pathlib import Path
@@ -46,6 +47,15 @@ def settable(path: Path) -> int:
     return count
 
 
+def exported(path: Path) -> int:
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return len(ast.literal_eval(node.value))
+    return 0
+
+
 def main():
     total = values = 0
     for path in sorted(PACKAGE.glob("*.py")):
@@ -55,6 +65,7 @@ def main():
         print(f"{count:5d} {path.name}")
     print(f"{total:5d} total")
     print(f"{values:5d} settable values")
+    print(f"{exported(PACKAGE / '__init__.py'):5d} exported names")
 
 
 if __name__ == "__main__":
