@@ -92,9 +92,6 @@ def insert_prefix(seq: TokenSequence, r: int, rng_seed: int = 0) -> TokenSequenc
     """Prepend r uniform random tokens: a deterministic +r stream shift."""
     _check_shift(r)
     check_seed("rng_seed", rng_seed)
-    if r == 0:
-        return TokenSequence(seq.tokens.copy(), seq.vocab_size,
-                             meta=dict(seq.meta))
     rng = np.random.default_rng(rng_seed)
     prefix = rng.integers(0, seq.vocab_size, size=r)
     return TokenSequence(np.concatenate([prefix, seq.tokens]),

@@ -243,9 +243,10 @@ def _all_syndromes(fld: FieldGF2m, odd: list[int]) -> list[int]:
 
 def _binary_berlekamp_massey(fld: FieldGF2m, odd: list[int]):
     """The error locator of a binary word (ascending coefficients, no
-    trailing zeros) from its t odd syndromes S_1, S_3, ..., S_2t-1, or None
-    when its LFSR length exceeds t or differs from its degree: more than
-    t errors.  Berlekamp-Massey over S_1 ... S_2t, where S_2i = S_i^2, and
+    trailing zeros) from its t odd syndromes S_1, S_3, ..., S_2t-1: [1],
+    of degree 0, for a codeword, and [], of degree -1, when its LFSR
+    length exceeds t or differs from its degree: more than t errors.
+    Berlekamp-Massey over S_1 ... S_2t, where S_2i = S_i^2, and
     then the discrepancy of every step N odd (0-based) is zero, so only
     the t steps N even are run."""
     exp, log, period = fld._exp_l, fld._log_l, fld.period
@@ -279,7 +280,7 @@ def _binary_berlekamp_massey(fld: FieldGF2m, odd: list[int]):
         shift += 2                              # this step and step N + 1
     while len(C) > 1 and C[-1] == 0:
         C.pop()
-    return C if L <= len(odd) and len(C) - 1 == L else None
+    return C if L <= len(odd) and len(C) - 1 == L else []
 
 
 def safe_decode(code: BchCode, received: np.ndarray):
@@ -297,11 +298,14 @@ def safe_decode(code: BchCode, received: np.ndarray):
 def decode_rows(code: BchCode, words: np.ndarray) -> list:
     """Bounded-radius decoding of every row of an (R, n) bit matrix: per
     row (codeword, distance) when a codeword lies within Hamming distance
-    t, otherwise None.  DECODE_CHUNK rows at a time: one syndrome product
-    per chunk, a scalar binary Berlekamp-Massey per row with a nonzero
-    syndrome, one Chien search over every locator of degree L <= t, and
-    the syndrome product again on the corrected rows.  A decoded row is a
-    view of a fresh array."""
+    t, otherwise None.  DECODE_CHUNK rows at a time, every row taking the
+    same steps: one syndrome product per chunk, a scalar binary
+    Berlekamp-Massey per row (a codeword's locator has degree 0, a row
+    with more than t errors gets degree -1), one Chien search over every
+    row's locator, and the syndrome product again on the corrected rows.
+    A row decodes iff its locator has as many roots as its degree and its
+    corrected word has a zero syndrome.  A decoded row is a view of a
+    fresh array."""
     words = check_bits("word", words)
     if words.ndim != 2 or words.shape[1] != code.n:
         raise ContractError(f"rows must have length {code.n}")
@@ -314,34 +318,20 @@ def decode_rows(code: BchCode, words: np.ndarray) -> list:
 def _decode_chunk(code: BchCode, words: np.ndarray) -> list:
     fld, t = code.fld, code.t
     log, zero = fld._log_l, 2 * fld.period
-    fixed = words.copy()
-    result = [None] * len(words)
-    synd = _odd_syndromes(code, words)
-    nonzero = synd.any(axis=1)
-    for i in np.flatnonzero(~nonzero).tolist():
-        result[i] = fixed[i], 0
-    rows, degrees, locators = [], [], []     # locators as logs, zero -> 2p
-    for i, odd in zip(np.flatnonzero(nonzero).tolist(),
-                      synd[nonzero].tolist()):
+    degrees, locators = [], []     # locators as logs, zero -> 2p
+    for odd in _odd_syndromes(code, words).tolist():
         C = _binary_berlekamp_massey(fld, odd)
-        if C is not None:
-            rows.append(i)
-            degrees.append(len(C) - 1)
-            locators.append([log[c] if c else zero for c in C]
-                            + [zero] * (t + 1 - len(C)))
-    if not rows:
-        return result
+        degrees.append(len(C) - 1)
+        locators.append([log[c] if c else zero for c in C]
+                        + [zero] * (t + 1 - len(C)))
     # Chien search: C(alpha^-j) of every locator at every j at once
-    vals = np.bitwise_xor.reduce(np.take(code._exp0, np.array(
-        locators, dtype=np.int16)[:, :, None] + code._chien_pow), axis=1)
-    roots = vals == 0
-    rooted = roots.sum(axis=1) == degrees
-    rows, degrees = np.array(rows)[rooted], np.array(degrees)[rooted]
-    fixed[rows] ^= roots[rooted, ::-1]
-    clean = ~_odd_syndromes(code, fixed[rows]).any(axis=1)
-    for i, L in zip(rows[clean].tolist(), degrees[clean].tolist()):
-        result[i] = fixed[i], L
-    return result
+    roots = np.bitwise_xor.reduce(np.take(code._exp0, np.array(
+        locators, dtype=np.int16)[:, :, None] + code._chien_pow), axis=1) == 0
+    fixed = words ^ roots[:, ::-1]
+    good = (roots.sum(axis=1) == degrees) \
+        & ~_odd_syndromes(code, fixed).any(axis=1)
+    return [(row, L) if ok else None
+            for row, L, ok in zip(fixed, degrees, good.tolist())]
 
 
 def max_weight_codeword(code: BchCode) -> np.ndarray:

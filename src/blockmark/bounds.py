@@ -4,8 +4,9 @@ and shift-searched FPR, Chernoff aggregates, soft-embedding error, block
 success probability, and parameter selection helpers.
 
 Volumes and single-block rates use exact big-integer / rational
-arithmetic; aggregate bounds use natural-log KL in float space, with a
-log-space fallback for sub-normal magnitudes.
+arithmetic; aggregate bounds use natural-log KL in float space.  A
+rational too small for a float reads as a subnormal or 0.0.  An argument
+outside a function's domain raises ContractError.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bch import NAMED_CODES
+from .bch import NAMED_CODES, ContractError
 
 
 class BoundNotApplicable(ValueError):
@@ -42,7 +43,7 @@ class BoundParams:
 def ball_volume(q: int, n: int, t: int) -> int:
     """Number of length-n q-ary vectors within Hamming distance t."""
     if q < 2 or n < 1 or not 0 <= t <= n:
-        raise ValueError("invalid ball parameters")
+        raise ContractError(f"invalid ball parameters q={q}, n={n}, t={t}")
     return sum(math.comb(n, i) * (q - 1) ** i for i in range(t + 1))
 
 
@@ -56,20 +57,6 @@ def p0(q: int, n: int, t: int) -> Fraction:
     return Fraction(ball_volume(q, n, t), q ** n)
 
 
-def to_float(x) -> float:
-    """Fraction -> float that survives sub-normal magnitudes."""
-    if isinstance(x, Fraction):
-        try:
-            return float(x)
-        except OverflowError:
-            return math.exp(log_fraction(x))
-    return float(x)
-
-
-def log_fraction(x: Fraction) -> float:
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
 def p0_shift(p0_value, S: int, model: str = "union") -> float:
     """FPR after searching S candidate offsets.
 
@@ -77,13 +64,13 @@ def p0_shift(p0_value, S: int, model: str = "union") -> float:
     shifted decoding events as independent.
     """
     if S < 1 or S % 2 == 0:
-        raise ValueError("S must be odd and >= 1")
-    p = to_float(p0_value)
+        raise ContractError(f"S must be odd and >= 1, got {S}")
+    p = float(p0_value)
     if model == "union":
         return min(1.0, S * p)
     if model == "independent":
         return -math.expm1(S * math.log1p(-p))
-    raise ValueError(f"unknown shift model {model!r}")
+    raise ContractError(f"unknown shift model {model!r}")
 
 
 def entropy_q(q: int, x: float) -> float:
@@ -91,7 +78,7 @@ def entropy_q(q: int, x: float) -> float:
     if x == 0.0:
         return 0.0
     if not 0.0 < x <= (q - 1) / q:
-        raise ValueError("entropy argument out of range")
+        raise ContractError("entropy argument out of range")
     lq = math.log(q)
     return (x * math.log(q - 1) / lq
             - x * math.log(x) / lq
@@ -107,7 +94,7 @@ def entropy_bound(q: int, n: int, t: int) -> float:
 def kl_bernoulli(a: float, b: float) -> float:
     """Bernoulli KL divergence D(a || b), natural log."""
     if not (0.0 <= a <= 1.0 and 0.0 < b < 1.0):
-        raise ValueError("invalid KL arguments")
+        raise ContractError("invalid KL arguments")
     out = 0.0
     if a > 0.0:
         out += a * math.log(a / b)
@@ -135,14 +122,14 @@ def blind_fpr_bound(k: int, M: int, theta: float, p: float) -> float:
 def p_emb(delta: float, mass: float) -> float:
     """Per-symbol soft-embedding error (1-m) / (m*e^delta + 1-m)."""
     if not 0.0 < mass < 1.0:
-        raise ValueError("mass must lie in (0, 1)")
+        raise ContractError(f"mass must lie in (0, 1), got {mass}")
     return (1.0 - mass) / (mass * math.exp(delta) + 1.0 - mass)
 
 
 def delta_for_target(p_star: float, mass: float) -> float:
     """Smallest bias guaranteeing embedding error <= p_star."""
     if not 0.0 < p_star < 0.5:
-        raise ValueError("target error must lie in (0, 1/2)")
+        raise ContractError("target error must lie in (0, 1/2)")
     logit = math.log(mass / (1.0 - mass))
     return math.log((1.0 - p_star) / p_star) - logit
 
@@ -150,7 +137,7 @@ def delta_for_target(p_star: float, mass: float) -> float:
 def p1(n: int, t: int, p_tot: float) -> float:
     """Single-block decode success: Pr[Bin(n, p_tot) <= t]."""
     if not 0.0 <= p_tot <= 1.0:
-        raise ValueError("p_tot must lie in [0, 1]")
+        raise ContractError("p_tot must lie in [0, 1]")
     total = math.fsum(math.comb(n, i) * p_tot ** i * (1 - p_tot) ** (n - i)
                       for i in range(t + 1))
     return min(1.0, max(0.0, total))
@@ -170,7 +157,7 @@ def s_max_guideline(alpha: float, n: int, p_insdel: float) -> int:
     """Shift budget covering expected insertion/deletion drift with a
     safety factor alpha."""
     if alpha < 1.0 or not 0.0 <= p_insdel <= 1.0:
-        raise ValueError("invalid guideline parameters")
+        raise ContractError("invalid guideline parameters")
     return math.ceil(alpha * n * p_insdel)
 
 
@@ -221,8 +208,8 @@ def report(params: BoundParams) -> dict:
     p1v = p1(n, t, ptot)
     out = {
         "ball_volume": ball_volume(q, n, t),
-        "fpr_any": to_float(fpr_any(q, n, k, t)),
-        "p0": to_float(p0_exact),
+        "fpr_any": float(fpr_any(q, n, k, t)),
+        "p0": float(p0_exact),
         "p0_exact": f"{p0_exact.numerator}/{p0_exact.denominator}",
         "p0_shift_union": ps_union,
         "p0_shift_independent": ps_indep,

@@ -17,7 +17,7 @@ from blockmark.attacks import AttackSpec, attack, delete_prefix, insert_prefix
 from blockmark.bch import (BchCode, all_codewords, encode, int_to_bits,
                            safe_decode)
 from blockmark.bounds import (agg_fpr_bound, ball_volume, fpr_any, p0,
-                              p0_shift, p1, p_emb, to_float)
+                              p0_shift, p1, p_emb)
 from blockmark.detector import DetectConfig, detect, extract_bits
 from blockmark.generation import (ControlledMassSource, EmbedConfig,
                                   TokenSequence, UniformSource, embed,
@@ -84,10 +84,10 @@ def test_criterion_01_codec_exactness():
 def test_criterion_02_exact_rates():
     checks = [
         ball_volume(2, 31, 7) == 3572224,
-        round(to_float(fpr_any(2, 31, 6, 7)), 3) == 0.106,
-        round(to_float(p0(2, 31, 7)), 7) == round(1.6634e-3, 7),
-        abs(to_float(p0(2, 63, 3)) - 4.52e-15) / 4.52e-15 < 0.01,
-        abs(to_float(p0(2, 127, 5)) - 1.56e-30) / 1.56e-30 < 0.01,
+        round(float(fpr_any(2, 31, 6, 7)), 3) == 0.106,
+        round(float(p0(2, 31, 7)), 7) == round(1.6634e-3, 7),
+        abs(float(p0(2, 63, 3)) - 4.52e-15) / 4.52e-15 < 0.01,
+        abs(float(p0(2, 127, 5)) - 1.56e-30) / 1.56e-30 < 0.01,
     ]
     # The published 3.49e-2 shifted-FPR figure is the first-order value
     # S*p0 of the independent-shift formula 1-(1-p0)^S (the two agree to
@@ -138,7 +138,7 @@ def test_criterion_04_h0_calibration():
             naive += 1
             if np.array_equal(out[0], plans[i % 64]):
                 designated += 1
-    p_des = to_float(p0(2, 31, 7))
+    p_des = float(p0(2, 31, 7))
     p_nai = 0.1065
     z_des = abs(designated / N - p_des) / math.sqrt(p_des * (1 - p_des) / N)
     z_nai = abs(naive / N - p_nai) / math.sqrt(p_nai * (1 - p_nai) / N)

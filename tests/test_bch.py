@@ -376,14 +376,15 @@ def _assert_same_decode(got, want, words):
 def test_decode_rows_equals_safe_decode(params, data):
     """safe_decode and decode_rows equal the reference decoder row by
     row on every field, for all six codes:
-    words at distance 0 ... t+3 from random codewords, random words, the
-    zero and the all-ones word, in batches of 0, 1 or more rows than one
-    chunk."""
+    words at distance 0 ... t+3 from random codewords, random words,
+    random words whose Berlekamp-Massey length exceeds t (a rejected
+    locator among decodable rows), the zero and the all-ones word, in
+    batches of 0, 1 or more rows than one chunk."""
     code = BchCode.make(*params)
     n, k, t = params
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     kinds = data.draw(st.lists(st.one_of(
-        st.sampled_from(("zero", "ones", "random")),
+        st.sampled_from(("zero", "ones", "random", "beyond")),
         st.integers(0, t + 3)), max_size=12))
     words = np.zeros((len(kinds), n), dtype=np.uint8)
     for w, kind in zip(words, kinds):
@@ -391,6 +392,10 @@ def test_decode_rows_equals_safe_decode(params, data):
             w[:] = 1
         elif kind == "random":
             w[:] = rng.integers(0, 2, n)
+        elif kind == "beyond":      # drawn until its length exceeds t
+            while _reference_berlekamp_massey(code.fld, _reference_syndromes(
+                    code.fld, w, 2 * t))[1] <= t:
+                w[:] = rng.integers(0, 2, n)
         elif kind != "zero":
             w[:] = encode(code, rng.integers(0, 2, k).astype(np.uint8))
             w[rng.choice(n, kind, replace=False)] ^= 1

@@ -12,7 +12,7 @@ from blockmark.bounds import (BoundNotApplicable, BoundParams, agg_fpr_bound,
                               ball_volume, blind_fpr_bound, delta_for_target,
                               entropy_bound, entropy_q, fnr_bound, fpr_any,
                               kl_bernoulli, p0, p0_shift, p1, p_emb,
-                              param_search, report, s_max_guideline, to_float)
+                              param_search, report, s_max_guideline)
 
 
 def test_ball_volume_exhaustive_oracle():
@@ -43,10 +43,10 @@ def test_ball_volume_contracts():
 
 def test_fpr_reference_values():
     assert fpr_any(2, 31, 6, 7) == Fraction(3572224, 2 ** 25)
-    assert round(to_float(fpr_any(2, 31, 6, 7)), 3) == 0.106
-    assert abs(to_float(p0(2, 31, 7)) - 1.6634e-3) / 1.6634e-3 < 1e-4
-    assert abs(to_float(p0(2, 63, 3)) - 4.52e-15) / 4.52e-15 < 0.01
-    assert abs(to_float(p0(2, 127, 5)) - 1.56e-30) / 1.56e-30 < 0.01
+    assert round(float(fpr_any(2, 31, 6, 7)), 3) == 0.106
+    assert abs(float(p0(2, 31, 7)) - 1.6634e-3) / 1.6634e-3 < 1e-4
+    assert abs(float(p0(2, 63, 3)) - 4.52e-15) / 4.52e-15 < 0.01
+    assert abs(float(p0(2, 127, 5)) - 1.56e-30) / 1.56e-30 < 0.01
 
 
 def test_p0_shift_models():
@@ -76,7 +76,7 @@ def test_entropy_function():
 
 def test_entropy_bound_dominates_p0():
     for n, t in [(31, 7), (63, 15), (127, 5)]:
-        assert to_float(p0(2, n, t)) <= entropy_bound(2, n, t)
+        assert float(p0(2, n, t)) <= entropy_bound(2, n, t)
 
 
 def test_kl_bernoulli():

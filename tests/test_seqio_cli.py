@@ -394,21 +394,30 @@ def test_cli_rejects_bad_code(tmp_path):
 
 def test_cli_rejects_bad_sizes(tmp_path):
     """A negative --tokens or a --vocab-size of 0 ends sample-h0, as it
-    ends embed, with status 1 and one `blockmark: ...` line; sample-h0
-    --tokens 0 writes empty sequences."""
+    ends embed, and a --q below 2, a negative --s-max or a --mass outside
+    (0, 1) ends bounds or params, with status 1 and one `blockmark: ...`
+    line; bounds and params used to end in a ValueError traceback.
+    sample-h0 --tokens 0 writes empty sequences."""
     key = tmp_path / "key.txt"
     seqio.write_key(key, SecretKey(bytes(32)))
     embed = ["embed", "--key-file", str(key), "--payload", "1"]
-    cases = [(["--tokens", "-3"], "token_count must be >= "),
+    sizes = [(["--tokens", "-3"], "token_count must be >= "),
              (["--vocab-size", "0"],
               "vocab_size must lie in [1, 2^32), got 0")]
-    for command in (["sample-h0"], embed):
-        for args, message in cases:
-            status, out, err = _cli_exit(command + args + ["--output", "-"],
-                                         tmp_path)
-            assert (status, out) == (1, ""), (command, args)
-            assert err.startswith("blockmark: ") and err.count("\n") == 1
-            assert message in err, err
+    cases = [(command + args + ["--output", "-"], message)
+             for command in (["sample-h0"], embed) for args, message in sizes]
+    cases += [
+        (["bounds", "--q", "1"], "invalid ball parameters q=1, n=31, t=7"),
+        (["bounds", "--s-max", "-1"], "S must be odd and >= 1, got -1"),
+        (["bounds", "--mass", "1.5"], "mass must lie in (0, 1), got 1.5"),
+        (["params", "--alpha", "0.01", "--beta", "0.01", "--mass", "1.5"],
+         "mass must lie in (0, 1), got 1.5"),
+    ]
+    for argv, message in cases:
+        status, out, err = _cli_exit(argv, tmp_path)
+        assert (status, out) == (1, ""), argv
+        assert err.startswith("blockmark: ") and err.count("\n") == 1, err
+        assert message in err, err
     out = tmp_path / "h0.jsonl"
     main(["sample-h0", "--tokens", "0", "--count", "2", "--output", str(out)])
     assert [len(seq) for seq in seqio.read_sequences(out)] == [0, 0]

@@ -21,11 +21,14 @@ only read):
 
 Each text is then detected `--repeats` times in turn, and its time is the
 median of its repeats.  One line per kind prints its number of texts, how
-many of them have an offset of ratio 1 (a report of score 1), and the
-median of their times in ms.  The last line does the same for the whole
-batch.  The workload's p50_ms is the median over the same texts, so it
-falls on a text of ratio 1 where more than half have one, and between the
-dearest of them and the cheapest other text where exactly half do.
+many of them have an offset of ratio 1 (a report of score 1), the mean
+number of `decode_rows` calls and of rows decoded per text, and the
+median of their times in ms.  The calls are counted in the untimed first
+detection only, so the timed repeats run the detector as it is.  The last
+line does the same for the whole batch.  The workload's p50_ms is the
+median over the same texts, so it falls on a text of ratio 1 where more
+than half have one, and between the dearest of them and the cheapest
+other text where exactly half do.
 """
 import argparse
 import statistics
@@ -33,6 +36,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -68,8 +72,18 @@ def main(argv=None) -> int:
     seqs = state["seqs"]
     cfgs = state["cfgs"] if cold else [state["cfg"]] * len(seqs)
     kinds = [m["kind"] for m in state["meta"]]
-    perfect = [detector.detect(seq, cfg).score == 1
-               for seq, cfg in zip(seqs, cfgs)]
+    calls = []      # per text: the row count of each decode_rows call
+    decode_rows = detector.decode_rows
+
+    def counted(code, words):
+        calls[-1].append(len(words))
+        return decode_rows(code, words)
+
+    perfect = []
+    with mock.patch.object(detector, "decode_rows", counted):
+        for seq, cfg in zip(seqs, cfgs):
+            calls.append([])
+            perfect.append(detector.detect(seq, cfg).score == 1)
     times = [[] for _ in seqs]
     for _ in range(args.repeats):
         for seq, cfg, spent in zip(seqs, cfgs, times):
@@ -82,7 +96,9 @@ def main(argv=None) -> int:
     for kind in (*kind_order, None):
         at = [i for i, k in enumerate(kinds) if kind in (k, None)]
         print(f"{kind or 'all':6} texts {len(at):2}  ratio-1 "
-              f"{sum(perfect[i] for i in at):2}  median "
+              f"{sum(perfect[i] for i in at):2}  decode_rows calls "
+              f"{statistics.mean(len(calls[i]) for i in at):5.1f} rows "
+              f"{statistics.mean(sum(calls[i]) for i in at):6.1f}  median "
               f"{statistics.median(ms[i] for i in at):.3f} ms")
     return 0
 
