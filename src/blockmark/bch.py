@@ -66,9 +66,16 @@ NAMED_CODES = {
 }
 
 # Rows that decode_rows decodes at once.  Its transient arrays grow with
-# this, not with the batch: about 11(t+1)n bytes a row in the Chien search
-# (int16 indices, the intp copy np.take makes of them, uint8 values).
+# this, not with the batch: about 9(t+1)n bytes a row in the Chien search
+# (intp indices, uint8 values).
 DECODE_CHUNK = 256
+
+# Rows from which a chunk runs Berlekamp-Massey as arrays, over every row
+# at once; a smaller chunk runs it row by row.  The array form's t steps
+# cost a fixed time per call that the scalar loop's per-row time passes
+# only at some rows per call: at or above every code's measured crossover
+# (tools/decode_cost.py).
+ARRAY_BM_ROWS = 32
 
 
 def code_params(spec) -> tuple:
@@ -159,20 +166,35 @@ class BchCode:
         chien = np.array([(period - j) % period for j in range(n)],
                          dtype=np.int64)   # the exponents -j mod period
         planes = (odd[:, :, None] >> np.arange(m)) & 1
+        # S_i for i = 2^a * o, o odd, is S_o^(2^a): x^(2^a) of every x
+        # is alpha to its log times 2^a
+        i = np.arange(1, 2 * t + 1)
+        a = np.array([(x & -x).bit_length() - 1 for x in i.tolist()])
+        squares = np.zeros((2 * t, fld.order), dtype=np.uint8)
+        squares[:, 1:] = fld.exp[(fld.log[1:] << a[:, None]) % period]
+        log0 = fld.log.copy()
+        log0[0] = 3 * period
         self.__dict__.update(
             generator=gen, fld=fld,
             _gen_rows=gen_rows,   # (k, n) float32 generator matrix
             # decode_rows' tables: per position the bits of S_1, S_3, ...,
             # S_2t-1, bit b of S_2i+1 in column i*m + b, (n, t*m) float32;
+            # per syndrome S_i the column of its odd part, and its row of
+            # x -> S_i as a power of that column's value, (2t, 2^m) uint8;
             # the exponents -l*j mod period of every locator degree l <= t
-            # at every j < n, (t+1, n) int16; and alpha^i for i < 2*period
-            # followed by zeros, read at 2*period for a zero coefficient,
-            # uint8
+            # at every j < n, (t+1, n) int16; the logs of the elements,
+            # 3*period for zero, intp; and alpha^i for i < 3*period
+            # followed by zeros to 7*period, so that an index with a log of
+            # zero among the at most three logs it sums reads 0, uint8
             _odd_planes=planes.transpose(1, 0, 2).reshape(n, t * m)
             .astype(np.float32),
+            _odd_part=(i >> a) // 2,
+            _squares=squares,
             _chien_pow=(np.arange(t + 1)[:, None] * chien
                         % period).astype(np.int16),
-            _exp0=np.concatenate([fld.exp, np.zeros(period)])
+            _log0=log0,
+            _exp0=np.concatenate([fld.exp, fld.exp[:period],
+                                  np.zeros(4 * period + 1)])
             .astype(np.uint8))
 
     @staticmethod
@@ -217,8 +239,7 @@ def encode(code: BchCode, msg: np.ndarray) -> np.ndarray:
 def syndromes(code: BchCode, received: np.ndarray) -> np.ndarray:
     """All 2t syndromes S_1 ... S_2t of a word, from its odd syndromes."""
     odd = _odd_syndromes(code, check_bits("word", received)[None])
-    return np.array(_all_syndromes(code.fld, odd[0].tolist()),
-                    dtype=np.int64)
+    return _all_syndromes(code, odd)[0].astype(np.int64)
 
 
 def _odd_syndromes(code: BchCode, words: np.ndarray) -> np.ndarray:
@@ -229,28 +250,21 @@ def _odd_syndromes(code: BchCode, words: np.ndarray) -> np.ndarray:
                        axis=-1, bitorder="little")[..., 0]
 
 
-def _all_syndromes(fld: FieldGF2m, odd: list[int]) -> list[int]:
-    """S_1 ... S_2t of a binary word from its t odd syndromes S_1, S_3,
-    ..., S_2t-1: S_2j = S_j^2."""
-    exp, log = fld._exp_l, fld._log_l
-    S = [0] * (2 * len(odd))
-    S[0::2] = odd
-    for j in range(1, len(odd) + 1):
-        s = S[j - 1]
-        S[2 * j - 1] = exp[2 * log[s]] if s else 0
-    return S
+def _all_syndromes(code: BchCode, odd: np.ndarray) -> np.ndarray:
+    """(R, 2t) syndromes S_1 ... S_2t of binary words from their (R, t)
+    odd ones: S_2j = S_j^2, so S_i is a power of the odd syndrome of i's
+    odd part, one read of the code's table."""
+    return code._squares[np.arange(2 * code.t), odd[:, code._odd_part]]
 
 
-def _binary_berlekamp_massey(fld: FieldGF2m, odd: list[int]):
+def _binary_berlekamp_massey(fld: FieldGF2m, S: list[int]) -> list[int]:
     """The error locator of a binary word (ascending coefficients, no
-    trailing zeros) from its t odd syndromes S_1, S_3, ..., S_2t-1: [1],
-    of degree 0, for a codeword, and [], of degree -1, when its LFSR
-    length exceeds t or differs from its degree: more than t errors.
-    Berlekamp-Massey over S_1 ... S_2t, where S_2i = S_i^2, and
-    then the discrepancy of every step N odd (0-based) is zero, so only
-    the t steps N even are run."""
+    trailing zeros) from its 2t syndromes S_1 ... S_2t: [1], of degree 0,
+    for a codeword, and [], of degree -1, when its LFSR length exceeds t
+    or differs from its degree: more than t errors.  Berlekamp-Massey,
+    where S_2i = S_i^2 makes the discrepancy of every step N odd (0-based)
+    zero, so only the t steps N even are run."""
     exp, log, period = fld._exp_l, fld._log_l, fld.period
-    S = _all_syndromes(fld, odd)
     C = [1]
     B = [1]
     L = 0
@@ -280,7 +294,47 @@ def _binary_berlekamp_massey(fld: FieldGF2m, odd: list[int]):
         shift += 2                              # this step and step N + 1
     while len(C) > 1 and C[-1] == 0:
         C.pop()
-    return C if L <= len(odd) and len(C) - 1 == L else []
+    return C if 2 * L <= len(S) and len(C) - 1 == L else []
+
+
+def _array_berlekamp_massey(code: BchCode, S: np.ndarray) -> tuple:
+    """_binary_berlekamp_massey of every row of an (R, 2t) syndrome matrix
+    at once: the (R, t+1) locator coefficients and the R degrees, -1
+    where the scalar loop returns [].  Its t steps run on arrays of logs
+    (3*period for zero) read back through _exp0, where a sum with a zero
+    term reads 0, so a row whose discrepancy is zero adds nothing, and
+    np.copyto with a mask sets L, B and b of the rows whose length grows.
+    B times x^shift is held as logs in a window of a wider buffer that
+    moves two columns left a step: its shift by x^2 copies nothing.  A
+    row of L <= t never has a coefficient beyond x^t (deg C <= L), and a
+    row of L > t gets degree -1 whatever its truncated C holds."""
+    t, period = code.t, code.fld.period
+    log0, exp0 = code._log0, code._exp0
+    R = len(S)
+    padded = np.zeros((R, 3 * t), dtype=np.uint8)
+    padded[:, t:] = S
+    # step s reads S_{2s+1-i} times C_i for i = 0 ... t, zero before S_1
+    windows = log0[padded[:, t + 2 * np.arange(t)[:, None]
+                          - np.arange(t + 1)]]
+    C = np.zeros((R, t + 1), dtype=np.intp)
+    C[:, 0] = 1
+    B = np.full((R, 3 * t - 1), log0[0])
+    B[:, 2 * t - 1] = 0                         # x^1 times B = 1
+    L = np.zeros(R, dtype=np.intp)
+    inv_b = np.full(R, period)                  # period - log b, b = 1
+    for s in range(t):
+        shifted = B[:, 2 * t - 2 - 2 * s:3 * t - 1 - 2 * s]
+        log_c = log0[C]
+        d = np.bitwise_xor.reduce(exp0[log_c + windows[:, s]], axis=1)
+        log_d = log0[d]
+        update = exp0[(log_d + inv_b)[:, None] + shifted]
+        grow = (d != 0) & (L <= s)
+        np.copyto(shifted, log_c, where=grow[:, None])
+        np.copyto(L, 2 * s + 1 - L, where=grow)
+        np.copyto(inv_b, period - log_d, where=grow)
+        C ^= update
+    degree = t - np.argmax(C[:, ::-1] != 0, axis=1)
+    return C, np.where(degree == L, L, -1).tolist()
 
 
 def safe_decode(code: BchCode, received: np.ndarray):
@@ -299,11 +353,13 @@ def decode_rows(code: BchCode, words: np.ndarray) -> list:
     """Bounded-radius decoding of every row of an (R, n) bit matrix: per
     row (codeword, distance) when a codeword lies within Hamming distance
     t, otherwise None.  DECODE_CHUNK rows at a time, every row taking the
-    same steps: one syndrome product per chunk, a scalar binary
-    Berlekamp-Massey per row (a codeword's locator has degree 0, a row
-    with more than t errors gets degree -1), one Chien search over every
-    row's locator, and the syndrome product again on the corrected rows.
-    A row decodes iff its locator has as many roots as its degree and its
+    same steps: one syndrome product per chunk, binary Berlekamp-Massey
+    (a codeword's locator has degree 0, a row with more than t errors
+    gets degree -1), one Chien search over every row's locator, and the
+    syndrome product again on the corrected rows.  Berlekamp-Massey runs
+    over every row at once in a chunk of ARRAY_BM_ROWS rows or more, and
+    row by row in a smaller one; both give the same locators.  A row
+    decodes iff its locator has as many roots as its degree and its
     corrected word has a zero syndrome.  A decoded row is a view of a
     fresh array."""
     words = check_bits("word", words)
@@ -316,17 +372,18 @@ def decode_rows(code: BchCode, words: np.ndarray) -> list:
 
 
 def _decode_chunk(code: BchCode, words: np.ndarray) -> list:
-    fld, t = code.fld, code.t
-    log, zero = fld._log_l, 2 * fld.period
-    degrees, locators = [], []     # locators as logs, zero -> 2p
-    for odd in _odd_syndromes(code, words).tolist():
-        C = _binary_berlekamp_massey(fld, odd)
-        degrees.append(len(C) - 1)
-        locators.append([log[c] if c else zero for c in C]
-                        + [zero] * (t + 1 - len(C)))
+    S = _all_syndromes(code, _odd_syndromes(code, words))
+    if len(words) >= ARRAY_BM_ROWS:
+        locators, degrees = _array_berlekamp_massey(code, S)
+    else:
+        locators, degrees = [], []
+        for row in S.tolist():
+            C = _binary_berlekamp_massey(code.fld, row)
+            degrees.append(len(C) - 1)
+            locators.append(C + [0] * (code.t + 1 - len(C)))
     # Chien search: C(alpha^-j) of every locator at every j at once
-    roots = np.bitwise_xor.reduce(np.take(code._exp0, np.array(
-        locators, dtype=np.int16)[:, :, None] + code._chien_pow), axis=1) == 0
+    roots = np.bitwise_xor.reduce(np.take(code._exp0, code._log0[
+        locators][:, :, None] + code._chien_pow), axis=1) == 0
     fixed = words ^ roots[:, ::-1]
     good = (roots.sum(axis=1) == degrees) \
         & ~_odd_syndromes(code, fixed).any(axis=1)

@@ -120,10 +120,18 @@ def blind_fpr_bound(k: int, M: int, theta: float, p: float) -> float:
 
 
 def p_emb(delta: float, mass: float) -> float:
-    """Per-symbol soft-embedding error (1-m) / (m*e^delta + 1-m)."""
+    """Per-symbol soft-embedding error (1-m) / (m*e^delta + 1-m), 0 at
+    delta = inf.  A negative delta is in its domain: delta_for_target
+    returns one where the mass alone keeps the error under its target."""
     if not 0.0 < mass < 1.0:
         raise ContractError(f"mass must lie in (0, 1), got {mass}")
-    return (1.0 - mass) / (mass * math.exp(delta) + 1.0 - mass)
+    if math.isnan(delta):
+        raise ContractError(f"delta must be a number, got {delta}")
+    try:
+        return (1.0 - mass) / (mass * math.exp(delta) + 1.0 - mass)
+    except OverflowError:                 # e^delta beyond a float
+        small = math.exp(-delta)
+        return (1.0 - mass) * small / (mass + (1.0 - mass) * small)
 
 
 def delta_for_target(p_star: float, mass: float) -> float:
@@ -198,7 +206,10 @@ def param_search(alpha: float, beta: float, p_att: float,
 
 
 def report(params: BoundParams) -> dict:
-    """All closed-form quantities for one parameter set, JSON-friendly."""
+    """All closed-form quantities for one parameter set, JSON-friendly.
+    Its delta is an embedding's, so it must be >= 0, as EmbedConfig's."""
+    if not params.delta >= 0.0:            # NaN fails this too
+        raise ContractError(f"delta must be >= 0, got {params.delta}")
     q, n, k, t = params.q, params.n, params.k, params.t
     p0_exact = p0(q, n, t)
     ps_union = p0_shift(p0_exact, params.S, "union")

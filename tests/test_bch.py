@@ -379,7 +379,9 @@ def test_decode_rows_equals_safe_decode(params, data):
     words at distance 0 ... t+3 from random codewords, random words,
     random words whose Berlekamp-Massey length exceeds t (a rejected
     locator among decodable rows), the zero and the all-ones word, in
-    batches of 0, 1 or more rows than one chunk."""
+    batches of 0, 1 or more rows than one chunk, each chunk through the
+    array Berlekamp-Massey (ARRAY_BM_ROWS 1), the scalar loop (above any
+    batch) or the module's choice."""
     code = BchCode.make(*params)
     n, k, t = params
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -400,7 +402,10 @@ def test_decode_rows_equals_safe_decode(params, data):
             w[:] = encode(code, rng.integers(0, 2, k).astype(np.uint8))
             w[rng.choice(n, kind, replace=False)] ^= 1
     chunk = data.draw(st.sampled_from((1, 2, 5, bch.DECODE_CHUNK)))
-    with mock.patch.object(bch, "DECODE_CHUNK", chunk):
+    array_from = data.draw(st.sampled_from(
+        (1, bch.ARRAY_BM_ROWS, bch.DECODE_CHUNK + 1)))
+    with mock.patch.object(bch, "DECODE_CHUNK", chunk), \
+            mock.patch.object(bch, "ARRAY_BM_ROWS", array_from):
         got = decode_rows(code, words)
     assert len(got) == len(words)
     for word, g in zip(words, got):
@@ -430,7 +435,10 @@ def test_syndromes_equal_reference(params):
 
 def test_decode_rows_across_chunks():
     """A batch of more than two chunks at the module's chunk size: every
-    third row a codeword with up to t flips, the others random."""
+    third row a codeword with up to t flips, the others random.  Its two
+    full chunks run the array Berlekamp-Massey and its 3-row tail the
+    scalar loop, in one call."""
+    assert 3 < bch.ARRAY_BM_ROWS <= bch.DECODE_CHUNK
     code = BchCode.make(127, 92, 5)
     rng = np.random.default_rng(11)
     words = rng.integers(0, 2, (2 * bch.DECODE_CHUNK + 3, code.n)) \
@@ -443,3 +451,36 @@ def test_decode_rows_across_chunks():
     assert sum(g is not None for g in got) >= len(words) // 3
     for word, g in zip(words, got):
         _assert_same_decode(g, _reference_decode(code, word), words)
+
+
+@pytest.mark.parametrize("params", sorted(NAMED_CODES))
+def test_array_berlekamp_massey_equals_scalar_loop(params):
+    """The array form returns, row for row, the scalar loop's locator
+    (zero-padded to t+1 coefficients) and degree, -1 where the loop
+    returns [], on codewords with 0 ... t+2 flips, random words and
+    random words whose length exceeds t."""
+    code = BchCode.make(*params)
+    n, k, t = params
+    rng = np.random.default_rng(n * 7 + k)
+    words = [rng.integers(0, 2, (40, n))]
+    while len(words) < 6:                   # five rows of degree -1
+        w = rng.integers(0, 2, (1, n)).astype(np.uint8)
+        odd = bch._odd_syndromes(code, w)
+        if not bch._binary_berlekamp_massey(
+                code.fld, bch._all_syndromes(code, odd)[0].tolist()):
+            words.append(w)
+    for flips in range(t + 3):
+        w = encode_rows(code, rng.integers(0, 2, (20, k)).astype(np.uint8))
+        for row in w:
+            row[rng.choice(n, flips, replace=False)] ^= 1
+        words.append(w)
+    words = np.concatenate(words).astype(np.uint8)
+    S = bch._all_syndromes(code, bch._odd_syndromes(code, words))
+    locators, degrees = bch._array_berlekamp_massey(code, S)
+    assert locators.shape == (len(words), t + 1) and len(degrees) == len(S)
+    assert -1 in degrees and 0 in degrees and t in degrees
+    for row, got, degree in zip(S.tolist(), locators, degrees):
+        C = bch._binary_berlekamp_massey(code.fld, row)
+        assert degree == len(C) - 1
+        if C:
+            assert got.tolist() == C + [0] * (t + 1 - len(C))

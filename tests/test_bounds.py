@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from blockmark.bch import ContractError
 from blockmark.bounds import (BoundNotApplicable, BoundParams, agg_fpr_bound,
                               ball_volume, blind_fpr_bound, delta_for_target,
                               entropy_bound, entropy_q, fnr_bound, fpr_any,
@@ -101,6 +102,28 @@ def test_p_emb_reference_values():
     assert p_emb(3.0, 0.5) == pytest.approx(0.0474, abs=5e-5)
     assert p_emb(0.0, 0.5) == pytest.approx(0.5)
     assert p_emb(50.0, 0.5) < 1e-20
+
+
+def test_p_emb_domain():
+    """p_emb takes every delta but NaN: where e^delta is a float it is the
+    closed form itself, bit for bit, a negative delta included; beyond
+    that it falls to its limit 0 without an OverflowError, where it used
+    to raise one.  A report, whose delta is an embedding's, refuses a NaN
+    or negative delta, where it used to report p_emb NaN or near 1."""
+    for mass in (0.05, 0.5, 0.95):
+        for delta in (-50.0, -5.0, 0.0, 1e-9, 2.5, 50.0, 700.0, 709.78):
+            assert p_emb(delta, mass) == \
+                (1.0 - mass) / (mass * math.exp(delta) + 1.0 - mass)
+        values = [p_emb(d, mass) for d in (709.78, 709.79, 710.0, 745.0,
+                                           746.0, 1e4, math.inf)]
+        assert values == sorted(values, reverse=True)
+        assert values[1] > 0.0 and values[-3:] == [0.0, 0.0, 0.0]
+    with pytest.raises(ContractError, match="delta must be a number"):
+        p_emb(math.nan, 0.5)
+    for bad in (-5.0, -1e-12, math.nan):
+        with pytest.raises(ContractError, match="delta must be >= 0"):
+            report(BoundParams(delta=bad))
+    assert report(BoundParams(delta=1000.0))["p_emb"] == 0.0
 
 
 @given(st.floats(0.01, 0.49), st.floats(0.05, 0.95))

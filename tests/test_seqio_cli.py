@@ -394,9 +394,10 @@ def test_cli_rejects_bad_code(tmp_path):
 
 def test_cli_rejects_bad_sizes(tmp_path):
     """A negative --tokens or a --vocab-size of 0 ends sample-h0, as it
-    ends embed, and a --q below 2, a negative --s-max or a --mass outside
-    (0, 1) ends bounds or params, with status 1 and one `blockmark: ...`
-    line; bounds and params used to end in a ValueError traceback.
+    ends embed, and a --q below 2, a negative --s-max, a --mass outside
+    (0, 1) or a NaN or negative --delta ends bounds or params, with status
+    1 and one `blockmark: ...` line; bounds and params used to end in a
+    ValueError traceback, and a NaN or negative --delta in a report.
     sample-h0 --tokens 0 writes empty sequences."""
     key = tmp_path / "key.txt"
     seqio.write_key(key, SecretKey(bytes(32)))
@@ -412,6 +413,8 @@ def test_cli_rejects_bad_sizes(tmp_path):
         (["bounds", "--mass", "1.5"], "mass must lie in (0, 1), got 1.5"),
         (["params", "--alpha", "0.01", "--beta", "0.01", "--mass", "1.5"],
          "mass must lie in (0, 1), got 1.5"),
+        (["bounds", "--delta", "nan"], "delta must be >= 0, got nan"),
+        (["bounds", "--delta=-5"], "delta must be >= 0, got -5.0"),
     ]
     for argv, message in cases:
         status, out, err = _cli_exit(argv, tmp_path)
@@ -421,6 +424,16 @@ def test_cli_rejects_bad_sizes(tmp_path):
     out = tmp_path / "h0.jsonl"
     main(["sample-h0", "--tokens", "0", "--count", "2", "--output", str(out)])
     assert [len(seq) for seq in seqio.read_sequences(out)] == [0, 0]
+
+
+def test_cli_bounds_at_a_large_delta(tmp_path):
+    """bounds --delta 1000 reports p_emb 0.0, the limit, where it used to
+    end in an OverflowError traceback; inf reports the same."""
+    for delta in ("1000", "inf"):
+        status, out, err = _cli_exit(["bounds", "--delta", delta], tmp_path)
+        assert (status, err) == (0, ""), err
+        rep = json.loads(out)
+        assert rep["p_emb"] == 0.0 and rep["p_tot"] == 0.0
 
 
 def test_cli_bitflip_on_a_one_list_block(tmp_path):

@@ -22,15 +22,19 @@ only read):
 Each text is then detected `--repeats` times in turn, and its time is the
 median of its repeats.  One line per kind prints its number of texts, how
 many of them have an offset of ratio 1 (a report of score 1), the mean
-number of `decode_rows` calls and of rows decoded per text, and the
-median of their times in ms.  The calls are counted in the untimed first
-detection only, so the timed repeats run the detector as it is.  The last
+number of `decode_rows` calls and of rows decoded per text, how many of
+the kind's rows were decoded in calls of at least bch.ARRAY_BM_ROWS rows
+(the calls whose chunks run the array Berlekamp-Massey; none in a
+checkout without it), and the median of their times in ms.  The calls
+are counted in the untimed first detection only, so the timed repeats
+run the detector as it is.  The last
 line does the same for the whole batch.  The workload's p50_ms is the
 median over the same texts, so it falls on a text of ratio 1 where more
 than half have one, and between the dearest of them and the cheapest
 other text where exactly half do.
 """
 import argparse
+import math
 import statistics
 import sys
 import tempfile
@@ -42,7 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
-from blockmark import detector, keying  # noqa: E402
+from blockmark import bch, detector, keying  # noqa: E402
 
 # each workload's class and its text kinds, in print order
 WORKLOADS = {"detect-warm": (workloads.DetectWarm,
@@ -93,13 +97,16 @@ def main(argv=None) -> int:
             detector.detect(seq, cfg)
             spent.append(time.perf_counter() - start)
     ms = [statistics.median(spent) * 1e3 for spent in times]
+    array_rows = getattr(bch, "ARRAY_BM_ROWS", math.inf)
     for kind in (*kind_order, None):
         at = [i for i, k in enumerate(kinds) if kind in (k, None)]
+        rows = [r for i in at for r in calls[i]]
         print(f"{kind or 'all':6} texts {len(at):2}  ratio-1 "
               f"{sum(perfect[i] for i in at):2}  decode_rows calls "
               f"{statistics.mean(len(calls[i]) for i in at):5.1f} rows "
-              f"{statistics.mean(sum(calls[i]) for i in at):6.1f}  median "
-              f"{statistics.median(ms[i] for i in at):.3f} ms")
+              f"{statistics.mean(sum(calls[i]) for i in at):6.1f}  array "
+              f"{sum(r for r in rows if r >= array_rows):4}/{sum(rows):<4} "
+              f" median {statistics.median(ms[i] for i in at):.3f} ms")
     return 0
 
 
